@@ -20,12 +20,11 @@ import numpy as np
 from .determinants import (
     Determinant,
     Sector,
-    excitation_info,
     hartree_fock_det,
     occupied_orbitals,
     slater_condon,
 )
-from .eigensolver import CIVector, ground_state, project, _degree2_pairs
+from .eigensolver import CIVector, ground_state, project, single_excitation_pairs
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
 from .sampler import NoiseModel, brick_wall_ansatz, mean_occupations, prepare_state, sample
@@ -402,22 +401,10 @@ def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
             gamma[p, p] += w
         for p in occupied_orbitals(d.beta_mask):
             gamma[p, p] += w
-    dets = sub.dets
-    for i, j in _degree2_pairs(dets):
-        da, db = dets[i], dets[j]
-        diff = (da.alpha_mask ^ db.alpha_mask).bit_count() + (
-            da.beta_mask ^ db.beta_mask
-        ).bit_count()
-        if diff != 2:
-            continue
-        info = excitation_info(db, da)  # d_i = (p <- q) applied to d_j
-        if info.alpha_holes:
-            q, p = info.alpha_holes[0], info.alpha_particles[0]
-        else:
-            q, p = info.beta_holes[0], info.beta_particles[0]
-        term = amps[i] * amps[j] * info.phase
-        gamma[p, q] += term
-        gamma[q, p] += term
+    i, j, hole, particle, phase = single_excitation_pairs(sub.dets, n)
+    term = amps[i] * amps[j] * phase
+    np.add.at(gamma, (hole, particle), term)
+    np.add.at(gamma, (particle, hole), term)
     return gamma
 
 

@@ -1,10 +1,15 @@
 """Subspace Hamiltonian assembly and ground-eigenpair solves.
 
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over an
-ordered determinant list without an all-pairs scan: determinants are bucketed
-by equal alpha string (beta excitations), equal beta string (alpha
-excitations) and alpha-minus-one-electron submasks (mixed double
-excitations), so only degree <= 2 pairs are ever visited.
+ordered determinant list with string-driven numpy batches (Knowles & Handy,
+CPL 111, 315, 1984): each determinant becomes a pair of indices into the
+distinct alpha and beta strings of the list, excitations of degree 1 and 2
+are linked between the strings of each spin channel, and partner
+determinants are looked up by sorted key. Pairs come in three batches:
+alpha excitations with the beta string unchanged, beta excitations with the
+alpha string unchanged, and one single excitation in each channel. The
+diagonal comes from occupation vectors against J = (pp|qq) and K = (pq|qp).
+slater_condon is the element-by-element oracle for this kernel.
 
 ground_state() runs a Davidson iteration with a diagonal preconditioner,
 falling back to a direct dense solve below a configurable dimension.
@@ -14,13 +19,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import Determinant, slater_condon
+from .determinants import Determinant
 from .integrals import IntegralSet
 
 __all__ = [
@@ -28,8 +34,8 @@ __all__ = [
     "CIVector",
     "EigensolverError",
     "project",
+    "single_excitation_pairs",
     "ground_state",
-    "energy_of",
     "dump_matrix",
     "load_matrix",
 ]
@@ -73,71 +79,269 @@ class CIVector:
             raise ValueError(f"CI vector norm {norm} deviates from 1")
 
 
-def _degree2_pairs(dets: Sequence[Determinant]):
-    """Yield index pairs (i < j) with total excitation degree 1 or 2."""
-    by_alpha: dict = {}
-    by_beta: dict = {}
-    for idx, d in enumerate(dets):
-        by_alpha.setdefault(d.alpha_mask, []).append(idx)
-        by_beta.setdefault(d.beta_mask, []).append(idx)
+# Candidate partners expanded per numpy batch; bounds the temporaries.
+_CHUNK = 1 << 15
+_ONE = np.uint64(1)
+# _BIT[p] is the uint64 mask of orbital p; unsigned, so orbital 63 is no sign bit.
+_BIT = _ONE << np.arange(64, dtype=np.uint64)
 
-    # Same alpha string: any beta excitation of degree 1 or 2.
-    for group in by_alpha.values():
-        for a, i in enumerate(group):
-            bi = dets[i].beta_mask
-            for j in group[a + 1:]:
-                if (bi ^ dets[j].beta_mask).bit_count() in (2, 4):
-                    yield i, j
-    # Same beta string: alpha excitations.
-    for group in by_beta.values():
-        for a, i in enumerate(group):
-            ai = dets[i].alpha_mask
-            for j in group[a + 1:]:
-                if (ai ^ dets[j].alpha_mask).bit_count() in (2, 4):
-                    yield i, j
-    # Mixed double: one excitation per channel. Two determinants with alpha
-    # degree exactly 1 share exactly one alpha-remove-one-electron submask,
-    # so each pair is visited once.
-    sub_alpha: dict = {}
-    for idx, d in enumerate(dets):
-        mask = d.alpha_mask
-        m = mask
-        while m:
-            low = m & -m
-            sub_alpha.setdefault(mask ^ low, []).append(idx)
-            m ^= low
-    for group in sub_alpha.values():
-        for a, i in enumerate(group):
-            di = dets[i]
-            for j in group[a + 1:]:
-                dj = dets[j]
-                if di.alpha_mask != dj.alpha_mask and (di.beta_mask ^ dj.beta_mask).bit_count() == 2:
-                    yield i, j
+
+def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
+    """(len(strings), n_orb) 0/1 float occupations of uint64 strings."""
+    return ((strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & _ONE).astype(float)
+
+
+def _phase(strings: np.ndarray, holes: np.ndarray, particles: np.ndarray) -> np.ndarray:
+    """(-1)**(occupied orbitals strictly between each hole and particle)."""
+    between = _BIT[np.maximum(holes, particles)] - _BIT[np.minimum(holes, particles) + 1]
+    return 1.0 - 2.0 * (np.bitwise_count(strings & between) & 1)
+
+
+def _pairs_in_groups(keys: np.ndarray):
+    """Every pair (a, b) of distinct positions of keys with keys[a] == keys[b], once."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    n = len(k)
+    if n == 0:
+        return order, order
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    later = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+    a = np.repeat(np.arange(n), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    return order[a], order[b]
+
+
+def _expand(counts: np.ndarray):
+    """Yield (owner, rank) chunks enumerating rank in range(counts[owner]).
+
+    Owners stay whole inside a chunk; chunks hold about _CHUNK rows.
+    """
+    live = np.flatnonzero(counts)
+    c = counts[live]
+    ends = np.cumsum(c)
+    lo = 0
+    while lo < len(live):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), lo + 1)
+        cc = c[lo:hi]
+        owner = np.repeat(live[lo:hi], cc)
+        rank = np.arange(ends[hi - 1] - base) - np.repeat(ends[lo:hi] - cc - base, cc)
+        yield owner, rank
+        lo = hi
+
+
+@dataclass(frozen=True)
+class _Links:
+    """Excitations between strings, grouped by source string.
+
+    Links of source k are rows start[k]:start[k+1]; holes and particles are
+    ascending per link (shape (m,) for singles, (m, 2) for doubles) and
+    phase is the fermionic sign of carrying the source into dst.
+    """
+
+    start: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    holes: np.ndarray
+    particles: np.ndarray
+    phase: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False  # shared through the cache
+
+    @classmethod
+    def grouped(cls, n_strings, src, dst, holes, particles, phase):
+        order = np.argsort(src, kind="stable")
+        start = np.searchsorted(src[order], np.arange(n_strings + 1))
+        return cls(start, src[order], dst[order], holes[order], particles[order], phase[order])
+
+    def count(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    def upward(self) -> "_Links":
+        """Only the links whose target string index exceeds the source's."""
+        keep = self.dst > self.src
+        return _Links.grouped(len(self.start) - 1, self.src[keep], self.dst[keep],
+                              self.holes[keep], self.particles[keep], self.phase[keep])
+
+
+@lru_cache(maxsize=4)
+def _string_links(n_orb: int, packed: bytes):
+    """(singles, upward singles, doubles) among the distinct sorted uint64 strings in packed.
+
+    Singles hold both directions of each pair; doubles only the upward one.
+    Two strings one electron apart share exactly one string with one
+    electron removed, and two strings two electrons apart share exactly one
+    with two removed, so grouping those reduced strings finds each pair
+    without comparing all string pairs.
+    """
+    strings = np.frombuffer(packed, dtype=np.uint64)
+    n_s = len(strings)
+    n_e = int(np.bitwise_count(strings[0]))
+    occ = np.nonzero(_occupations(strings, n_orb))[1].reshape(n_s, n_e)
+
+    ea, eb = _pairs_in_groups((strings[:, None] ^ _BIT[occ]).ravel())
+    src, dst = np.r_[ea, eb] // n_e, np.r_[eb, ea] // n_e
+    holes, particles = occ.ravel()[np.r_[ea, eb]], occ.ravel()[np.r_[eb, ea]]
+    singles = _Links.grouped(n_s, src, dst, holes, particles,
+                             _phase(strings[src], holes, particles))
+
+    i1, i2 = np.triu_indices(n_e, 1)
+    removed = np.stack((occ[:, i1], occ[:, i2]), axis=-1).reshape(-1, 2)
+    ea, eb = _pairs_in_groups((strings[:, None] ^ _BIT[occ[:, i1]] ^ _BIT[occ[:, i2]]).ravel())
+    # Entries are row-major over sorted strings: the lower entry has the lower string.
+    ea, eb = np.minimum(ea, eb), np.maximum(ea, eb)
+    src, dst = ea // len(i1), eb // len(i1)
+    keep = np.bitwise_count(strings[src] ^ strings[dst]) == 4
+    src, dst, holes, particles = src[keep], dst[keep], removed[ea[keep]], removed[eb[keep]]
+    mid = strings[src] ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
+    phase = (_phase(strings[src], holes[:, 0], particles[:, 0])
+             * _phase(mid, holes[:, 1], particles[:, 1]))
+    doubles = _Links.grouped(n_s, src, dst, holes, particles, phase)
+    return singles, singles.upward(), doubles
+
+
+class _StringIndex:
+    """A determinant list as (alpha string, beta string) index pairs."""
+
+    def __init__(self, dets: Sequence[Determinant], n_orb: int):
+        if n_orb > 64:
+            raise EigensolverError(f"strings are packed into 64 bits; n_orb={n_orb} does not fit")
+        n = len(dets)
+        alpha = np.fromiter((d.alpha_mask for d in dets), dtype=np.uint64, count=n)
+        beta = np.fromiter((d.beta_mask for d in dets), dtype=np.uint64, count=n)
+        self.alpha, self.ia = np.unique(alpha, return_inverse=True)
+        self.beta, self.ib = np.unique(beta, return_inverse=True)
+        keys = self.ia * len(self.beta) + self.ib
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+        if np.any(self.keys[1:] == self.keys[:-1]):
+            raise EigensolverError("determinant list contains duplicates")
+        # (singles, upward singles, doubles) per channel
+        self.links = {"alpha": _string_links(n_orb, self.alpha.tobytes()),
+                      "beta": _string_links(n_orb, self.beta.tobytes())}
+
+    def find(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Positions of the determinants (ia, ib) in the list, -1 where absent."""
+        want = ia * len(self.beta) + ib
+        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
+        return np.where(self.keys[pos] == want, self.order[pos], -1)
+
+    def same_spin(self, channel: str, links: _Links):
+        """Yield (i, j, link) for pairs differing by one of the links in one channel only."""
+        ix, iy = (self.ia, self.ib) if channel == "alpha" else (self.ib, self.ia)
+        for i, rank in _expand(links.count()[ix]):
+            link = links.start[ix[i]] + rank
+            pair = (links.dst[link], iy[i]) if channel == "alpha" else (iy[i], links.dst[link])
+            j = self.find(*pair)
+            hit = j >= 0
+            yield i[hit], j[hit], link[hit]
+
+    def mixed(self):
+        """Yield (i, j, alpha link, beta link) for pairs one single apart in each channel.
+
+        Alpha links index the upward alpha singles, beta links all beta singles.
+        """
+        up_alpha, beta = self.links["alpha"][1], self.links["beta"][0]
+        n_b = beta.count()[self.ib]
+        for i, rank in _expand(up_alpha.count()[self.ia] * n_b):
+            la = up_alpha.start[self.ia[i]] + rank // n_b[i]
+            lb = beta.start[self.ib[i]] + rank % n_b[i]
+            j = self.find(up_alpha.dst[la], beta.dst[lb])
+            hit = j >= 0
+            yield i[hit], j[hit], la[hit], lb[hit]
+
+
+def single_excitation_pairs(dets: Sequence[Determinant], n_orb: int):
+    """Determinant pairs one electron apart, each once.
+
+    Returns arrays (i, j, hole, particle, phase): d_j is d_i with one
+    electron moved from orbital hole to orbital particle in one spin
+    channel, with fermionic sign phase.
+    """
+    index = _StringIndex(dets, n_orb)
+    out = []
+    for channel in ("alpha", "beta"):
+        up = index.links[channel][1]
+        for i, j, link in index.same_spin(channel, up):
+            out.append((i, j, up.holes[link], up.particles[link], up.phase[link]))
+    if not out:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty, empty, np.zeros(0)
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
+    """<d|H|d> for every determinant, without e_core, from string occupations."""
+    ar = np.arange(s.n_orb)
+    j = s.eri[ar[:, None], ar[:, None], ar, ar]
+    jk = j - s.eri[ar[:, None], ar, ar, ar[:, None]]
+    h = np.diag(s.one_body)
+    e_a = occ_a @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_a, jk, occ_a)
+    e_b = occ_b @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_b, jk, occ_b)
+    coulomb_a = occ_a @ j
+    diag = e_a[index.ia] + e_b[index.ib]
+    for lo in range(0, len(diag), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        diag[sl] += np.einsum("kp,kp->k", coulomb_a[index.ia[sl]], occ_b[index.ib[sl]])
+    return diag
 
 
 def project(dets: Sequence[Determinant], s: IntegralSet) -> SparseSubspaceHamiltonian:
     """Assemble <d_i|H|d_j> + e_core*I over the given determinant ordering.
 
-    Entries beyond excitation degree 2 are structurally absent. The matrix is
-    stored fully symmetric (both triangles).
+    Entries beyond excitation degree 2 and off-diagonal entries that vanish
+    are not stored; every diagonal entry is. The matrix is stored fully
+    symmetric (both triangles).
     """
     n = len(dets)
     if n == 0:
         raise EigensolverError("cannot project onto an empty determinant list")
-    rows, cols, vals = [], [], []
-    for i, d in enumerate(dets):
-        rows.append(i)
-        cols.append(i)
-        vals.append(slater_condon(d, d, s) + s.e_core)
-    for i, j in _degree2_pairs(dets):
-        v = slater_condon(dets[i], dets[j], s)
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((v, v))
-    matrix = scipy.sparse.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+    index = _StringIndex(dets, s.n_orb)
+    eri, ar = s.eri, np.arange(s.n_orb)
+    occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
+    rows, cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+
+    def emit(i, j, v):
+        keep = v != 0.0
+        rows.append(np.minimum(i, j)[keep].astype(np.int32))
+        cols.append(np.maximum(i, j)[keep].astype(np.int32))
+        vals.append(v[keep])
+
+    for channel, other in (("alpha", "beta"), ("beta", "alpha")):
+        _, up, doubles = index.links[channel]
+        # A single h -> p moves against every other electron: the same-spin
+        # part of the sum is fixed by the source string, the opposite-spin
+        # part (hp|qq) over the other channel's occupation is added per pair.
+        h, p = up.holes[:, None], up.particles[:, None]
+        coulomb = eri[h, p, ar, ar]
+        exchange = eri[h, ar, ar, p]
+        base = up.phase * (s.one_body[up.holes, up.particles]
+                           + np.einsum("lq,lq->l", occ[channel][up.src], coulomb - exchange))
+        coulomb *= up.phase[:, None]
+        iy = index.ib if channel == "alpha" else index.ia
+        for i, j, link in index.same_spin(channel, up):
+            emit(i, j, base[link] + np.einsum("kq,kq->k", coulomb[link], occ[other][iy[i]]))
+        (h1, h2), (p1, p2) = doubles.holes.T, doubles.particles.T
+        value = doubles.phase * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1])
+        for i, j, link in index.same_spin(channel, doubles):
+            emit(i, j, value[link])
+
+    up_alpha, beta = index.links["alpha"][1], index.links["beta"][0]
+    for i, j, la, lb in index.mixed():
+        emit(i, j, up_alpha.phase[la] * beta.phase[lb] * eri[
+            up_alpha.holes[la], up_alpha.particles[la], beta.holes[lb], beta.particles[lb]])
+
+    # U + U.T + diag, assembled in one conversion.
+    r, c, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    diag = np.arange(n, dtype=np.int32)
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate((v, v, _diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core)),
+         (np.concatenate((r, c, diag)), np.concatenate((c, r, diag)))),
         shape=(n, n),
-    )
+    ).tocsr()
     return SparseSubspaceHamiltonian(matrix)
 
 
@@ -251,13 +455,6 @@ def ground_state(
         )
     x = _fix_sign(x / np.linalg.norm(x))
     return CIVector(x, theta)
-
-
-def energy_of(c: CIVector, h: SparseSubspaceHamiltonian) -> float:
-    """Rayleigh quotient c^T H c (c is normalized by construction)."""
-    if len(c.amplitudes) != h.dimension:
-        raise EigensolverError("vector and matrix dimensions differ")
-    return float(c.amplitudes @ (h.matrix @ c.amplitudes))
 
 
 def dump_matrix(h: SparseSubspaceHamiltonian, path) -> None:

@@ -3,13 +3,16 @@
 One- and two-electron integrals are stored over spatial orbitals. Two-body
 values use chemist notation (pq|rs) and are kept in a dict keyed by the
 canonical representative of the 8-fold permutation group, so a query through
-any equivalent index order returns the identical stored float.
+any equivalent index order returns the identical stored float. A dense
+(n_orb,)*4 copy with every symmetry image filled is built on first use for
+vectorized Hamiltonian assembly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +80,25 @@ class IntegralSet:
                 f"electron counts ({self.n_alpha}a,{self.n_beta}b) do not fit "
                 f"in {self.n_orb} orbitals"
             )
+
+    @cached_property
+    def eri(self) -> np.ndarray:
+        """Dense (pq|rs) array over all four indices, built on first use.
+
+        Every symmetry image of a canonical key holds its value, so
+        ``eri[p, q, r, s] == get_eri(self, p, q, r, s)`` for all indices.
+        """
+        n = self.n_orb
+        eri = np.zeros((n, n, n, n))
+        keys = [k for k in self.two_body if k == canonical_eri_key(*k)]
+        if keys:
+            p, q, r, s = np.array(keys, dtype=np.intp).T
+            vals = np.array([self.two_body[k] for k in keys])
+            for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
+                eri[a, b, c, d] = vals
+                eri[c, d, a, b] = vals
+        eri.flags.writeable = False
+        return eri
 
     @classmethod
     def from_terms(cls, n_orb, n_alpha, n_beta, e_core, one_body_terms, two_body_terms):

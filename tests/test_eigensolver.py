@@ -1,16 +1,20 @@
 """Subspace Hamiltonian assembly and the Davidson ground-state solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from hivqe.determinants import slater_condon
+from hivqe.determinants import Determinant, slater_condon
 from hivqe.eigensolver import (
     CIVector,
+    EigensolverError,
     dump_matrix,
     ground_state,
     load_matrix,
     project,
 )
+from hivqe.integrals import IntegralSet
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
 
@@ -53,6 +57,121 @@ def test_project_partial_subspace_rows():
             assert mat[i, j] == pytest.approx(
                 slater_condon(di, dj, s) + (s.e_core if i == j else 0.0),
                 abs=1e-12)
+
+
+def assert_matches_oracle(dets, s):
+    """project() agrees element by element with slater_condon (+ e_core on
+    the diagonal) and stores no off-diagonal zeros."""
+    h = project(dets, s).matrix
+    oracle = np.array([[slater_condon(di, dj, s) + (s.e_core if i == j else 0.0)
+                        for j, dj in enumerate(dets)] for i, di in enumerate(dets)])
+    assert np.max(np.abs(h.toarray() - oracle)) < 1e-12
+    assert h.nnz == len(dets) + np.count_nonzero(oracle - np.diag(np.diag(oracle)))
+
+
+def walk_strings(n_orb, n_e, count, rng):
+    """count distinct n_e-electron strings on a random walk of single
+    excitations, so that many pairs are one or two electrons apart."""
+    out = {sum(1 << int(p) for p in rng.choice(n_orb, n_e, replace=False))}
+    while len(out) < count:
+        s = sorted(out)[rng.integers(len(out))]
+        occ = [p for p in range(n_orb) if s >> p & 1]
+        virt = [p for p in range(n_orb) if not s >> p & 1]
+        out.add(s ^ (1 << int(rng.choice(occ))) ^ (1 << int(rng.choice(virt))))
+    return sorted(out)
+
+
+def string_product_subset(n_orb, n_alpha, n_beta, n_strings, keep, seed):
+    """A shuffled random part of (some alpha strings) x (some beta strings)."""
+    rng = np.random.default_rng(seed)
+    alpha = walk_strings(n_orb, n_alpha, n_strings, rng)
+    beta = walk_strings(n_orb, n_beta, n_strings, rng)
+    dets = [Determinant(a, b) for a in alpha for b in beta]
+    pick = rng.permutation(len(dets))[: int(keep * len(dets))]
+    return [dets[i] for i in pick]
+
+
+def excitation_kinds(dets):
+    """Counts of pairs (alpha-only, beta-only, mixed) at degree <= 2."""
+    kinds = [0, 0, 0]
+    for i, di in enumerate(dets):
+        for dj in dets[i + 1:]:
+            da = (di.alpha_mask ^ dj.alpha_mask).bit_count() // 2
+            db = (di.beta_mask ^ dj.beta_mask).bit_count() // 2
+            if da + db <= 2:
+                kinds[0 if db == 0 else 1 if da == 0 else 2] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("n_orb,n_alpha,n_beta,seed", [
+    (10, 3, 3, 101),
+    (11, 4, 2, 102),
+    (12, 2, 5, 103),
+    (12, 5, 5, 104),
+])
+def test_project_matches_slater_condon_on_shuffled_subsets(n_orb, n_alpha, n_beta, seed):
+    s = random_integral_set(n_orb, n_alpha, n_beta, seed=seed, e_core=0.6)
+    dets = string_product_subset(n_orb, n_alpha, n_beta, 12, 0.7, seed)
+    assert all(excitation_kinds(dets))
+    assert_matches_oracle(dets, s)
+
+
+def test_project_matches_slater_condon_without_beta_electrons():
+    s = random_integral_set(10, 3, 0, seed=105, e_core=-0.2)
+    dets = enumerate_sector(10, 3, 0)
+    rng = np.random.default_rng(105)
+    assert_matches_oracle([dets[i] for i in rng.permutation(len(dets))[:60]], s)
+
+
+def test_project_single_determinant():
+    s = random_integral_set(10, 3, 2, seed=106, e_core=1.1)
+    assert_matches_oracle([Determinant(0b1010010000, 0b0000100001)], s)
+
+
+def test_project_subset_without_mixed_pairs():
+    """Two beta strings a double excitation apart: alpha excitations and the
+    beta double couple, but no pair has a single in each channel."""
+    s = random_integral_set(11, 3, 3, seed=107)
+    rng = np.random.default_rng(107)
+    alpha = walk_strings(11, 3, 15, rng)
+    dets = [Determinant(a, b) for a in alpha for b in (0b000111, 0b110001)]
+    dets = [dets[i] for i in rng.permutation(len(dets))]
+    kinds = excitation_kinds(dets)
+    assert kinds[0] > 0 and kinds[1] > 0 and kinds[2] == 0
+    assert_matches_oracle(dets, s)
+
+
+def test_project_uses_the_top_orbital_of_64():
+    """Orbital 63 is the sign bit of an int64 mask; phases must survive it."""
+    n_orb = 64
+    active = (0, 1, 5, 31, 32, 40, 62, 63)
+    rng = np.random.default_rng(108)
+    one = {(p, q): rng.normal() for p in active for q in active if q <= p}
+    two = {(p, q, r, t): rng.normal()
+           for p in active for q in active for r in active for t in active
+           if q <= p and t <= r and (r, t) <= (p, q)}
+    s = IntegralSet.from_terms(n_orb, 3, 2, 0.4, one, two)
+    dets = []
+    for a in itertools.combinations(active, 3):
+        for b in itertools.combinations(active, 2):
+            dets.append(Determinant(sum(1 << p for p in a), sum(1 << p for p in b)))
+    pick = [dets[i] for i in rng.permutation(len(dets))[:150]]
+    assert any(d.alpha_mask >> 63 for d in pick) and any(d.beta_mask >> 63 for d in pick)
+    assert all(excitation_kinds(pick))
+    assert_matches_oracle(pick, s)
+
+
+def test_project_refuses_more_than_64_orbitals():
+    s = IntegralSet.from_terms(65, 1, 1, 0.0, {}, {})
+    with pytest.raises(EigensolverError):
+        project([Determinant(1, 1)], s)
+
+
+def test_project_rejects_duplicate_determinants():
+    s = random_integral_set(4, 2, 2, seed=3)
+    d = Determinant(0b11, 0b101)
+    with pytest.raises(EigensolverError):
+        project([d, Determinant(0b101, 0b11), d], s)
 
 
 def test_davidson_tight_matches_dense():

@@ -1,5 +1,7 @@
 """FCIDUMP and dipole-sidecar parsing, writing, and key canonicalization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,12 @@ def test_roundtrip_random_set():
     again = parse_fcidump(write_fcidump(s))
     assert again.two_body == s.two_body
     assert np.array_equal(again.one_body, s.one_body)
+
+
+def test_dense_eri_matches_get_eri_at_every_index():
+    s = random_integral_set(4, 2, 1, seed=12)
+    for idx in itertools.product(range(s.n_orb), repeat=4):
+        assert s.eri[idx] == get_eri(s, *idx)
 
 
 def test_get_eri_checks_range():
