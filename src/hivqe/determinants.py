@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .integrals import IntegralSet, get_eri
 
 __all__ = [
@@ -97,6 +99,24 @@ def _single_phase(mask: int, hole: int, particle: int) -> int:
     lo, hi = (hole, particle) if hole < particle else (particle, hole)
     between = mask & ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
     return -1 if between.bit_count() & 1 else 1
+
+
+# Vectorized forms over uint64 strings, shared by the Hamiltonian kernel and
+# the sampler. _BIT[p] is the mask of orbital p; unsigned, so orbital 63 is no
+# sign bit.
+_ONE = np.uint64(1)
+_BIT = _ONE << np.arange(64, dtype=np.uint64)
+
+
+def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
+    """(len(strings), n_orb) 0/1 float occupations of uint64 strings."""
+    return ((strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & _ONE).astype(float)
+
+
+def _phase(strings: np.ndarray, holes, particles) -> np.ndarray:
+    """:func:`_single_phase` of each string; holes and particles broadcast."""
+    between = _BIT[np.maximum(holes, particles)] - _BIT[np.minimum(holes, particles) + 1]
+    return 1.0 - 2.0 * (np.bitwise_count(strings & between) & 1)
 
 
 def _channel_excitation(m1: int, m2: int):

@@ -181,21 +181,27 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, *key])
 
 
-def _warm_start(prev_amp: dict, sub: Subspace) -> Optional[CIVector]:
-    if not prev_amp:
+def _realign(psi: CIVector, source: Subspace, target: Subspace):
+    """psi's amplitudes moved onto target's determinants, 0 where source lacks
+    one; returns the vector and its norm, unnormalized."""
+    lookup = dict(zip(source.dets, psi.amplitudes))
+    vec = np.array([lookup.get(d, 0.0) for d in target.dets])
+    return vec, np.linalg.norm(vec)
+
+
+def _warm_start(prev: Optional[tuple], sub: Subspace) -> Optional[CIVector]:
+    """The previous eigenvector on sub, or None when there is none to carry."""
+    if prev is None:
         return None
-    vec = np.array([prev_amp.get(d, 0.0) for d in sub.dets])
-    norm = np.linalg.norm(vec)
+    vec, norm = _realign(*prev, sub)
     if norm < 1e-12:
         return None
     return CIVector(vec / norm, 0.0)
 
 
 def _restrict(psi: CIVector, source: Subspace, target: Subspace) -> CIVector:
-    """Realign amplitudes from one subspace to another; new entries get 0."""
-    lookup = {d: psi.amplitudes[i] for i, d in enumerate(source.dets)}
-    vec = np.array([lookup.get(d, 0.0) for d in target.dets])
-    norm = np.linalg.norm(vec)
+    """psi realigned onto target; the first determinant if nothing carries over."""
+    vec, norm = _realign(psi, source, target)
     if norm == 0.0:
         vec = np.zeros(len(target.dets))
         vec[0] = 1.0
@@ -234,7 +240,7 @@ def run_hivqe(
     noise = NoiseModel(cfg.p_flip)
     history = EnergyHistory()
     carried = Subspace([], sector)
-    prev_amp: dict = {}
+    prev: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
     best: Optional[tuple] = None
     best_energy_seen = math.inf
@@ -289,7 +295,7 @@ def run_hivqe(
 
         t1 = time.perf_counter()
         try:
-            psi = ground_state(project(tensored, s), "tight", _warm_start(prev_amp, tensored))
+            psi = ground_state(project(tensored, s), "tight", _warm_start(prev, tensored))
         except Exception as exc:
             raise RunError(f"iteration {i}: cumulative diagonalization failed: {exc}", trace)
         e_cum = psi.energy
@@ -349,7 +355,7 @@ def run_hivqe(
             work = expanded
         record.n_dets_post_screen = len(work)
         carried = work
-        prev_amp = {d: psi.amplitudes[j] for j, d in enumerate(tensored.dets)}
+        prev = (psi, tensored)
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)

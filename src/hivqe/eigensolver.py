@@ -17,7 +17,6 @@ falling back to a direct dense solve below a configurable dimension.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import Determinant
+from .determinants import _BIT, Determinant, _occupations, _phase
 from .integrals import IntegralSet
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "project",
     "single_excitation_pairs",
     "ground_state",
-    "dump_matrix",
-    "load_matrix",
 ]
 
 DENSE_CUTOFF = 512
@@ -81,20 +78,6 @@ class CIVector:
 
 # Candidate partners expanded per numpy batch; bounds the temporaries.
 _CHUNK = 1 << 15
-_ONE = np.uint64(1)
-# _BIT[p] is the uint64 mask of orbital p; unsigned, so orbital 63 is no sign bit.
-_BIT = _ONE << np.arange(64, dtype=np.uint64)
-
-
-def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
-    """(len(strings), n_orb) 0/1 float occupations of uint64 strings."""
-    return ((strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & _ONE).astype(float)
-
-
-def _phase(strings: np.ndarray, holes: np.ndarray, particles: np.ndarray) -> np.ndarray:
-    """(-1)**(occupied orbitals strictly between each hole and particle)."""
-    between = _BIT[np.maximum(holes, particles)] - _BIT[np.minimum(holes, particles) + 1]
-    return 1.0 - 2.0 * (np.bitwise_count(strings & between) & 1)
 
 
 def _pairs_in_groups(keys: np.ndarray):
@@ -456,23 +439,3 @@ def ground_state(
     x = _fix_sign(x / np.linalg.norm(x))
     return CIVector(x, theta)
 
-
-def dump_matrix(h: SparseSubspaceHamiltonian, path) -> None:
-    """Write (dimension, nnz, row offsets, column indices, values), little-endian."""
-    m = h.matrix
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qq", m.shape[0], m.nnz))
-        fh.write(m.indptr.astype("<i8").tobytes())
-        fh.write(m.indices.astype("<i8").tobytes())
-        fh.write(m.data.astype("<f8").tobytes())
-
-
-def load_matrix(path) -> SparseSubspaceHamiltonian:
-    """Read back a matrix written by :func:`dump_matrix`."""
-    with open(path, "rb") as fh:
-        dim, nnz = struct.unpack("<qq", fh.read(16))
-        indptr = np.frombuffer(fh.read(8 * (dim + 1)), dtype="<i8")
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<i8")
-        data = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
-    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    return SparseSubspaceHamiltonian(matrix)

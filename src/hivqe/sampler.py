@@ -2,8 +2,11 @@
 
 The ansatz is a layered brick-wall of real Givens rotations on adjacent
 orbital pairs within each spin channel. Every rotation conserves particle
-number per spin, so the state never leaves the symmetry sector and the
-simulation cost scales with the sector size rather than 2**(2*n_orb).
+number per spin and touches one channel only, so from the Hartree-Fock start
+the state stays a product psi_alpha x psi_beta. It is held as two vectors
+over the spin strings of each channel, C(n_orb, n_alpha) + C(n_orb, n_beta)
+amplitudes, and the joint sector is never enumerated: that is left to
+:func:`enumerate_sector` for the exact-diagonalization oracle.
 Measurement noise is modeled as independent classical bit flips applied to
 the sampled bitstrings, which is the only noise effect the downstream
 filtering consumes.
@@ -12,12 +15,13 @@ filtering consumes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .determinants import Determinant, Sector, det_to_string
+from .determinants import _BIT, Determinant, Sector, _occupations, _phase
 from .subspace import SampleBatch
 
 __all__ = [
@@ -80,29 +84,6 @@ def enumerate_sector(
     return [Determinant(a, b) for a in alphas for b in betas]
 
 
-@lru_cache(maxsize=8)
-def _sector_dets(sector: Sector) -> tuple:
-    return tuple(enumerate_sector(sector.n_orb, sector.n_alpha, sector.n_beta))
-
-
-@lru_cache(maxsize=8)
-def _sector_index(sector: Sector) -> dict:
-    return {d: i for i, d in enumerate(_sector_dets(sector))}
-
-
-@lru_cache(maxsize=8)
-def _sector_bits(sector: Sector) -> np.ndarray:
-    """(size, 2*n_orb) occupation matrix; column order matches bitstrings."""
-    dets = _sector_dets(sector)
-    n = sector.n_orb
-    alphas = np.array([d.alpha_mask for d in dets], dtype=np.int64)
-    betas = np.array([d.beta_mask for d in dets], dtype=np.int64)
-    orbs = np.arange(n, dtype=np.int64)
-    bits_a = (alphas[:, None] >> orbs) & 1
-    bits_b = (betas[:, None] >> orbs) & 1
-    return np.concatenate([bits_a, bits_b], axis=1).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Ordered Givens-rotation plan; one parameter per rotation."""
@@ -135,19 +116,30 @@ def brick_wall_ansatz(n_orb: int, n_layers: int = 2) -> AnsatzSpec:
 
 @dataclass(frozen=True)
 class SectorState:
-    """Amplitudes over the lexicographically enumerated sector.
+    """The state as one amplitude vector per spin channel.
 
+    Entries follow each channel's ascending spin strings. The product form is
+    exact: the start is Hartree-Fock, a product of one alpha and one beta
+    string, and AnsatzSpec admits only rotations within the alpha or the
+    beta channel, which act on one factor and leave the other alone.
     Real-valued: the rotation generators are real antisymmetric, so a real
     start vector stays real.
     """
 
-    amplitudes: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
     sector: Sector
 
     def __post_init__(self):
-        norm_sq = float(np.sum(self.amplitudes**2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 {norm_sq} deviates from 1")
+        for channel in ("alpha", "beta"):
+            norm_sq = float(np.sum(getattr(self, channel) ** 2))
+            if abs(norm_sq - 1.0) > 1e-12:
+                raise ValueError(f"{channel} state norm^2 {norm_sq} deviates from 1")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Joint amplitudes over the sector, in :func:`enumerate_sector` order."""
+        return np.outer(self.alpha, self.beta).ravel()
 
 
 @dataclass(frozen=True)
@@ -161,41 +153,37 @@ class NoiseModel:
             raise ValueError("p_flip must lie in [0, 1]")
 
 
-@lru_cache(maxsize=256)
-def _rotation_plan(sector: Sector, channel: str, p: int, q: int):
-    """Index pairs and fermionic signs for one Givens rotation on a sector.
+@lru_cache(maxsize=8)
+def _channel(n_orb: int, n_e: int):
+    """Ascending uint64 strings with n_e of n_orb bits set, and their 0/1 rows."""
+    strings = np.array(_masks_with_popcount(n_orb, n_e), dtype=np.uint64)
+    bits = _occupations(strings, n_orb).astype(np.uint8)
+    for array in (strings, bits):
+        array.flags.writeable = False  # shared through the cache
+    return strings, bits
 
-    Returns (i_idx, j_idx, signs): rows where orbital p is occupied and q
-    empty in the channel, their partners with the occupation swapped, and
-    the sign (-1)**(occupied orbitals strictly between p and q).
+
+@lru_cache(maxsize=256)
+def _rotation_plan(n_orb: int, n_e: int, p: int, q: int):
+    """Index pairs and fermionic signs for one Givens rotation on one channel.
+
+    Returns (i_idx, j_idx, signs): strings where orbital p is occupied and q
+    empty, their partners with the occupation swapped, and the sign
+    (-1)**(occupied orbitals strictly between p and q).
     """
-    dets = _sector_dets(sector)
-    index = _sector_index(sector)
-    between_window = ((1 << q) - 1) & ~((1 << (p + 1)) - 1)
-    i_idx, j_idx, signs = [], [], []
-    for i, d in enumerate(dets):
-        mask = d.alpha_mask if channel == "alpha" else d.beta_mask
-        if (mask >> p) & 1 and not (mask >> q) & 1:
-            swapped = mask ^ (1 << p) ^ (1 << q)
-            partner = (
-                Determinant(swapped, d.beta_mask)
-                if channel == "alpha"
-                else Determinant(d.alpha_mask, swapped)
-            )
-            i_idx.append(i)
-            j_idx.append(index[partner])
-            signs.append(-1.0 if (mask & between_window).bit_count() & 1 else 1.0)
-    return (
-        np.array(i_idx, dtype=np.int64),
-        np.array(j_idx, dtype=np.int64),
-        np.array(signs),
-    )
+    strings, bits = _channel(n_orb, n_e)
+    i_idx = np.flatnonzero(bits[:, p] > bits[:, q])
+    j_idx = np.searchsorted(strings, strings[i_idx] ^ _BIT[p] ^ _BIT[q])
+    plan = (i_idx, j_idx, _phase(strings[i_idx], p, q))
+    for array in plan:
+        array.flags.writeable = False  # shared through the cache
+    return plan
 
 
 def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
     """Apply the rotation plan to the Hartree-Fock reference.
 
-    Each rotation G(theta_k) acts on the two-determinant subspaces that
+    Each rotation G(theta_k) acts on the string pairs of its channel that
     differ only by moving one electron between its orbital pair, under the
     half-angle convention: the p-occupied amplitude maps to
     cos(t/2)*a_p - s*sin(t/2)*a_q with s the crossing sign.
@@ -207,33 +195,43 @@ def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
         )
     if spec.n_orb != sector.n_orb:
         raise ValueError("ansatz and sector orbital counts differ")
-    index = _sector_index(sector)
-    hf = Determinant((1 << sector.n_alpha) - 1, (1 << sector.n_beta) - 1)
-    amps = np.zeros(len(index))
-    amps[index[hf]] = 1.0
+    n_e = {"alpha": sector.n_alpha, "beta": sector.n_beta}
+    amps = {}
+    for channel, count in n_e.items():
+        # The Hartree-Fock string is the smallest, so it comes first.
+        amps[channel] = np.zeros(math.comb(sector.n_orb, count))
+        amps[channel][0] = 1.0
     for (channel, p, q), angle in zip(spec.rotations, theta):
-        i_idx, j_idx, signs = _rotation_plan(sector, channel, p, q)
-        if len(i_idx) == 0:
-            continue
+        i_idx, j_idx, signs = _rotation_plan(sector.n_orb, n_e[channel], p, q)
         c = math.cos(0.5 * angle)
         s = math.sin(0.5 * angle)
-        a_p = amps[i_idx].copy()
-        a_q = amps[j_idx]
-        amps[i_idx] = c * a_p - signs * s * a_q
-        amps[j_idx] = signs * s * a_p + c * a_q
-    return SectorState(amps, sector)
+        vec = amps[channel]
+        a_p = vec[i_idx]
+        a_q = vec[j_idx]
+        vec[i_idx] = c * a_p - signs * s * a_q
+        vec[j_idx] = signs * s * a_p + c * a_q
+    return SectorState(amps["alpha"], amps["beta"], sector)
 
 
 def mean_occupations(state: SectorState):
     """Per-orbital mean occupation (alpha array, beta array) of the state."""
-    n = state.sector.n_orb
-    probs = state.amplitudes**2
-    occ = probs @ _sector_bits(state.sector)
-    return occ[:n], occ[n:]
+    n, n_alpha, n_beta = state.sector
+    return (state.alpha**2 @ _channel(n, n_alpha)[1],
+            state.beta**2 @ _channel(n, n_beta)[1])
 
 
-def _raw_bitstring(d: Determinant, n_orb: int) -> str:
-    return det_to_string(d, n_orb).replace("|", "")
+def _bitstrings(state: SectorState, joint: np.ndarray) -> np.ndarray:
+    """(len(joint), 2*n_orb) 0/1 rows of joint sector indices, alpha block first."""
+    n, n_alpha, n_beta = state.sector
+    ia, ib = np.divmod(joint, len(state.beta))
+    return np.concatenate([_channel(n, n_alpha)[1][ia], _channel(n, n_beta)[1][ib]], axis=1)
+
+
+def _keys(bits: np.ndarray) -> list[str]:
+    """Each 0/1 row as a bitstring."""
+    width = bits.shape[1]
+    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i * width:(i + 1) * width] for i in range(len(bits))]
 
 
 def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBatch:
@@ -249,22 +247,12 @@ def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBat
     probs = probs / probs.sum()
     drawn = rng.choice(len(probs), size=shots, p=probs)
     n_orb = state.sector.n_orb
-    dets = _sector_dets(state.sector)
-    width = 2 * n_orb
 
     if noise.p_flip == 0.0:
         uniq, counts = np.unique(drawn, return_counts=True)
-        table = {
-            _raw_bitstring(dets[i], n_orb): int(c) for i, c in zip(uniq, counts)
-        }
+        table = dict(zip(_keys(_bitstrings(state, uniq)), counts.tolist()))
         return SampleBatch(table, shots, n_orb)
 
-    bits = _sector_bits(state.sector)[drawn].copy()
-    flips = rng.random((shots, width)) < noise.p_flip
-    bits ^= flips.astype(np.uint8)
-    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    table: dict[str, int] = {}
-    for i in range(shots):
-        key = text[i * width:(i + 1) * width]
-        table[key] = table.get(key, 0) + 1
-    return SampleBatch(table, shots, n_orb)
+    bits = _bitstrings(state, drawn)
+    bits ^= (rng.random(bits.shape) < noise.p_flip).astype(np.uint8)
+    return SampleBatch(dict(Counter(_keys(bits))), shots, n_orb)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hivqe import sampler
 from hivqe.determinants import Sector
 from hivqe.driver import (
     RunConfig,
@@ -230,6 +231,33 @@ def test_seed_changes_the_trajectory():
     t2 = [(r.n_dets_sampled, r.e_cum) for r in r2.trace]
     assert t1 != t2
 
+
+
+def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):
+    """15 orbitals with 5 alpha and 5 beta electrons span 9,018,009
+    determinants, the sector of the paper's NH3 run. The sampler must hold
+    two 3,003-entry string vectors and never enumerate that sector."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler enumerated the joint sector")
+
+    states = []
+
+    def recording_prepare_state(*args):
+        states.append(sampler.prepare_state(*args))
+        return states[-1]
+
+    monkeypatch.setattr("hivqe.sampler.enumerate_sector", refuse)
+    monkeypatch.setattr("hivqe.driver.prepare_state", recording_prepare_state)
+    s = random_integral_set(15, 5, 5, seed=15)
+    cfg = RunConfig(seed=0, shots=500, k=100, m=20, p_flip=0.01,
+                    recovery_mode="recover", max_iterations=2)
+    res = run_hivqe(cfg, s)
+    assert res.iterations == 2
+    assert res.energy <= res.e_hf + 1e-9
+    assert all(Sector(15, 5, 5).contains(d) for d in res.dets)
+    assert len(states) == 4  # two main iterations and one SPSA probe pair
+    for state in states:
+        assert (state.alpha.size, state.beta.size) == (3003, 3003)
 
 # ---------------------------------------------------------------------------
 # Density matrices and dipoles

@@ -9,9 +9,7 @@ from hivqe.determinants import Determinant, slater_condon
 from hivqe.eigensolver import (
     CIVector,
     EigensolverError,
-    dump_matrix,
     ground_state,
-    load_matrix,
     project,
 )
 from hivqe.integrals import IntegralSet
@@ -254,11 +252,3 @@ def test_interlacing_under_subspace_growth():
         energies.append(ground_state(h, "tight").energy)
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
 
-
-def test_dump_load_matrix_roundtrip(tmp_path):
-    s = random_integral_set(3, 2, 1, seed=5, e_core=0.9)
-    h = project(enumerate_sector(3, 2, 1), s)
-    path = tmp_path / "h.bin"
-    dump_matrix(h, path)
-    again = load_matrix(path)
-    assert np.array_equal(dense_of(again), dense_of(h))

@@ -118,6 +118,7 @@ def statevector_oracle(spec, theta, sector, start):
     (2, 1, 1, 2),
     (3, 2, 1, 3),
     (4, 2, 2, 2),
+    (3, 2, 0, 2),
 ])
 def test_prepare_state_matches_statevector_oracle(n_orb, n_alpha, n_beta, layers):
     sec = Sector(n_orb, n_alpha, n_beta)
