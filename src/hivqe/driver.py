@@ -1,11 +1,14 @@
 """End-to-end iteration loop and run-level outputs.
 
-Each iteration: sample the ansatz state, filter to the symmetry sector,
-union into the cumulative subspace, cap-screen, optionally tensor-reconstruct,
-tight-diagonalize (the reported energy), loose-diagonalize the iteration-only
-determinants (the energy the optimizer sees), test convergence, then
-amplitude-screen, classically expand, and let the optimizer update theta from
-a probe pair. The best cumulative eigenpair over all iterations is returned.
+Each iteration runs one sample-and-solve step at the current angles:
+prepare and sample the ansatz state, filter to the symmetry sector, and
+loose-diagonalize those determinants alone (e_iter). The SPSA probes run the
+same step at the two perturbed angles (e_plus, e_minus). The iteration then
+unions its determinants into the cumulative subspace, cap-screens, optionally
+tensor-reconstructs, tight-diagonalizes (the reported energy), tests
+convergence, amplitude-screens, classically expands, and lets the optimizer
+update theta from the probe pair. The best cumulative eigenpair over all
+iterations is returned.
 """
 
 from __future__ import annotations
@@ -247,32 +250,34 @@ def run_hivqe(
     stall_count = 0
     status = "max_iterations"
 
-    def probe_energy(theta_probe, iteration, role):
-        state = prepare_state(ansatz, theta_probe, sector)
+    def sample_and_solve(theta, iteration, role):
+        """(batch, its sector-valid determinants, their loose ground energy).
+
+        Role 0 is the iteration at the current angles, roles 1 and 2 the SPSA
+        probes; each draws from its own seed stream. The energy is nan when
+        filtering leaves no determinant.
+        """
+        state = prepare_state(ansatz, theta, sector)
         batch = sample(state, cfg.shots, noise, _stream(cfg.seed, iteration, role))
         hint = mean_occupations(state) if cfg.recovery_mode == "recover" else None
         dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
         if not dets:
-            return math.nan
-        h = project(dets, s)
-        return ground_state(
-            h, "loose",
+            return batch, dets, math.nan
+        return batch, dets, ground_state(
+            project(dets, s), "loose",
             loose_residual=cfg.loose_residual, loose_max_iter=cfg.loose_max_iter,
         ).energy
 
     for i in range(cfg.max_iterations):
         t0 = time.perf_counter()
-        state = prepare_state(ansatz, opt.theta, sector)
-        batch = sample(state, cfg.shots, noise, _stream(cfg.seed, i, 0))
+        batch, iter_dets, e_iter = sample_and_solve(opt.theta, i, 0)
         wall_sample = (time.perf_counter() - t0) * 1000.0
-
-        hint = mean_occupations(state) if cfg.recovery_mode == "recover" else None
-        iter_dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
-        shots_valid = sum(
-            c for bs, c in batch.counts.items() if bitstring_is_valid(bs, sector)
-        )
         if cfg.recovery_mode == "recover":
-            shots_valid = batch.total_shots
+            shots_valid = batch.total_shots  # every shot is repaired into the sector
+        else:
+            shots_valid = sum(
+                c for bs, c in batch.counts.items() if bitstring_is_valid(bs, sector)
+            )
 
         cum = union(carried, iter_dets)
         if len(cum) == 0:
@@ -299,13 +304,6 @@ def run_hivqe(
         except Exception as exc:
             raise RunError(f"iteration {i}: cumulative diagonalization failed: {exc}", trace)
         e_cum = psi.energy
-        if iter_dets:
-            e_iter = ground_state(
-                project(iter_dets, s), "loose",
-                loose_residual=cfg.loose_residual, loose_max_iter=cfg.loose_max_iter,
-            ).energy
-        else:
-            e_iter = math.nan
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
         if best is None or e_cum < best[0]:
@@ -359,10 +357,9 @@ def run_hivqe(
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)
-            e_plus = probe_energy(theta_plus, i, 1)
-            e_minus = probe_energy(theta_minus, i, 2)
-            record.e_plus = e_plus
-            record.e_minus = e_minus
+            e_plus = sample_and_solve(theta_plus, i, 1)[2]
+            e_minus = sample_and_solve(theta_minus, i, 2)[2]
+            record.e_plus, record.e_minus = e_plus, e_minus
             if math.isfinite(e_plus) and math.isfinite(e_minus):
                 update(opt, e_plus, e_minus)
         trace.append(record)
@@ -439,13 +436,10 @@ def run_pes_sweep(entries, cfg: RunConfig, integrals_by_label: dict) -> list[dic
         raise RunError(f"geometries span different sectors: {sectors}")
     rows = []
     for label, e_ref in entries:
-        iset = integrals_by_label[label]
-        hf = hartree_fock_det(iset)
-        e_hf = float(slater_condon(hf, hf, iset) + iset.e_core)
-        result = run_hivqe(cfg, iset)
+        result = run_hivqe(cfg, integrals_by_label[label])
         row = {
             "label": label,
-            "e_hf": e_hf,
+            "e_hf": result.e_hf,
             "e_hivqe": result.energy,
             "e_ref": e_ref,
             "abs_error": None if e_ref is None else abs(result.energy - e_ref),

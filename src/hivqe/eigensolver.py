@@ -29,7 +29,6 @@ from .determinants import _BIT, Determinant, _occupations, _phase
 from .integrals import IntegralSet
 
 __all__ = [
-    "SparseSubspaceHamiltonian",
     "CIVector",
     "EigensolverError",
     "project",
@@ -47,20 +46,6 @@ MAX_SUBSPACE = 25
 
 class EigensolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SparseSubspaceHamiltonian:
-    """Row-compressed symmetric Hamiltonian over a determinant ordering."""
-
-    matrix: scipy.sparse.csr_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
 
 
 @dataclass(frozen=True)
@@ -272,7 +257,7 @@ def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: Inte
     return diag
 
 
-def project(dets: Sequence[Determinant], s: IntegralSet) -> SparseSubspaceHamiltonian:
+def project(dets: Sequence[Determinant], s: IntegralSet) -> scipy.sparse.csr_matrix:
     """Assemble <d_i|H|d_j> + e_core*I over the given determinant ordering.
 
     Entries beyond excitation degree 2 and off-diagonal entries that vanish
@@ -320,12 +305,11 @@ def project(dets: Sequence[Determinant], s: IntegralSet) -> SparseSubspaceHamilt
     # U + U.T + diag, assembled in one conversion.
     r, c, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     diag = np.arange(n, dtype=np.int32)
-    matrix = scipy.sparse.coo_matrix(
+    return scipy.sparse.coo_matrix(
         (np.concatenate((v, v, _diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core)),
          (np.concatenate((r, c, diag)), np.concatenate((c, r, diag)))),
         shape=(n, n),
     ).tocsr()
-    return SparseSubspaceHamiltonian(matrix)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -399,14 +383,14 @@ def _davidson(matrix, tol: float, max_iter: int, guess: Optional[np.ndarray]):
 
 
 def ground_state(
-    h: SparseSubspaceHamiltonian,
+    h: scipy.sparse.csr_matrix,
     mode: str = "tight",
     guess: Optional[CIVector] = None,
     dense_cutoff: int = DENSE_CUTOFF,
     loose_residual: float = LOOSE_RESIDUAL,
     loose_max_iter: int = LOOSE_MAX_ITER,
 ) -> CIVector:
-    """Lowest eigenpair of h.
+    """Lowest eigenpair of the symmetric matrix h that project() returns.
 
     mode="tight" iterates Davidson to residual 1e-8 and raises on failure;
     mode="loose" stops at residual 1e-3 or 20 iterations, whichever first,
@@ -416,11 +400,11 @@ def ground_state(
     """
     if mode not in ("tight", "loose"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = h.dimension
+    n = h.shape[0]
     if n == 0:
         raise EigensolverError("empty Hamiltonian")
     if n <= dense_cutoff:
-        return _dense_ground(h.matrix)
+        return _dense_ground(h)
     guess_vec = None
     if guess is not None:
         if len(guess.amplitudes) != n:
@@ -430,7 +414,7 @@ def ground_state(
         tol, max_iter = TIGHT_RESIDUAL, TIGHT_MAX_ITER
     else:
         tol, max_iter = loose_residual, loose_max_iter
-    theta, x, res, ok = _davidson(h.matrix, tol, max_iter, guess_vec)
+    theta, x, res, ok = _davidson(h, tol, max_iter, guess_vec)
     if mode == "tight" and not ok:
         raise EigensolverError(
             f"Davidson failed to reach residual {tol:g} in {max_iter} iterations "

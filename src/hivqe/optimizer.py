@@ -36,8 +36,6 @@ class OptimizerState:
     a: float
     c: float
     stability: float
-    best_theta: np.ndarray
-    best_energy: float
     rng: np.random.Generator
     pending: Optional[tuple] = field(default=None, repr=False)
 
@@ -51,8 +49,6 @@ def make_optimizer(theta0, seed=0, a: float = 0.1, c: float = 0.1,
         a=a,
         c=c,
         stability=stability,
-        best_theta=theta0.copy(),
-        best_energy=np.inf,
         rng=np.random.default_rng(seed),
     )
 
@@ -72,19 +68,13 @@ def propose(state: OptimizerState):
 def update(state: OptimizerState, e_plus: float, e_minus: float) -> OptimizerState:
     """Consume probe energies: theta -= a_k * (e+ - e-) / (2 c_k) * Delta.
 
-    a_k = a / (k+1+stability)^0.602. Tracks the best probe energy seen.
+    a_k = a / (k+1+stability)^0.602.
     """
     if state.pending is None:
         raise RuntimeError("update called without a pending probe pair")
     delta, c_k = state.pending
     a_k = state.a / (state.step + 1 + state.stability) ** ALPHA_EXPONENT
     gradient = (e_plus - e_minus) / (2.0 * c_k) * delta
-    if e_plus < state.best_energy:
-        state.best_energy = e_plus
-        state.best_theta = state.theta + c_k * delta
-    if e_minus < state.best_energy:
-        state.best_energy = e_minus
-        state.best_theta = state.theta - c_k * delta
     state.theta = state.theta - a_k * gradient
     state.step += 1
     state.pending = None

@@ -33,7 +33,6 @@ __all__ = [
     "union",
     "bitstring_is_valid",
     "dump_subspace",
-    "load_subspace",
 ]
 
 
@@ -283,8 +282,3 @@ def dump_subspace(sub: Subspace) -> str:
     """One determinant per line as "alpha|beta" strings (checkpoint format)."""
     n = sub.sector.n_orb
     return "\n".join(det_to_string(d, n) for d in sub.dets) + "\n"
-
-
-def load_subspace(text: str, sector: Sector) -> Subspace:
-    dets = [det_from_string(line) for line in text.splitlines() if line.strip()]
-    return Subspace(dets, sector)

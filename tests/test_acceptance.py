@@ -47,7 +47,7 @@ def test_01_projected_hamiltonian_matches_operator_algebra():
     for s in systems:
         dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
         h = project(dets, s)
-        dense = h.matrix.toarray()
+        dense = h.toarray()
 
         full = brute_force_hamiltonian(s)
         idx = [det_to_fock_index(d, s.n_orb) for d in dets]

@@ -18,9 +18,17 @@ from hivqe.driver import (
 )
 from hivqe.eigensolver import CIVector, ground_state, project
 from hivqe.integrals import DipoleIntegrals, parse_dipole_file
+from hivqe.optimizer import make_optimizer, propose
 from hivqe.oracle import fci_ground, transition_matrix
-from hivqe.sampler import enumerate_sector
-from hivqe.subspace import Subspace
+from hivqe.sampler import (
+    NoiseModel,
+    brick_wall_ansatz,
+    enumerate_sector,
+    mean_occupations,
+    prepare_state,
+    sample,
+)
+from hivqe.subspace import Subspace, filter_symmetry
 
 from helpers import FIXTURES, fock_vector, load_fixture, load_reference, random_integral_set
 
@@ -231,6 +239,35 @@ def test_seed_changes_the_trajectory():
     t2 = [(r.n_dets_sampled, r.e_cum) for r in r2.trace]
     assert t1 != t2
 
+
+
+def test_iteration_and_probes_share_one_sample_and_solve_step():
+    """Iteration 0's e_iter, e_plus and e_minus rebuilt from public calls:
+    roles 0, 1 and 2 of the iteration's seed stream, each sampled, repaired,
+    projected and loosely solved alike."""
+    s = load_fixture("h4_chain")
+    cfg = RunConfig(seed=3, shots=100, k=10, m=4, p_flip=0.2,
+                    recovery_mode="recover", max_iterations=2)
+    record = run_hivqe(cfg, s).trace[0]
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    ansatz = brick_wall_ansatz(s.n_orb, cfg.ansatz_layers)
+    opt = make_optimizer(np.zeros(ansatz.n_params),
+                         seed=np.random.SeedSequence([cfg.seed, 3]), a=0.1, c=0.1)
+
+    def loose_energy(theta, role):
+        state = prepare_state(ansatz, theta, sector)
+        batch = sample(state, cfg.shots, NoiseModel(cfg.p_flip),
+                       np.random.SeedSequence([cfg.seed, 0, role]))
+        dets = filter_symmetry(batch, sector, "recover", mean_occupations(state))
+        return ground_state(project(dets, s), "loose",
+                            loose_residual=cfg.loose_residual,
+                            loose_max_iter=cfg.loose_max_iter).energy
+
+    e_iter = loose_energy(opt.theta, 0)
+    theta_plus, theta_minus = propose(opt)
+    e_plus, e_minus = loose_energy(theta_plus, 1), loose_energy(theta_minus, 2)
+    assert (record.e_iter, record.e_plus, record.e_minus) == (e_iter, e_plus, e_minus)
+    assert len({e_iter, e_plus, e_minus}) == 3  # three distinct draws
 
 
 def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):

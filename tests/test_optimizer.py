@@ -70,18 +70,6 @@ def test_update_scales_linearly_with_energies():
     assert np.allclose(displacement(3.0), 3.0 * displacement(1.0), atol=1e-15)
 
 
-def test_best_probe_energy_is_nonincreasing():
-    rng = np.random.default_rng(5)
-    opt = make_optimizer(rng.normal(size=3), seed=11)
-    best_values = []
-    for _ in range(30):
-        plus, minus = propose(opt)
-        update(opt, float(plus @ plus), float(minus @ minus))
-        best_values.append(opt.best_energy)
-    assert all(b2 <= b1 for b1, b2 in zip(best_values, best_values[1:]))
-    assert opt.best_energy == min(best_values)
-
-
 def test_redraw_replaces_pending_probes():
     opt = make_optimizer(np.zeros(3), seed=2, a=0.1, c=0.1, stability=10.0)
     first_plus, _ = propose(opt)
