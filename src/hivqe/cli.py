@@ -7,6 +7,7 @@ thread pools before numpy initializes them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,23 +125,17 @@ def _fmt(value: float) -> str:
 
 
 def _write_run_outputs(result, out_dir: Path) -> None:
+    from .driver import IterationRecord
     from .subspace import Subspace, dump_subspace
 
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.dumps(result.result_dict(), indent=2, sort_keys=True) + "\n"
     (out_dir / "result.json").write_text(doc)
 
-    lines = [
-        "iter,E_cum,E_iter,n_dets_sampled,n_dets_valid,n_dets_cum,"
-        "n_dets_post_screen,wall_ms_sample,wall_ms_diag,theta_norm,e_plus,e_minus"
-    ]
+    lines = [",".join(f.name for f in dataclasses.fields(IterationRecord))]
     for r in result.trace:
-        lines.append(
-            f"{r.iteration},{_fmt(r.e_cum)},{_fmt(r.e_iter)},{r.n_dets_sampled},"
-            f"{r.n_dets_valid},{r.n_dets_cum},{r.n_dets_post_screen},"
-            f"{r.wall_ms_sample:.3f},{r.wall_ms_diag:.3f},"
-            f"{_fmt(r.theta_norm)},{_fmt(r.e_plus)},{_fmt(r.e_minus)}"
-        )
+        values = dataclasses.astuple(r)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
 
     if result.dets:

@@ -86,7 +86,7 @@ def occupied_orbitals(mask: int) -> list[int]:
     return occ
 
 
-def hartree_fock_det(s: IntegralSet) -> Determinant:
+def hartree_fock_det(s: Sector | IntegralSet) -> Determinant:
     """Aufbau reference: lowest n_alpha and n_beta orbitals occupied."""
     return Determinant((1 << s.n_alpha) - 1, (1 << s.n_beta) - 1)
 

@@ -82,8 +82,6 @@ class RunConfig:
     ansatz_layers: int = 2
     convergence_source: str = "cumulative"
     expansion_repeats: int = 1
-    loose_residual: float = 1e-3
-    loose_max_iter: int = 20
     stall_window: int = 10
 
     def validate(self, s: IntegralSet) -> None:
@@ -119,14 +117,13 @@ class RunConfig:
 
 @dataclass
 class IterationRecord:
+    """One trace.csv row; the columns are these fields in this order."""
+
     iteration: int
     e_cum: float
     e_iter: float
     n_dets_sampled: int
     n_dets_valid: int
-    shots_valid: int
-    shots_invalid: int
-    n_dets_union: int
     n_dets_cum: int
     n_dets_post_screen: int
     wall_ms_sample: float
@@ -134,6 +131,9 @@ class IterationRecord:
     theta_norm: float
     e_plus: float
     e_minus: float
+    shots_valid: int
+    shots_invalid: int  # outside the sector: dropped, or repaired in recover mode
+    n_dets_union: int
 
 
 @dataclass
@@ -263,21 +263,15 @@ def run_hivqe(
         dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
         if not dets:
             return batch, dets, math.nan
-        return batch, dets, ground_state(
-            project(dets, s), "loose",
-            loose_residual=cfg.loose_residual, loose_max_iter=cfg.loose_max_iter,
-        ).energy
+        return batch, dets, ground_state(project(dets, s), "loose").energy
 
     for i in range(cfg.max_iterations):
         t0 = time.perf_counter()
         batch, iter_dets, e_iter = sample_and_solve(opt.theta, i, 0)
         wall_sample = (time.perf_counter() - t0) * 1000.0
-        if cfg.recovery_mode == "recover":
-            shots_valid = batch.total_shots  # every shot is repaired into the sector
-        else:
-            shots_valid = sum(
-                c for bs, c in batch.counts.items() if bitstring_is_valid(bs, sector)
-            )
+        shots_valid = sum(
+            c for bs, c in batch.counts.items() if bitstring_is_valid(bs, sector)
+        )
 
         cum = union(carried, iter_dets)
         if len(cum) == 0:

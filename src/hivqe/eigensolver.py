@@ -11,8 +11,10 @@ alpha string unchanged, and one single excitation in each channel. The
 diagonal comes from occupation vectors against J = (pp|qq) and K = (pq|qp).
 slater_condon is the element-by-element oracle for this kernel.
 
-ground_state() runs a Davidson iteration with a diagonal preconditioner,
-falling back to a direct dense solve below a configurable dimension.
+ground_state() solves directly up to a configurable dimension; above it, a
+Davidson iteration with a diagonal preconditioner keeps its basis V and the
+products AV as (n, m) arrays and restarts from the Ritz pair once m reaches
+MAX_SUBSPACE (Davidson, J. Comput. Phys. 17, 87, 1975).
 """
 
 from __future__ import annotations
@@ -312,30 +314,9 @@ def project(dets: Sequence[Determinant], s: IntegralSet) -> scipy.sparse.csr_mat
     ).tocsr()
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(vec)))
-    return -vec if vec[lead] < 0 else vec
-
-
-def _dense_ground(matrix) -> CIVector:
-    w, v = scipy.linalg.eigh(matrix.toarray())
-    vec = _fix_sign(v[:, 0])
-    return CIVector(vec / np.linalg.norm(vec), float(w[0]))
-
-
-def _orthonormalize(t: np.ndarray, basis: list[np.ndarray]) -> Optional[np.ndarray]:
-    # Two rounds of modified Gram-Schmidt keep the basis orthogonal to
-    # working precision.
-    for _ in range(2):
-        for b in basis:
-            t = t - (b @ t) * b
-    norm = np.linalg.norm(t)
-    if norm < 1e-12:
-        return None
-    return t / norm
-
-
 def _davidson(matrix, tol: float, max_iter: int, guess: Optional[np.ndarray]):
+    """(theta, x, residual norm, converged) from a Davidson iteration whose
+    basis V and products AV are the columns of two (n, m) arrays."""
     n = matrix.shape[0]
     diag = matrix.diagonal()
     if guess is not None and np.linalg.norm(guess) > 0:
@@ -343,43 +324,40 @@ def _davidson(matrix, tol: float, max_iter: int, guess: Optional[np.ndarray]):
     else:
         v0 = np.zeros(n)
         v0[int(np.argmin(diag))] = 1.0
-    basis = [v0]
-    products = [matrix @ v0]
-    theta, x = 0.0, v0
-    residual_norm = np.inf
+    V = v0[:, None]
+    AV = (matrix @ v0)[:, None]
     for _ in range(max_iter):
-        m = len(basis)
-        small = np.empty((m, m))
-        for i in range(m):
-            for j in range(i + 1):
-                small[i, j] = small[j, i] = basis[i] @ products[j]
-        w, vecs = scipy.linalg.eigh(small)
-        theta = float(w[0])
-        coeff = vecs[:, 0]
-        x = sum(c * b for c, b in zip(coeff, basis))
-        ax = sum(c * p for c, p in zip(coeff, products))
+        # eigh reads the lower triangle, V_i . AV_j for j <= i
+        w, vecs = scipy.linalg.eigh(V.T @ AV)
+        theta, y = float(w[0]), vecs[:, 0]
+        x, ax = V @ y, AV @ y
         residual = ax - theta * x
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= tol:
             return theta, x, residual_norm, True
-        if m >= MAX_SUBSPACE:
-            basis = [x / np.linalg.norm(x)]
-            products = [matrix @ basis[0]]
+        if V.shape[1] >= MAX_SUBSPACE:
+            norm = np.linalg.norm(x)
+            V, AV = (x / norm)[:, None], (ax / norm)[:, None]
             continue
         denom = diag - theta
         denom = np.where(np.abs(denom) < 1e-8, np.copysign(1e-8, denom + 1e-300), denom)
-        t = _orthonormalize(residual / denom, basis)
-        if t is None:
-            # Preconditioned residual lies in the span; deterministic escape
-            # via the largest-residual coordinate direction.
-            probe = np.zeros(n)
-            probe[int(np.argmax(np.abs(residual)))] = 1.0
-            t = _orthonormalize(probe, basis)
-            if t is None:
-                return theta, x, residual_norm, residual_norm <= tol
-        basis.append(t)
-        products.append(matrix @ t)
-    return theta, x, residual_norm, residual_norm <= tol
+        # When the preconditioned residual lies in the span, escape along the
+        # largest-residual coordinate.
+        probe = np.zeros(n)
+        probe[int(np.argmax(np.abs(residual)))] = 1.0
+        for t in (residual / denom, probe):
+            # two Gram-Schmidt passes keep V orthonormal to working precision
+            for _ in range(2):
+                t -= V @ (V.T @ t)
+            norm = np.linalg.norm(t)
+            if norm >= 1e-12:
+                break
+        else:
+            return theta, x, residual_norm, False
+        t /= norm
+        V = np.column_stack((V, t))
+        AV = np.column_stack((AV, matrix @ t))
+    return theta, x, residual_norm, False
 
 
 def ground_state(
@@ -387,8 +365,6 @@ def ground_state(
     mode: str = "tight",
     guess: Optional[CIVector] = None,
     dense_cutoff: int = DENSE_CUTOFF,
-    loose_residual: float = LOOSE_RESIDUAL,
-    loose_max_iter: int = LOOSE_MAX_ITER,
 ) -> CIVector:
     """Lowest eigenpair of the symmetric matrix h that project() returns.
 
@@ -404,22 +380,24 @@ def ground_state(
     if n == 0:
         raise EigensolverError("empty Hamiltonian")
     if n <= dense_cutoff:
-        return _dense_ground(h)
-    guess_vec = None
-    if guess is not None:
-        if len(guess.amplitudes) != n:
-            raise EigensolverError("guess vector length does not match dimension")
-        guess_vec = np.asarray(guess.amplitudes, dtype=float)
-    if mode == "tight":
-        tol, max_iter = TIGHT_RESIDUAL, TIGHT_MAX_ITER
+        w, v = scipy.linalg.eigh(h.toarray())
+        theta, x = float(w[0]), v[:, 0]
     else:
-        tol, max_iter = loose_residual, loose_max_iter
-    theta, x, res, ok = _davidson(h, tol, max_iter, guess_vec)
-    if mode == "tight" and not ok:
-        raise EigensolverError(
-            f"Davidson failed to reach residual {tol:g} in {max_iter} iterations "
-            f"(final residual {res:.3e})"
-        )
-    x = _fix_sign(x / np.linalg.norm(x))
-    return CIVector(x, theta)
-
+        guess_vec = None
+        if guess is not None:
+            if len(guess.amplitudes) != n:
+                raise EigensolverError("guess vector length does not match dimension")
+            guess_vec = np.asarray(guess.amplitudes, dtype=float)
+        if mode == "tight":
+            tol, max_iter = TIGHT_RESIDUAL, TIGHT_MAX_ITER
+        else:
+            tol, max_iter = LOOSE_RESIDUAL, LOOSE_MAX_ITER
+        theta, x, res, ok = _davidson(h, tol, max_iter, guess_vec)
+        if mode == "tight" and not ok:
+            raise EigensolverError(
+                f"Davidson failed to reach residual {tol:g} in {max_iter} iterations "
+                f"(final residual {res:.3e})"
+            )
+    if x[np.argmax(np.abs(x))] < 0:
+        x = -x
+    return CIVector(x / np.linalg.norm(x), theta)

@@ -18,6 +18,7 @@ from .determinants import (
     det_from_string,
     det_to_string,
     generate_singles_doubles,
+    hartree_fock_det,
     slater_condon,
 )
 from .integrals import IntegralSet
@@ -164,10 +165,6 @@ def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
     return out
 
 
-def _hf_det(sector: Sector) -> Determinant:
-    return Determinant((1 << sector.n_alpha) - 1, (1 << sector.n_beta) - 1)
-
-
 def cap_screen(sub: Subspace, k: int, s: IntegralSet) -> Subspace:
     """Cap the subspace at k determinants by loose-diagonalization amplitude.
 
@@ -185,7 +182,7 @@ def cap_screen(sub: Subspace, k: int, s: IntegralSet) -> Subspace:
         range(len(sub)),
         key=lambda i: (-abs(c.amplitudes[i]), sub.dets[i]),
     )
-    hf = _hf_det(sub.sector)
+    hf = hartree_fock_det(sub.sector)
     selected = {sub.index[hf]} if hf in sub.index else set()
     budget = k - len(selected)
     for i in order:
@@ -206,7 +203,7 @@ def amplitude_screen(sub: Subspace, c: eigensolver.CIVector, threshold: float) -
         raise ValueError("amplitude vector does not match subspace length")
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    hf = _hf_det(sub.sector)
+    hf = hartree_fock_det(sub.sector)
     kept = [
         d for i, d in enumerate(sub.dets)
         if abs(c.amplitudes[i]) >= threshold or d == hf

@@ -4,6 +4,7 @@ Every test drives main() in process so coverage tooling and debuggers see
 straight through the CLI layer.
 """
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ import pytest
 
 from hivqe.cli import main
 from hivqe.determinants import det_from_string
+from hivqe.driver import IterationRecord
 
 from helpers import FIXTURES, load_reference
 
@@ -22,10 +24,7 @@ RESULT_KEYS = {
     "dipole", "config", "seed", "sector",
 }
 
-TRACE_HEADER = (
-    "iter,E_cum,E_iter,n_dets_sampled,n_dets_valid,n_dets_cum,"
-    "n_dets_post_screen,wall_ms_sample,wall_ms_diag,theta_norm,e_plus,e_minus"
-)
+TRACE_HEADER = ",".join(f.name for f in dataclasses.fields(IterationRecord))
 
 
 def run_result(out_dir):

@@ -28,7 +28,7 @@ from hivqe.sampler import (
     prepare_state,
     sample,
 )
-from hivqe.subspace import Subspace, filter_symmetry
+from hivqe.subspace import Subspace, bitstring_is_valid, filter_symmetry
 
 from helpers import FIXTURES, fock_vector, load_fixture, load_reference, random_integral_set
 
@@ -244,7 +244,8 @@ def test_seed_changes_the_trajectory():
 def test_iteration_and_probes_share_one_sample_and_solve_step():
     """Iteration 0's e_iter, e_plus and e_minus rebuilt from public calls:
     roles 0, 1 and 2 of the iteration's seed stream, each sampled, repaired,
-    projected and loosely solved alike."""
+    projected and loosely solved alike. The record counts the role-0 batch's
+    out-of-sector shots although recover mode repairs them."""
     s = load_fixture("h4_chain")
     cfg = RunConfig(seed=3, shots=100, k=10, m=4, p_flip=0.2,
                     recovery_mode="recover", max_iterations=2)
@@ -254,20 +255,24 @@ def test_iteration_and_probes_share_one_sample_and_solve_step():
     opt = make_optimizer(np.zeros(ansatz.n_params),
                          seed=np.random.SeedSequence([cfg.seed, 3]), a=0.1, c=0.1)
 
+    batches = []
+
     def loose_energy(theta, role):
         state = prepare_state(ansatz, theta, sector)
         batch = sample(state, cfg.shots, NoiseModel(cfg.p_flip),
                        np.random.SeedSequence([cfg.seed, 0, role]))
+        batches.append(batch)
         dets = filter_symmetry(batch, sector, "recover", mean_occupations(state))
-        return ground_state(project(dets, s), "loose",
-                            loose_residual=cfg.loose_residual,
-                            loose_max_iter=cfg.loose_max_iter).energy
+        return ground_state(project(dets, s), "loose").energy
 
     e_iter = loose_energy(opt.theta, 0)
     theta_plus, theta_minus = propose(opt)
     e_plus, e_minus = loose_energy(theta_plus, 1), loose_energy(theta_minus, 2)
     assert (record.e_iter, record.e_plus, record.e_minus) == (e_iter, e_plus, e_minus)
     assert len({e_iter, e_plus, e_minus}) == 3  # three distinct draws
+    invalid = sum(c for bs, c in batches[0].counts.items()
+                  if not bitstring_is_valid(bs, sector))
+    assert record.shots_invalid == invalid > 0
 
 
 def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):

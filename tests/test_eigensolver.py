@@ -232,6 +232,18 @@ def test_degenerate_ground_state_energy_still_exact():
     assert c.energy == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_davidson_escapes_when_the_correction_lies_in_the_span():
+    """On a diagonal matrix the preconditioned residual equals the Ritz
+    vector, so every correction must come from the coordinate escape."""
+    from scipy.sparse import csr_matrix
+
+    h = csr_matrix(np.diag([3, 1, 4, 1.5, 9, 2.6]))
+    c = ground_state(h, "tight", guess=CIVector(np.ones(6) / np.sqrt(6), 0.0),
+                     dense_cutoff=1)
+    assert c.energy == pytest.approx(1.0, abs=1e-12)
+    assert abs(c.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_civector_requires_unit_norm():
     with pytest.raises(ValueError):
         CIVector(np.array([0.5, 0.5]), energy=-1.0)
