@@ -4,11 +4,13 @@ Each iteration runs one sample-and-solve step at the current angles:
 prepare and sample the ansatz state, filter to the symmetry sector, and
 loose-diagonalize those determinants alone (e_iter). The SPSA probes run the
 same step at the two perturbed angles (e_plus, e_minus). The iteration then
-unions its determinants into the cumulative subspace, cap-screens, optionally
-tensor-reconstructs, tight-diagonalizes (the reported energy), tests
-convergence, amplitude-screens, classically expands, and lets the optimizer
-update theta from the probe pair. The best cumulative eigenpair over all
-iterations is returned.
+unions its determinants into the cumulative subspace and assembles that
+union's Hamiltonian once. Over the cap, a loose solve of it ranks the rows,
+and the tight solve (the reported energy) runs on the kept rows and columns
+of the same matrix; only a tensor reconstruction that adds determinants
+assembles again. The loop then tests convergence, amplitude-screens,
+classically expands, and lets the optimizer update theta from the probe
+pair. The best cumulative eigenpair over all iterations is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .determinants import (
-    Determinant,
     Sector,
     hartree_fock_det,
     occupied_orbitals,
@@ -85,6 +86,11 @@ class RunConfig:
     stall_window: int = 10
 
     def validate(self, s: IntegralSet) -> None:
+        if s.n_orb > 64:
+            raise RunError(
+                f"spin strings are packed into 64 bits: {s.n_orb} orbitals exceed "
+                "the 64-orbital limit"
+            )
         if self.shots < 1:
             raise RunError("shots must be at least 1")
         if self.k < 1:
@@ -184,32 +190,18 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, *key])
 
 
-def _realign(psi: CIVector, source: Subspace, target: Subspace):
-    """psi's amplitudes moved onto target's determinants, 0 where source lacks
-    one; returns the vector and its norm, unnormalized."""
-    lookup = dict(zip(source.dets, psi.amplitudes))
-    vec = np.array([lookup.get(d, 0.0) for d in target.dets])
-    return vec, np.linalg.norm(vec)
-
-
 def _warm_start(prev: Optional[tuple], sub: Subspace) -> Optional[CIVector]:
-    """The previous eigenvector on sub, or None when there is none to carry."""
+    """The previous eigenvector moved onto sub's determinants (0 where its
+    subspace lacks one), or None when there is none to carry."""
     if prev is None:
         return None
-    vec, norm = _realign(*prev, sub)
+    psi, source = prev
+    lookup = dict(zip(source.dets, psi.amplitudes))
+    vec = np.array([lookup.get(d, 0.0) for d in sub.dets])
+    norm = np.linalg.norm(vec)
     if norm < 1e-12:
         return None
     return CIVector(vec / norm, 0.0)
-
-
-def _restrict(psi: CIVector, source: Subspace, target: Subspace) -> CIVector:
-    """psi realigned onto target; the first determinant if nothing carries over."""
-    vec, norm = _realign(psi, source, target)
-    if norm == 0.0:
-        vec = np.zeros(len(target.dets))
-        vec[0] = 1.0
-        norm = 1.0
-    return CIVector(vec / norm, psi.energy)
 
 
 def run_hivqe(
@@ -280,28 +272,28 @@ def run_hivqe(
                 "raise shots or enable recovery mode",
                 trace,
             )
-        capped = cap_screen(cum, cfg.k, s)
-        if cfg.tensor_reconstruct:
-            tensored = tensor_reconstruct(capped, cfg.closed_shell)
-            if len(tensored) > 10 * cfg.k:
-                raise RunError(
-                    f"tensor reconstruction produced {len(tensored)} determinants, "
-                    f"beyond the safety cap {10 * cfg.k}; lower k or disable it",
-                    trace,
-                )
-        else:
-            tensored = capped
-
         t1 = time.perf_counter()
+        sub, h = cum, project(cum, s)
+        if len(cum) > cfg.k:
+            rows = cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k)
+            sub, h = cum.take(rows), h[rows][:, rows]
+            h.sort_indices()  # project's order, so matvecs sum each row alike
+        if cfg.tensor_reconstruct:
+            try:
+                tensored = tensor_reconstruct(sub, cfg.closed_shell, 10 * cfg.k)
+            except ValueError as exc:
+                raise RunError(f"{exc}; lower k or disable it", trace) from None
+            if tensored is not sub:
+                sub, h = tensored, project(tensored, s)
         try:
-            psi = ground_state(project(tensored, s), "tight", _warm_start(prev, tensored))
+            psi = ground_state(h, "tight", _warm_start(prev, sub))
         except Exception as exc:
             raise RunError(f"iteration {i}: cumulative diagonalization failed: {exc}", trace)
         e_cum = psi.energy
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
         if best is None or e_cum < best[0]:
-            best = (e_cum, psi.amplitudes.copy(), list(tensored.dets))
+            best = (e_cum, psi.amplitudes.copy(), list(sub.dets))
         if best_energy_seen - e_cum > 1e-10:
             best_energy_seen = e_cum
             stall_count = 0
@@ -318,8 +310,8 @@ def run_hivqe(
             shots_valid=shots_valid,
             shots_invalid=batch.total_shots - shots_valid,
             n_dets_union=len(cum),
-            n_dets_cum=len(tensored),
-            n_dets_post_screen=len(tensored),
+            n_dets_cum=len(sub),
+            n_dets_post_screen=len(sub),
             wall_ms_sample=wall_sample,
             wall_ms_diag=wall_diag,
             theta_norm=float(np.linalg.norm(opt.theta)),
@@ -336,18 +328,17 @@ def run_hivqe(
             trace.append(record)
             break
 
-        work = amplitude_screen(tensored, psi, cfg.threshold)
-        cvec = _restrict(psi, tensored, work)
+        rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
+        work, amplitudes = sub.take(rows), psi.amplitudes[rows]
         for _ in range(cfg.expansion_repeats):
-            expanded = classical_expand(work, cvec, cfg.m, s)
+            expanded = classical_expand(work, amplitudes, cfg.m, s)
             if expanded is work:
                 break  # every determinant has already served as a reference
-            if len(expanded) != len(work):
-                cvec = _restrict(cvec, work, expanded)
+            amplitudes = np.pad(amplitudes, (0, len(expanded) - len(work)))
             work = expanded
         record.n_dets_post_screen = len(work)
         carried = work
-        prev = (psi, tensored)
+        prev = (psi, sub)
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)

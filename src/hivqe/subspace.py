@@ -1,17 +1,21 @@
 """Trial-subspace bookkeeping: filtering, screening, expansion, set algebra.
 
 The Subspace type is an ordered, duplicate-free determinant list with O(1)
-membership lookup. Operations never mutate their input; each returns a new
-Subspace (or the input itself when nothing changed). All rankings share one
-tie-break rule: stable sort with the determinant mask pair as the final key,
-so results are bit-reproducible.
+membership lookup. Operations never mutate their input. The screens return
+the row indices they keep, in output order, so one index array selects the
+determinants (Subspace.take), the amplitudes and the rows and columns of an
+already assembled matrix alike; the other operations return a new Subspace
+(or the input itself when nothing changed). Nothing here assembles or solves
+a Hamiltonian. All rankings share one tie-break rule: stable sort with the
+determinant mask pair as the final key, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import eigensolver
+import numpy as np
+
 from .determinants import (
     Determinant,
     Sector,
@@ -93,6 +97,10 @@ class Subspace:
     def __contains__(self, d):
         return d in self.index
 
+    def take(self, rows) -> "Subspace":
+        """The determinants at rows, in that order; expansion history carries over."""
+        return self._replace([self.dets[i] for i in rows])
+
     def _replace(self, dets, expanded_refs=None) -> "Subspace":
         refs = self.expanded_refs if expanded_refs is None else expanded_refs
         return Subspace(dets, self.sector, refs)
@@ -165,63 +173,53 @@ def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
     return out
 
 
-def cap_screen(sub: Subspace, k: int, s: IntegralSet) -> Subspace:
-    """Cap the subspace at k determinants by loose-diagonalization amplitude.
+def cap_screen(sub: Subspace, amplitudes: np.ndarray, k: int) -> np.ndarray:
+    """Rows of sub that survive a cap of k determinants, in output order.
 
-    Under the cap the input is returned untouched and nothing is diagonalized.
-    Otherwise the Hartree-Fock determinant (when present) plus the k-1 largest
-    |amplitude| determinants survive, ordered by rank.
+    amplitudes is a ground-state estimate over sub. Under the cap every row
+    survives in place. Otherwise the Hartree-Fock determinant (when present)
+    plus the k-1 largest-|amplitude| determinants survive, ordered by rank.
     """
     if k < 1:
         raise ValueError("cap must be at least 1")
+    if len(amplitudes) != len(sub):
+        raise ValueError("amplitude vector does not match subspace length")
     if len(sub) <= k:
-        return sub
-    h = eigensolver.project(sub.dets, s)
-    c = eigensolver.ground_state(h, mode="loose")
-    order = sorted(
-        range(len(sub)),
-        key=lambda i: (-abs(c.amplitudes[i]), sub.dets[i]),
-    )
-    hf = hartree_fock_det(sub.sector)
-    selected = {sub.index[hf]} if hf in sub.index else set()
-    budget = k - len(selected)
-    for i in order:
-        if budget == 0:
-            break
-        if i not in selected:
-            selected.add(i)
-            budget -= 1
-    return sub._replace([sub.dets[i] for i in order if i in selected])
+        return np.arange(len(sub))
+    order = sorted(range(len(sub)), key=lambda i: (-abs(amplitudes[i]), sub.dets[i]))
+    kept = order[:k]
+    hf = sub.index.get(hartree_fock_det(sub.sector))
+    if hf is not None and hf not in kept:
+        kept[-1] = hf  # it ranks below every other survivor
+    return np.array(kept)
 
 
-def amplitude_screen(sub: Subspace, c: eigensolver.CIVector, threshold: float) -> Subspace:
-    """Drop determinants with |amplitude| < threshold, preserving order.
+def amplitude_screen(sub: Subspace, amplitudes: np.ndarray, threshold: float) -> np.ndarray:
+    """Rows of sub with |amplitude| >= threshold, in order.
 
     The Hartree-Fock determinant is pinned and survives regardless.
     """
-    if len(c.amplitudes) != len(sub):
+    if len(amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    hf = hartree_fock_det(sub.sector)
-    kept = [
-        d for i, d in enumerate(sub.dets)
-        if abs(c.amplitudes[i]) >= threshold or d == hf
-    ]
-    if len(kept) == len(sub):
-        return sub
-    return sub._replace(kept)
+    keep = np.abs(amplitudes) >= threshold
+    hf = sub.index.get(hartree_fock_det(sub.sector))
+    if hf is not None:
+        keep[hf] = True
+    return np.flatnonzero(keep)
 
 
-def classical_expand(sub: Subspace, c: eigensolver.CIVector, m: int, s: IntegralSet) -> Subspace:
+def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralSet) -> Subspace:
     """Expand around the largest-amplitude not-yet-expanded determinant.
 
-    Generates that reference's singles and doubles, ranks candidates absent
-    from the subspace by |<ref|H|cand>| descending, appends the top m, and
-    marks the reference as expanded. When every determinant has already
-    served as a reference the subspace is returned unchanged.
+    amplitudes is a wavefunction over sub. Generates that reference's singles
+    and doubles, ranks candidates absent from the subspace by |<ref|H|cand>|
+    descending, appends the top m, and marks the reference as expanded. When
+    every determinant has already served as a reference the subspace is
+    returned unchanged.
     """
-    if len(c.amplitudes) != len(sub):
+    if len(amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -230,7 +228,7 @@ def classical_expand(sub: Subspace, c: eigensolver.CIVector, m: int, s: Integral
     ]
     if not fresh:
         return sub
-    ref_i, ref = min(fresh, key=lambda pair: (-abs(c.amplitudes[pair[0]]), pair[1]))
+    ref_i, ref = min(fresh, key=lambda pair: (-abs(amplitudes[pair[0]]), pair[1]))
     candidates = [
         d for d in generate_singles_doubles(ref, sub.sector.n_orb)
         if d not in sub.index
@@ -246,13 +244,14 @@ def classical_expand(sub: Subspace, c: eigensolver.CIVector, m: int, s: Integral
     )
 
 
-def tensor_reconstruct(sub: Subspace, closed_shell: bool = False) -> Subspace:
+def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = None) -> Subspace:
     """Rebuild the subspace as a tensor product of its spin strings.
 
     Open shell: {alpha strings} x {beta strings}. Closed shell: the two
     string sets are merged first, then squared. Output is a deduplicated
     superset of the input; sector validity is automatic because all alpha
-    (beta) strings in a sector share one popcount.
+    (beta) strings in a sector share one popcount. A product larger than cap
+    is refused with ValueError before any of it is built.
     """
     if closed_shell and sub.sector.n_alpha != sub.sector.n_beta:
         raise ValueError("closed-shell reconstruction requires n_alpha == n_beta")
@@ -261,10 +260,15 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool = False) -> Subspace:
     if closed_shell:
         merged = list(dict.fromkeys(alphas + betas))
         alphas = betas = merged
-    product = [Determinant(a, b) for a in alphas for b in betas]
-    if len(product) == len(sub):
+    size = len(alphas) * len(betas)
+    if cap is not None and size > cap:
+        raise ValueError(
+            f"tensor reconstruction would produce {size} determinants, "
+            f"beyond the safety cap {cap}"
+        )
+    if size == len(sub):
         return sub
-    return sub._replace(product)
+    return sub._replace([Determinant(a, b) for a in alphas for b in betas])
 
 
 def union(sub: Subspace, dets) -> Subspace:

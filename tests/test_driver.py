@@ -1,6 +1,7 @@
 """End-to-end iteration loop, density matrices, dipoles, and PES sweeps."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hivqe.driver import (
     run_pes_sweep,
 )
 from hivqe.eigensolver import CIVector, ground_state, project
-from hivqe.integrals import DipoleIntegrals, parse_dipole_file
+from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
 from hivqe.optimizer import make_optimizer, propose
 from hivqe.oracle import fci_ground, transition_matrix
 from hivqe.sampler import (
@@ -55,6 +56,12 @@ def test_config_validation_catches_bad_values():
     with pytest.raises(RunError):
         cfg = RunConfig(closed_shell=True, tensor_reconstruct=True)
         run_hivqe(cfg, random_integral_set(3, 2, 1, seed=0))
+
+
+def test_config_refuses_more_than_64_orbitals():
+    s = IntegralSet.from_terms(65, 1, 1, 0.0, {(0, 0): -1.0}, {})
+    with pytest.raises(RunError, match="64-orbital limit"):
+        run_hivqe(RunConfig(), s)
 
 
 def test_config_echo_round_trips_through_result():
@@ -180,6 +187,28 @@ def test_stall_detection_breaks_the_loop():
     res = run_hivqe(cfg, s)
     assert res.status == "stalled"
     assert res.iterations < 40
+
+
+def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
+    """The cap ranks the rows of the union's matrix and the tight solve reuses
+    its kept rows, so each iteration calls project once outside the
+    sample-and-solve step, whether capped or not."""
+    calls = []
+
+    def counting(original):
+        def project_counted(dets, s):
+            if inspect.currentframe().f_back.f_code.co_name != "sample_and_solve":
+                calls.append(len(dets))
+            return original(dets, s)
+        return project_counted
+
+    # both names, so a call through either module is counted
+    monkeypatch.setattr("hivqe.driver.project", counting(project))
+    monkeypatch.setattr("hivqe.eigensolver.project", counting(project))
+    cfg = RunConfig(seed=0, k=10, m=8, max_iterations=4)
+    res = run_hivqe(cfg, load_fixture("h4_chain"))
+    assert sum(r.n_dets_union > cfg.k for r in res.trace) == 2
+    assert calls == [r.n_dets_union for r in res.trace]
 
 
 def test_tensor_reconstruction_cap_guard():

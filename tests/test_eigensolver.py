@@ -7,6 +7,7 @@ import pytest
 
 from hivqe.determinants import Determinant, slater_condon
 from hivqe.eigensolver import (
+    DENSE_CUTOFF,
     CIVector,
     EigensolverError,
     ground_state,
@@ -157,6 +158,24 @@ def test_project_uses_the_top_orbital_of_64():
     assert any(d.alpha_mask >> 63 for d in pick) and any(d.beta_mask >> 63 for d in pick)
     assert all(excitation_kinds(pick))
     assert_matches_oracle(pick, s)
+
+
+def test_principal_slice_equals_a_fresh_projection():
+    """Kept rows and columns of an assembled union, indices sorted, are the
+    matrix project() builds over those determinants: same storage, same floats."""
+    s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
+    rng = np.random.default_rng(109)
+    dets = enumerate_sector(8, 3, 3)
+    union = [dets[i] for i in rng.permutation(len(dets))[:1500]]
+    assert len(union) > DENSE_CUTOFF
+    h = project(union, s)
+    rows = rng.permutation(len(union))[:700]
+    sliced = h[rows][:, rows]
+    sliced.sort_indices()
+    fresh = project([union[i] for i in rows], s)
+    assert fresh.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
 
 
 def test_project_refuses_more_than_64_orbitals():

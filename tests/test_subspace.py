@@ -1,10 +1,12 @@
 """Symmetry filtering, screening, expansion, and tensor reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hivqe.determinants import Determinant, Sector, det_from_string
-from hivqe.eigensolver import CIVector, ground_state, project
+from hivqe.eigensolver import ground_state, project
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import (
     SampleBatch,
@@ -98,17 +100,22 @@ def h2_ground():
     return s, sub, c
 
 
-def test_cap_screen_under_cap_returns_same_object():
+def loose_amplitudes(sub, s):
+    return ground_state(project(sub, s), "loose").amplitudes
+
+
+def test_cap_screen_under_cap_keeps_every_row():
     s, sub, _ = h2_ground()
-    assert cap_screen(sub, 4, s) is sub
-    assert cap_screen(sub, 10, s) is sub
+    amps = loose_amplitudes(sub, s)
+    assert cap_screen(sub, amps, 4).tolist() == [0, 1, 2, 3]
+    assert cap_screen(sub, amps, 10).tolist() == [0, 1, 2, 3]
 
 
 def test_cap_screen_keeps_hf_and_ranks_by_amplitude():
     s, sub, c = h2_ground()
-    capped = cap_screen(sub, 2, s)
+    rows = cap_screen(sub, loose_amplitudes(sub, s), 2)
     # H2 ground state is HF plus the double; singles carry ~zero weight
-    assert capped.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
+    assert sub.take(rows).dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
 
 
 def test_cap_screen_without_hf_keeps_top_k():
@@ -116,43 +123,60 @@ def test_cap_screen_without_hf_keeps_top_k():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b10, 0b01), Determinant(0b01, 0b10),
                     Determinant(0b10, 0b10)], sector)
-    capped = cap_screen(sub, 1, s)
+    capped = sub.take(cap_screen(sub, loose_amplitudes(sub, s), 1))
     assert len(capped) == 1
     assert capped.dets[0] in sub.dets
 
 
+def test_cap_screen_pins_hf_below_the_ranked_survivors():
+    sub = Subspace([Determinant(0b10, 0b01), Determinant(0b01, 0b01),
+                    Determinant(0b01, 0b10), Determinant(0b10, 0b10)], Sector(2, 1, 1))
+    amps = np.array([0.6, 0.1, 0.5, 0.6])
+    amps /= np.linalg.norm(amps)
+    # ties rank by determinant; HF (row 1) displaces the lowest-ranked survivor
+    assert cap_screen(sub, amps, 3).tolist() == [0, 3, 1]
+    assert cap_screen(sub, amps, 1).tolist() == [1]
+
+
 def test_amplitude_screen_drops_small_but_keeps_hf():
     s, sub, c = h2_ground()
-    screened = amplitude_screen(sub, c, 1e-6)
+    rows = amplitude_screen(sub, c.amplitudes, 1e-6)
+    screened = sub.take(rows)
     assert screened.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
-    # nothing below threshold: identical object back
+    # nothing below threshold: every row back, in order
     c2 = ground_state(project(screened, s), "tight")
-    assert amplitude_screen(screened, c2, 1e-6) is screened
+    assert amplitude_screen(screened, c2.amplitudes, 1e-6).tolist() == [0, 1]
 
 
 def test_amplitude_screen_keeps_hf_even_when_tiny():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], sector)
     amps = np.array([1e-9, 1.0])
-    c = CIVector(amps / np.linalg.norm(amps), energy=0.0)
-    screened = amplitude_screen(sub, c, 1e-6)
+    screened = sub.take(amplitude_screen(sub, amps / np.linalg.norm(amps), 1e-6))
     assert Determinant(0b01, 0b01) in screened.dets
 
 
 def test_amplitude_screen_mismatched_vector_raises():
     _, sub, _ = h2_ground()
     with pytest.raises(ValueError):
-        amplitude_screen(sub, CIVector(np.array([1.0]), 0.0), 1e-6)
+        amplitude_screen(sub, np.array([1.0]), 1e-6)
+
+
+def test_take_selects_rows_in_order_and_keeps_history():
+    sector = Sector(2, 1, 1)
+    sub = Subspace(enumerate_sector(2, 1, 1), sector, {Determinant(0b01, 0b01)})
+    part = sub.take(np.array([3, 0]))
+    assert part.dets == [sub.dets[3], sub.dets[0]]
+    assert part.expanded_refs == sub.expanded_refs
 
 
 def test_classical_expand_ranks_by_coupling():
     s = load_fixture("h2_0.74")
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01)], sector)
-    c = CIVector(np.array([1.0]), energy=0.0)
     # the double couples through an exchange integral; singles vanish by
     # Brillouin, so m=1 must pick the double
-    grown = classical_expand(sub, c, 1, s)
+    grown = classical_expand(sub, np.array([1.0]), 1, s)
     assert grown.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
     assert Determinant(0b01, 0b01) in grown.expanded_refs
 
@@ -161,12 +185,11 @@ def test_classical_expand_exhaustion_returns_same_object():
     s = load_fixture("h2_0.74")
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01)], sector)
-    c = CIVector(np.array([1.0]), energy=0.0)
     for _ in range(6):
         prev = sub
         amps = np.zeros(len(sub))
         amps[0] = 1.0
-        sub = classical_expand(sub, CIVector(amps, 0.0), 4, s)
+        sub = classical_expand(sub, amps, 4, s)
         if sub is prev:
             break
     assert sub is prev
@@ -176,7 +199,7 @@ def test_classical_expand_exhaustion_returns_same_object():
 def test_classical_expand_m_zero_still_marks_reference():
     s = load_fixture("h2_0.74")
     sub = Subspace([Determinant(0b01, 0b01)], Sector(2, 1, 1))
-    grown = classical_expand(sub, CIVector(np.array([1.0]), 0.0), 0, s)
+    grown = classical_expand(sub, np.array([1.0]), 0, s)
     assert grown.dets == sub.dets
     assert grown.expanded_refs == {Determinant(0b01, 0b01)}
 
@@ -205,6 +228,26 @@ def test_tensor_closed_shell_requires_balanced_sector():
     sub = Subspace([Determinant(0b011, 0b001)], Sector(3, 2, 1))
     with pytest.raises(ValueError):
         tensor_reconstruct(sub, closed_shell=True)
+
+
+def test_tensor_refuses_a_product_beyond_the_cap_before_building_it(monkeypatch):
+    n_orb = 14
+    strings = [sum(1 << p for p in occ) for occ in itertools.combinations(range(n_orb), 7)]
+    rng = np.random.default_rng(0)
+    sub = Subspace([Determinant(a, strings[j]) for a, j in
+                    zip(strings, rng.permutation(len(strings)))], Sector(n_orb, 7, 7))
+    assert len(sub) == 3432  # 3,432 x 3,432 strings: an 11.8M-determinant product
+    small = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], Sector(2, 1, 1))
+    assert len(tensor_reconstruct(small, cap=4)) == 4  # a product at the cap is built
+
+    def refuse(*args):
+        raise AssertionError("a product determinant was built")
+
+    monkeypatch.setattr("hivqe.subspace.Determinant", refuse)
+    with pytest.raises(ValueError, match="safety cap"):
+        tensor_reconstruct(sub, cap=10 * len(sub))
+    with pytest.raises(ValueError, match="safety cap"):
+        tensor_reconstruct(small, cap=3)
 
 
 def test_union_appends_in_first_seen_order():
