@@ -68,17 +68,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(field_name: str, raw: str, field_types: dict):
-    kind = field_types.get(field_name)
+def _coerce(field_name: str, raw: str):
+    from .driver import CONFIG_TYPES
+
+    kind = CONFIG_TYPES.get(field_name)
     if kind is None:
         raise ValueError(f"unknown config key {field_name!r}")
     if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{field_name} expects a boolean, got {raw!r}")
+        words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+        if raw.lower() not in words:
+            raise ValueError(f"{field_name} expects a boolean, got {raw!r}")
+        return words[raw.lower()]
     return kind(raw)
 
 
@@ -95,17 +95,11 @@ def _load_config(args):
         data.update(file_data)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    field_types = {
-        name: f.type if isinstance(f.type, type) else {
-            "int": int, "float": float, "str": str, "bool": bool
-        }[f.type]
-        for name, f in RunConfig.__dataclass_fields__.items()
-    }
     for item in getattr(args, "overrides", []):
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        data[key] = _coerce(key, raw, field_types)
+        data[key] = _coerce(key, raw)
     return RunConfig.from_dict(data)
 
 
@@ -124,6 +118,11 @@ def _fmt(value: float) -> str:
     return "nan" if not math.isfinite(value) else f"{value:.8f}"
 
 
+def _csv_field(value) -> str:
+    """A CSV energy field: repr of the float, empty when there is none."""
+    return "" if value is None else repr(value)
+
+
 def _write_run_outputs(result, out_dir: Path) -> None:
     from .driver import IterationRecord
     from .subspace import Subspace, dump_subspace
@@ -138,11 +137,7 @@ def _write_run_outputs(result, out_dir: Path) -> None:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
 
-    if result.dets:
-        sub = Subspace(result.dets, result.sector)
-        (out_dir / "subspace.txt").write_text(dump_subspace(sub))
-    else:
-        (out_dir / "subspace.txt").write_text("")
+    (out_dir / "subspace.txt").write_text(dump_subspace(Subspace(result.dets, result.sector)))
 
 
 def _cmd_run(args) -> int:
@@ -225,11 +220,8 @@ def _cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["label,E_hf,E_hivqe,E_ref,abs_error"]
     for row in rows:
-        e_ref = "" if row["e_ref"] is None else repr(row["e_ref"])
-        err = "" if row["abs_error"] is None else repr(row["abs_error"])
-        lines.append(
-            f"{row['label']},{row['e_hf']!r},{row['e_hivqe']!r},{e_ref},{err}"
-        )
+        lines.append(",".join([row["label"]] + [
+            _csv_field(row[key]) for key in ("e_hf", "e_hivqe", "e_ref", "abs_error")]))
     (out_dir / "pes.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out_dir / 'pes.csv'} with {len(rows)} points")
     return 0
@@ -264,10 +256,9 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["label,n_qubits,m,n_dets,energy,abs_error"]
     for r in rows:
-        err = "" if r["abs_error"] is None else repr(r["abs_error"])
-        energy = "" if r["energy"] is None else repr(r["energy"])
         lines.append(
-            f"{r['label']},{r['n_qubits']},{r['m']},{r['n_dets']},{energy},{err}"
+            f"{r['label']},{r['n_qubits']},{r['m']},{r['n_dets']},"
+            f"{_csv_field(r['energy'])},{_csv_field(r['abs_error'])}"
         )
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 

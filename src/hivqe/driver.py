@@ -10,24 +10,20 @@ and the tight solve (the reported energy) runs on the kept rows and columns
 of the same matrix; only a tensor reconstruction that adds determinants
 assembles again. The loop then tests convergence, amplitude-screens,
 classically expands, and lets the optimizer update theta from the probe
-pair. The best cumulative eigenpair over all iterations is returned.
+pair. The best cumulative Subspace and its eigenvector are returned; an
+eigenvector moves onto a later subspace's rows through Subspace.find.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .determinants import (
-    Sector,
-    hartree_fock_det,
-    occupied_orbitals,
-    slater_condon,
-)
+from .determinants import Sector, _occupations, hartree_fock_det, slater_condon
 from .eigensolver import CIVector, ground_state, project, single_excitation_pairs
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
@@ -86,19 +82,20 @@ class RunConfig:
     stall_window: int = 10
 
     def validate(self, s: IntegralSet) -> None:
+        for name, kind in CONFIG_TYPES.items():
+            value = getattr(self, name)  # bool is an int, so only bool fields may hold one
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, (int, float) if kind is float else kind)):
+                raise RunError(f"config key {name!r} expects {kind.__name__}, got {value!r}")
         if s.n_orb > 64:
-            raise RunError(
-                f"spin strings are packed into 64 bits: {s.n_orb} orbitals exceed "
-                "the 64-orbital limit"
-            )
-        if self.shots < 1:
-            raise RunError("shots must be at least 1")
-        if self.k < 1:
-            raise RunError("k must be at least 1")
-        if self.m < 0 or self.max_iterations < 0 or self.window < 1:
-            raise RunError("counts must be nonnegative (window at least 1)")
-        if self.threshold < 0 or self.eps <= 0:
-            raise RunError("threshold must be >= 0 and eps > 0")
+            raise RunError(f"{s.n_orb} orbitals exceed the 64-orbital limit of the spin strings")
+        for name, floor in (("shots", 1), ("k", 1), ("m", 0), ("max_iterations", 0),
+                            ("window", 1), ("threshold", 0), ("seed", 0), ("ansatz_layers", 0),
+                            ("expansion_repeats", 1), ("stall_window", 1)):
+            if getattr(self, name) < floor:
+                raise RunError(f"{name} must be at least {floor}")
+        if self.eps <= 0:
+            raise RunError("eps must be positive")
         if not 0.0 <= self.p_flip <= 1.0:
             raise RunError("p_flip must lie in [0, 1]")
         if self.recovery_mode not in ("discard", "recover"):
@@ -107,18 +104,16 @@ class RunConfig:
             raise RunError(f"unknown convergence source {self.convergence_source!r}")
         if self.closed_shell and s.n_alpha != s.n_beta:
             raise RunError("closed-shell reconstruction requires n_alpha == n_beta")
-        if self.seed < 0:
-            raise RunError("seed must be nonnegative")
-        if self.ansatz_layers < 0 or self.expansion_repeats < 1 or self.stall_window < 1:
-            raise RunError("invalid ansatz_layers / expansion_repeats / stall_window")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(CONFIG_TYPES)
         if unknown:
             raise RunError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+CONFIG_TYPES = get_type_hints(RunConfig)  # field -> type, for validate and the CLI's --set
 
 
 @dataclass
@@ -191,13 +186,13 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
 
 
 def _warm_start(prev: Optional[tuple], sub: Subspace) -> Optional[CIVector]:
-    """The previous eigenvector moved onto sub's determinants (0 where its
-    subspace lacks one), or None when there is none to carry."""
+    """The previous eigenvector moved onto sub's rows (0 where its subspace
+    lacks one), or None when there is none to carry."""
     if prev is None:
         return None
     psi, source = prev
-    lookup = dict(zip(source.dets, psi.amplitudes))
-    vec = np.array([lookup.get(d, 0.0) for d in sub.dets])
+    rows = source.find(sub.alpha, sub.beta)
+    vec = np.where(rows >= 0, psi.amplitudes[rows], 0.0)
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         return None
@@ -215,8 +210,6 @@ def run_hivqe(
     """
     cfg.validate(s)
     sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
-    if sector.size() == 0:
-        raise RunError("symmetry sector is empty")
     hf = hartree_fock_det(s)
     e_hf = float(slater_condon(hf, hf, s) + s.e_core)
     config_echo = asdict(cfg)
@@ -237,13 +230,13 @@ def run_hivqe(
     carried = Subspace([], sector)
     prev: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
-    best: Optional[tuple] = None
+    best: Optional[tuple] = None  # (energy, eigenvector, its subspace)
     best_energy_seen = math.inf
     stall_count = 0
     status = "max_iterations"
 
     def sample_and_solve(theta, iteration, role):
-        """(batch, its sector-valid determinants, their loose ground energy).
+        """(batch, the subspace of its sector-valid determinants, its loose energy).
 
         Role 0 is the iteration at the current angles, roles 1 and 2 the SPSA
         probes; each draws from its own seed stream. The energy is nan when
@@ -293,7 +286,7 @@ def run_hivqe(
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
         if best is None or e_cum < best[0]:
-            best = (e_cum, psi.amplitudes.copy(), list(sub.dets))
+            best = (e_cum, psi.amplitudes.copy(), sub)
         if best_energy_seen - e_cum > 1e-10:
             best_energy_seen = e_cum
             stall_count = 0
@@ -349,18 +342,17 @@ def run_hivqe(
                 update(opt, e_plus, e_minus)
         trace.append(record)
 
-    energy, amplitudes, dets = best
+    energy, amplitudes, best_sub = best
     energy = float(energy)
     dipole = None
     if dipole_integrals is not None:
-        final_sub = Subspace(dets, sector)
-        gamma = compute_1rdm(CIVector(amplitudes, energy), final_sub)
+        gamma = compute_1rdm(CIVector(amplitudes, energy), best_sub)
         dipole = dipole_moment(gamma, dipole_integrals)
     return RunResult(
         energy=energy,
         e_hf=e_hf,
         e_corr=energy - e_hf,
-        dets=dets,
+        dets=list(best_sub),
         amplitudes=amplitudes,
         trace=trace,
         dipole=dipole,
@@ -381,15 +373,9 @@ def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
     if len(c.amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
     n = sub.sector.n_orb
-    gamma = np.zeros((n, n))
     amps = c.amplitudes
-    for i, d in enumerate(sub.dets):
-        w = amps[i] ** 2
-        for p in occupied_orbitals(d.alpha_mask):
-            gamma[p, p] += w
-        for p in occupied_orbitals(d.beta_mask):
-            gamma[p, p] += w
-    i, j, hole, particle, phase = single_excitation_pairs(sub.dets, n)
+    gamma = np.diag(amps**2 @ (_occupations(sub.alpha, n) + _occupations(sub.beta, n)))
+    i, j, hole, particle, phase = single_excitation_pairs(sub, n)
     term = amps[i] * amps[j] * phase
     np.add.at(gamma, (hole, particle), term)
     np.add.at(gamma, (particle, hole), term)
@@ -427,7 +413,8 @@ def run_pes_sweep(entries, cfg: RunConfig, integrals_by_label: dict) -> list[dic
             "e_hf": result.e_hf,
             "e_hivqe": result.energy,
             "e_ref": e_ref,
-            "abs_error": None if e_ref is None else abs(result.energy - e_ref),
+            "abs_error": (None if e_ref is None or result.energy is None
+                          else abs(result.energy - e_ref)),
         }
         rows.append(row)
     return rows

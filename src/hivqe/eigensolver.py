@@ -1,9 +1,9 @@
 """Subspace Hamiltonian assembly and ground-eigenpair solves.
 
-project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over an
-ordered determinant list with string-driven numpy batches (Knowles & Handy,
-CPL 111, 315, 1984): each determinant becomes a pair of indices into the
-distinct alpha and beta strings of the list, excitations of degree 1 and 2
+project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
+rows of a Subspace with string-driven numpy batches (Knowles & Handy, CPL
+111, 315, 1984): each row's pair of uint64 strings becomes a pair of indices
+into the distinct alpha and beta strings, excitations of degree 1 and 2
 are linked between the strings of each spin channel, and partner
 determinants are looked up by sorted key. Pairs come in three batches:
 alpha excitations with the beta string unchanged, beta excitations with the
@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import _BIT, Determinant, _occupations, _phase
+from .determinants import _BIT, _occupations, _phase
 from .integrals import IntegralSet
+from .subspace import Subspace
 
 __all__ = [
     "CIVector",
@@ -174,21 +175,14 @@ def _string_links(n_orb: int, packed: bytes):
 
 
 class _StringIndex:
-    """A determinant list as (alpha string, beta string) index pairs."""
+    """A subspace's rows as (alpha string, beta string) index pairs."""
 
-    def __init__(self, dets: Sequence[Determinant], n_orb: int):
-        if n_orb > 64:
-            raise EigensolverError(f"strings are packed into 64 bits; n_orb={n_orb} does not fit")
-        n = len(dets)
-        alpha = np.fromiter((d.alpha_mask for d in dets), dtype=np.uint64, count=n)
-        beta = np.fromiter((d.beta_mask for d in dets), dtype=np.uint64, count=n)
-        self.alpha, self.ia = np.unique(alpha, return_inverse=True)
-        self.beta, self.ib = np.unique(beta, return_inverse=True)
+    def __init__(self, sub: Subspace, n_orb: int):
+        self.alpha, self.ia = np.unique(sub.alpha, return_inverse=True)
+        self.beta, self.ib = np.unique(sub.beta, return_inverse=True)
         keys = self.ia * len(self.beta) + self.ib
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
-        if np.any(self.keys[1:] == self.keys[:-1]):
-            raise EigensolverError("determinant list contains duplicates")
         # (singles, upward singles, doubles) per channel
         self.links = {"alpha": _string_links(n_orb, self.alpha.tobytes()),
                       "beta": _string_links(n_orb, self.beta.tobytes())}
@@ -224,14 +218,14 @@ class _StringIndex:
             yield i[hit], j[hit], la[hit], lb[hit]
 
 
-def single_excitation_pairs(dets: Sequence[Determinant], n_orb: int):
-    """Determinant pairs one electron apart, each once.
+def single_excitation_pairs(sub: Subspace, n_orb: int):
+    """Row pairs of sub one electron apart, each once.
 
-    Returns arrays (i, j, hole, particle, phase): d_j is d_i with one
+    Returns arrays (i, j, hole, particle, phase): row j is row i with one
     electron moved from orbital hole to orbital particle in one spin
     channel, with fermionic sign phase.
     """
-    index = _StringIndex(dets, n_orb)
+    index = _StringIndex(sub, n_orb)
     out = []
     for channel in ("alpha", "beta"):
         up = index.links[channel][1]
@@ -259,17 +253,17 @@ def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: Inte
     return diag
 
 
-def project(dets: Sequence[Determinant], s: IntegralSet) -> scipy.sparse.csr_matrix:
-    """Assemble <d_i|H|d_j> + e_core*I over the given determinant ordering.
+def project(sub: Subspace, s: IntegralSet) -> scipy.sparse.csr_matrix:
+    """Assemble <d_i|H|d_j> + e_core*I over the rows of sub, in order.
 
     Entries beyond excitation degree 2 and off-diagonal entries that vanish
     are not stored; every diagonal entry is. The matrix is stored fully
     symmetric (both triangles).
     """
-    n = len(dets)
+    n = len(sub)
     if n == 0:
-        raise EigensolverError("cannot project onto an empty determinant list")
-    index = _StringIndex(dets, s.n_orb)
+        raise EigensolverError("cannot project onto an empty subspace")
+    index = _StringIndex(sub, s.n_orb)
     eri, ar = s.eri, np.arange(s.n_orb)
     occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
     rows, cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]

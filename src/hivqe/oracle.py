@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import Determinant
+from .determinants import Determinant, Sector
 from .eigensolver import CIVector, ground_state, project
 from .integrals import IntegralSet, get_eri
 from .sampler import enumerate_sector, sector_size
+from .subspace import Subspace
 
 __all__ = [
     "FciResult",
@@ -49,8 +50,9 @@ def fci_ground(s: IntegralSet, limit: int = ORACLE_SECTOR_LIMIT) -> FciResult:
     count = sector_size(s.n_orb, s.n_alpha, s.n_beta)
     if count > limit:
         raise ValueError(f"sector of {count} determinants exceeds oracle limit {limit}")
-    dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta, max_states=limit)
-    c = ground_state(project(dets, s), mode="tight")
+    sub = Subspace(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta, max_states=limit),
+                   Sector(s.n_orb, s.n_alpha, s.n_beta))
+    c = ground_state(project(sub, s), mode="tight")
     return FciResult(c.energy, c, count)
 
 

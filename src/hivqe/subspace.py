@@ -1,13 +1,13 @@
 """Trial-subspace bookkeeping: filtering, screening, expansion, set algebra.
 
-The Subspace type is an ordered, duplicate-free determinant list with O(1)
-membership lookup. Operations never mutate their input. The screens return
-the row indices they keep, in output order, so one index array selects the
-determinants (Subspace.take), the amplitudes and the rows and columns of an
-already assembled matrix alike; the other operations return a new Subspace
-(or the input itself when nothing changed). Nothing here assembles or solves
-a Hamiltonian. All rankings share one tie-break rule: stable sort with the
-determinant mask pair as the final key, so results are bit-reproducible.
+A Subspace is an ordered, duplicate-free determinant set held as two
+read-only uint64 string arrays; only this module builds them. Operations
+never mutate their input. The screens return the row indices they keep, in
+output order, so one index array selects the determinants (Subspace.take),
+the amplitudes and the rows and columns of an assembled matrix alike; the
+other operations return a new Subspace (or the input itself when nothing
+changed). Nothing here assembles or solves a Hamiltonian. Every ranking is
+a lexsort with the (alpha, beta) string pair as its final keys.
 """
 
 from __future__ import annotations
@@ -63,47 +63,87 @@ class SampleBatch:
 
 
 class Subspace:
-    """Ordered determinant set with reverse index and expansion history."""
+    """Row i is the determinant (alpha[i], beta[i]); expanded_refs is the history.
 
-    __slots__ = ("dets", "index", "expanded_refs", "sector")
+    Built from Determinants, a Subspace checks them against its sector and
+    keeps the first-seen row of each; iterating it yields Determinants.
+    """
+
+    __slots__ = ("alpha", "beta", "sector", "expanded_refs")
 
     def __init__(self, dets=(), sector: Sector = None, expanded_refs=frozenset()):
         if sector is None:
             raise ValueError("a Subspace needs its symmetry sector")
-        self.sector = sector
-        self.dets: list[Determinant] = []
-        self.index: dict[Determinant, int] = {}
-        for d in dets:
-            if d in self.index:
-                continue
-            if not sector.contains(d):
-                raise ValueError(
-                    f"determinant {det_to_string(d, sector.n_orb)} violates sector "
-                    f"({sector.n_alpha}a,{sector.n_beta}b)"
-                )
-            self.index[d] = len(self.dets)
-            self.dets.append(d)
+        n = sector.n_orb
+        if n > 64:
+            raise ValueError(f"spin strings are packed into 64 bits; n_orb={n} does not fit")
+        dets = list(dict.fromkeys(dets))  # first-seen row of each
+        try:
+            alpha, beta = _strings(dets)
+            valid = (((alpha | beta) <= np.uint64((1 << n) - 1))
+                     & (np.bitwise_count(alpha) == sector.n_alpha)
+                     & (np.bitwise_count(beta) == sector.n_beta))
+        except OverflowError:  # a mask outside 0 .. 2**64 - 1
+            valid = np.array([min(d) >= 0 and sector.contains(d) for d in dets])
+        if not valid.all():
+            raise ValueError(f"{dets[int(np.argmin(valid))]} violates {sector}")
+        self._assign(alpha, beta, sector, expanded_refs)
+
+    @classmethod
+    def _of(cls, alpha, beta, sector, expanded_refs) -> "Subspace":
+        """A Subspace over string arrays already unique and in the sector."""
+        return cls.__new__(cls)._assign(alpha, beta, sector, expanded_refs)
+
+    def _assign(self, alpha, beta, sector, expanded_refs) -> "Subspace":
+        alpha.flags.writeable = beta.flags.writeable = False
+        self.alpha, self.beta, self.sector = alpha, beta, sector
         self.expanded_refs = frozenset(expanded_refs)
+        return self
 
     def __len__(self):
-        return len(self.dets)
+        return len(self.alpha)
 
     def __iter__(self):
-        return iter(self.dets)
+        return map(Determinant._make, zip(self.alpha.tolist(), self.beta.tolist()))
 
-    def __getitem__(self, i):
-        return self.dets[i]
+    def find(self, alpha, beta) -> np.ndarray:
+        """Row of each (alpha[i], beta[i]) string pair, -1 where absent.
 
-    def __contains__(self, d):
-        return d in self.index
+        The one row lookup: union, warm start, the Hartree-Fock pin and the
+        expansion's candidate filter all use it. A pair is keyed by the ranks
+        of its two strings among the rows' and the queries' strings.
+        """
+        alpha, beta = np.asarray(alpha, dtype=np.uint64), np.asarray(beta, dtype=np.uint64)
+        n = len(self)
+        if not n:
+            return np.full(len(alpha), -1)
+        _, ia = np.unique(np.concatenate((self.alpha, alpha)), return_inverse=True)
+        ub, ib = np.unique(np.concatenate((self.beta, beta)), return_inverse=True)
+        ids = ia * len(ub) + ib  # one per distinct pair: rows first, then the queries
+        order = np.argsort(ids[:n])
+        rows = ids[:n][order]
+        pos = np.minimum(np.searchsorted(rows, ids[n:]), n - 1)
+        return np.where(rows[pos] == ids[n:], order[pos], -1)
 
     def take(self, rows) -> "Subspace":
-        """The determinants at rows, in that order; expansion history carries over."""
-        return self._replace([self.dets[i] for i in rows])
+        """The determinants at distinct rows, in that order; history carries over."""
+        return Subspace._of(self.alpha[rows], self.beta[rows], self.sector, self.expanded_refs)
 
-    def _replace(self, dets, expanded_refs=None) -> "Subspace":
-        refs = self.expanded_refs if expanded_refs is None else expanded_refs
-        return Subspace(dets, self.sector, refs)
+
+def _strings(dets) -> tuple:
+    """The uint64 alpha and beta strings of a sized Determinant collection."""
+    return (np.fromiter((d.alpha_mask for d in dets), dtype=np.uint64, count=len(dets)),
+            np.fromiter((d.beta_mask for d in dets), dtype=np.uint64, count=len(dets)))
+
+
+def _hf_row(sub: Subspace) -> int:
+    """Row of the Hartree-Fock determinant in sub, -1 when absent."""
+    return int(sub.find(*_strings([hartree_fock_det(sub.sector)]))[0])
+
+
+def _rank(sub: Subspace, amplitudes: np.ndarray) -> np.ndarray:
+    """Rows by |amplitude| descending, ties by (alpha, beta) ascending."""
+    return np.lexsort((sub.beta, sub.alpha, -np.abs(amplitudes)))
 
 
 def bitstring_is_valid(bits: str, sector: Sector) -> bool:
@@ -121,6 +161,8 @@ def _repair_channel(bits: list[int], target: int, occupancy) -> None:
     flip moves the popcount toward the target are candidates.
     """
     have = sum(bits)
+    if have == target:
+        return
     flip_to = 0 if have > target else 1
     candidates = [p for p, b in enumerate(bits) if b != flip_to]
     candidates.sort(key=lambda p: (-abs(bits[p] - occupancy[p]), p))
@@ -132,12 +174,12 @@ def _repair_channel(bits: list[int], target: int, occupancy) -> None:
 
 
 def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
-                    occupancy_hint=None) -> list[Determinant]:
-    """Reduce raw samples to unique sector-valid determinants.
+                    occupancy_hint=None) -> Subspace:
+    """Reduce raw samples to the subspace of their sector-valid determinants.
 
     mode="discard" drops invalid bitstrings; mode="recover" repairs them by
     flipping, within the violating spin channel, the bits farthest from the
-    supplied mean occupancies until the popcount matches. Output order is
+    supplied mean occupancies until the popcount matches. Row order is
     first appearance in the batch; repaired duplicates merge.
     """
     if mode not in ("discard", "recover"):
@@ -145,32 +187,20 @@ def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
     if mode == "recover" and occupancy_hint is None:
         raise ValueError("recover mode needs an occupancy hint")
     n = sector.n_orb
-    width = 2 * n
+    if batch.n_orb != n:
+        raise ValueError(f"a batch over {batch.n_orb} orbitals does not fit {sector}")
     out: list[Determinant] = []
-    seen: set[Determinant] = set()
-    for bits, _count in batch.counts.items():
-        if len(bits) != width:
-            raise ValueError(f"bitstring {bits!r} is not {width} characters")
+    for bits in batch.counts:
         if bitstring_is_valid(bits, sector):
-            det = det_from_string(bits)
-        elif mode == "discard":
-            continue
-        else:
+            out.append(det_from_string(bits))
+        elif mode == "recover":
             alpha = [1 if c == "1" else 0 for c in bits[:n]]
             beta = [1 if c == "1" else 0 for c in bits[n:]]
-            hint_a, hint_b = occupancy_hint
-            if sum(alpha) != sector.n_alpha:
-                _repair_channel(alpha, sector.n_alpha, hint_a)
-            if sum(beta) != sector.n_beta:
-                _repair_channel(beta, sector.n_beta, hint_b)
-            det = Determinant(
-                sum(1 << p for p, b in enumerate(alpha) if b),
-                sum(1 << p for p, b in enumerate(beta) if b),
-            )
-        if det not in seen:
-            seen.add(det)
-            out.append(det)
-    return out
+            _repair_channel(alpha, sector.n_alpha, occupancy_hint[0])
+            _repair_channel(beta, sector.n_beta, occupancy_hint[1])
+            out.append(Determinant(sum(b << p for p, b in enumerate(alpha)),
+                                   sum(b << p for p, b in enumerate(beta))))
+    return Subspace(out, sector)
 
 
 def cap_screen(sub: Subspace, amplitudes: np.ndarray, k: int) -> np.ndarray:
@@ -186,12 +216,11 @@ def cap_screen(sub: Subspace, amplitudes: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("amplitude vector does not match subspace length")
     if len(sub) <= k:
         return np.arange(len(sub))
-    order = sorted(range(len(sub)), key=lambda i: (-abs(amplitudes[i]), sub.dets[i]))
-    kept = order[:k]
-    hf = sub.index.get(hartree_fock_det(sub.sector))
-    if hf is not None and hf not in kept:
+    kept = _rank(sub, amplitudes)[:k]
+    hf = _hf_row(sub)
+    if hf >= 0 and hf not in kept:
         kept[-1] = hf  # it ranks below every other survivor
-    return np.array(kept)
+    return kept
 
 
 def amplitude_screen(sub: Subspace, amplitudes: np.ndarray, threshold: float) -> np.ndarray:
@@ -204,8 +233,8 @@ def amplitude_screen(sub: Subspace, amplitudes: np.ndarray, threshold: float) ->
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     keep = np.abs(amplitudes) >= threshold
-    hf = sub.index.get(hartree_fock_det(sub.sector))
-    if hf is not None:
+    hf = _hf_row(sub)
+    if hf >= 0:
         keep[hf] = True
     return np.flatnonzero(keep)
 
@@ -223,43 +252,36 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
         raise ValueError("amplitude vector does not match subspace length")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    fresh = [
-        (i, d) for i, d in enumerate(sub.dets) if d not in sub.expanded_refs
-    ]
-    if not fresh:
+    order = _rank(sub, amplitudes)
+    order = order[~np.isin(order, sub.find(*_strings(sub.expanded_refs)))]
+    if not len(order):
         return sub
-    ref_i, ref = min(fresh, key=lambda pair: (-abs(amplitudes[pair[0]]), pair[1]))
-    candidates = [
-        d for d in generate_singles_doubles(ref, sub.sector.n_orb)
-        if d not in sub.index
-    ]
-    ranked = sorted(
-        ((abs(slater_condon(ref, d, s)), d) for d in candidates),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    added = [d for _, d in ranked[:m]]
-    return sub._replace(
-        list(sub.dets) + added,
-        expanded_refs=sub.expanded_refs | {ref},
-    )
+    ref = Determinant(int(sub.alpha[order[0]]), int(sub.beta[order[0]]))
+    candidates = generate_singles_doubles(ref, sub.sector.n_orb)
+    alpha, beta = _strings(candidates)
+    absent = np.flatnonzero(sub.find(alpha, beta) < 0)
+    coupling = np.array([abs(slater_condon(ref, candidates[i], s)) for i in absent.tolist()])
+    added = absent[np.lexsort((beta[absent], alpha[absent], -coupling))[:m]]
+    return Subspace._of(np.concatenate((sub.alpha, alpha[added])),
+                        np.concatenate((sub.beta, beta[added])),
+                        sub.sector, sub.expanded_refs | {ref})
 
 
 def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = None) -> Subspace:
     """Rebuild the subspace as a tensor product of its spin strings.
 
-    Open shell: {alpha strings} x {beta strings}. Closed shell: the two
-    string sets are merged first, then squared. Output is a deduplicated
-    superset of the input; sector validity is automatic because all alpha
-    (beta) strings in a sector share one popcount. A product larger than cap
-    is refused with ValueError before any of it is built.
+    Open shell: {alpha strings} x {beta strings}, each in first-seen order.
+    Closed shell: the two string sets are merged first, then squared. Output
+    is a superset of the input; every alpha (beta) string of a sector has one
+    popcount, so the product stays in it. A product larger than cap is
+    refused with ValueError before any of it is built.
     """
     if closed_shell and sub.sector.n_alpha != sub.sector.n_beta:
         raise ValueError("closed-shell reconstruction requires n_alpha == n_beta")
-    alphas = list(dict.fromkeys(d.alpha_mask for d in sub.dets))
-    betas = list(dict.fromkeys(d.beta_mask for d in sub.dets))
+    channels = (sub.alpha, sub.beta)
     if closed_shell:
-        merged = list(dict.fromkeys(alphas + betas))
-        alphas = betas = merged
+        channels = (np.concatenate(channels),) * 2
+    alphas, betas = (s[np.sort(np.unique(s, return_index=True)[1])] for s in channels)
     size = len(alphas) * len(betas)
     if cap is not None and size > cap:
         raise ValueError(
@@ -268,18 +290,21 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = Non
         )
     if size == len(sub):
         return sub
-    return sub._replace([Determinant(a, b) for a in alphas for b in betas])
+    return Subspace._of(np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)),
+                        sub.sector, sub.expanded_refs)
 
 
-def union(sub: Subspace, dets) -> Subspace:
-    """Set union preserving first-seen order; expansion history carries over."""
-    new = [d for d in dets if d not in sub.index]
-    if not new:
+def union(sub: Subspace, other: Subspace) -> Subspace:
+    """Rows of sub, then those of other that sub lacks; sub's history carries over."""
+    new = sub.find(other.alpha, other.beta) < 0
+    if not new.any():
         return sub
-    return sub._replace(list(sub.dets) + new)
+    return Subspace._of(np.concatenate((sub.alpha, other.alpha[new])),
+                        np.concatenate((sub.beta, other.beta[new])),
+                        sub.sector, sub.expanded_refs)
 
 
 def dump_subspace(sub: Subspace) -> str:
     """One determinant per line as "alpha|beta" strings (checkpoint format)."""
     n = sub.sector.n_orb
-    return "\n".join(det_to_string(d, n) for d in sub.dets) + "\n"
+    return "".join(det_to_string(d, n) + "\n" for d in sub)

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from hivqe.determinants import Sector
 from hivqe.integrals import IntegralSet
+from hivqe.subspace import Subspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +29,11 @@ def load_fixture(name: str) -> IntegralSet:
 @lru_cache(maxsize=1)
 def load_reference() -> dict:
     return json.loads((FIXTURES / "reference.json").read_text())
+
+
+def subspace_of(dets, s: IntegralSet) -> Subspace:
+    """The determinants as a Subspace of the integral set's sector."""
+    return Subspace(dets, Sector(s.n_orb, s.n_alpha, s.n_beta))
 
 
 def random_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet:

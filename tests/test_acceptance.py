@@ -29,7 +29,7 @@ from hivqe.sampler import (
 )
 from hivqe.subspace import bitstring_is_valid, filter_symmetry
 
-from helpers import FIXTURES, load_fixture, load_reference, random_integral_set
+from helpers import FIXTURES, load_fixture, load_reference, random_integral_set, subspace_of
 
 
 def test_01_projected_hamiltonian_matches_operator_algebra():
@@ -46,7 +46,7 @@ def test_01_projected_hamiltonian_matches_operator_algebra():
     ]
     for s in systems:
         dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
-        h = project(dets, s)
+        h = project(subspace_of(dets, s), s)
         dense = h.toarray()
 
         full = brute_force_hamiltonian(s)
@@ -121,8 +121,8 @@ def test_05_variational_bounds_hold_under_subspace_growth():
         picked = rng.permutation(len(all_dets))[:n2]
         outer = [all_dets[i] for i in picked]
         inner = outer[:n1]
-        e_outer = ground_state(project(outer, s), "tight").energy
-        e_inner = ground_state(project(inner, s), "tight").energy
+        e_outer = ground_state(project(subspace_of(outer, s), s), "tight").energy
+        e_inner = ground_state(project(subspace_of(inner, s), s), "tight").energy
         assert e_outer <= e_inner + 1e-10
 
     ref = load_reference()

@@ -1,19 +1,25 @@
 """The package names the benchmark's per-layer tracer patches and reads.
 
 bench/layers.py replaces functions at the module attributes named in its
-WRAPPED table and reads a few more names; a rename inside hivqe would
-otherwise only surface when ``bench/run.py --trace 1`` fails.
+WRAPPED table, reads a few more names and iterates what ``project``
+receives; a rename or a change of argument inside hivqe would otherwise only
+surface when ``bench/run.py --trace 1`` fails.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import hivqe
 import hivqe.driver
 import hivqe.eigensolver
 import hivqe.oracle
 import hivqe.subspace
+from hivqe.determinants import Determinant
 from hivqe.optimizer import EnergyHistory
+
+from helpers import load_fixture, load_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,3 +43,39 @@ def test_names_the_tracer_reads_exist():
     assert EnergyHistory().energies == []
     for name in ("RunConfig", "run_hivqe", "fci_ground", "parse_fcidump"):
         assert hasattr(hivqe, name), name
+
+
+def installed_tracer(monkeypatch):
+    """bench/layers.py's Tracer, wrapped around the package for one test."""
+    layers = load_layers()
+    modules = {"driver": hivqe.driver, "eigensolver": hivqe.eigensolver,
+               "oracle": hivqe.oracle, "subspace": hivqe.subspace}
+    for module_name, name, _ in layers.WRAPPED:
+        # re-set through monkeypatch so that teardown removes the wrappers
+        monkeypatch.setattr(modules[module_name], name, getattr(modules[module_name], name))
+    tracer = layers.Tracer(modules, hivqe.eigensolver.DENSE_CUTOFF)
+    tracer.install()
+    return tracer
+
+
+def test_the_tracer_measures_a_loop(monkeypatch):
+    tracer = installed_tracer(monkeypatch)
+    cfg = hivqe.RunConfig(seed=0, k=10, m=4, max_iterations=2)
+    result, run_s = tracer.run(hivqe.run_hivqe, cfg, load_fixture("h4_chain"))
+    metrics = tracer.metrics(run_s, 0.0, result.iterations, 1.0)
+    assert metrics["eigensolver.project_calls"] > 0
+    assert metrics["eigensolver.elements"] > 0
+    assert metrics["driver.iterations"] == 2
+    # bench/worker.py hashes the masks of RunResult.dets as Python ints
+    assert isinstance(result.dets, list) and result.dets
+    assert all(type(d) is Determinant and type(d.alpha_mask) is int
+               and type(d.beta_mask) is int for d in result.dets)
+
+
+def test_the_tracer_measures_an_fci_solve(monkeypatch):
+    tracer = installed_tracer(monkeypatch)
+    result, run_s = tracer.run(hivqe.fci_ground, load_fixture("h2_0.74"))
+    metrics = tracer.metrics(run_s, 0.0, 1, 1.0)
+    assert metrics["eigensolver.project_calls"] == 1
+    assert metrics["eigensolver.elements"] > 0
+    assert result.energy == pytest.approx(load_reference()["h2_0.74"]["e_fci"], abs=1e-9)

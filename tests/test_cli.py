@@ -92,6 +92,31 @@ def test_run_rejects_bad_overrides(tmp_path, capsys, override):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("tensor_reconstruct", "false"),  # a truthy string once switched it on
+    ("k", 10.5),
+    ("shots", 100.0),
+    ("k", "1000"),
+])
+def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    rc = main(["run", "--fcidump", LIH, "--config", str(cfg_file),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err and "expects" in err
+    assert not (tmp_path / "out").exists()  # refused before the run started
+
+
+def test_run_accepts_an_int_for_a_float_key_unconverted(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"p_flip": 0, "threshold": 1e-6, "max_iterations": 1}))
+    rc = main(["run", "--fcidump", H2, "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc in (0, 2)
+    assert '"p_flip": 0,' in (tmp_path / "result.json").read_text()
+
+
 def test_run_missing_fcidump_exits_one(tmp_path, capsys):
     rc = main(["run", "--fcidump", str(tmp_path / "nope.fcidump"),
                "--out", str(tmp_path)])
@@ -211,6 +236,24 @@ def test_sweep_writes_pes_csv(tmp_path, capsys):
     second = lines[2].split(",")
     assert second[0] == "r1.50" and second[3] == "" and second[4] == ""
     assert float(second[2]) == pytest.approx(ref["h2_1.50"]["e_fci"], abs=1e-8)
+
+
+def test_sweep_without_an_energy_leaves_its_fields_empty(tmp_path):
+    ref = load_reference()
+    manifest = tmp_path / "curve.txt"
+    manifest.write_text(
+        f"r0.74 {FIXTURES / 'h2_0.74.fcidump'} {ref['h2_0.74']['e_fci']!r}\n"
+        f"r1.50 {FIXTURES / 'h2_1.50.fcidump'}\n"
+    )
+    rc = main(["sweep", "--manifest", str(manifest), "--set", "max_iterations=0",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "pes.csv").read_text().splitlines()
+    first, second = lines[1].split(","), lines[2].split(",")
+    assert first[0] == "r0.74" and first[2] == "" and first[4] == ""
+    assert float(first[3]) == ref["h2_0.74"]["e_fci"]
+    assert second[0] == "r1.50" and second[2:] == ["", "", ""]
+    assert float(second[1]) == pytest.approx(ref["h2_1.50"]["e_hf"], abs=1e-9)
 
 
 def test_sweep_resolves_paths_relative_to_manifest(tmp_path):

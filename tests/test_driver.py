@@ -12,6 +12,7 @@ from hivqe.determinants import Sector
 from hivqe.driver import (
     RunConfig,
     RunError,
+    _warm_start,
     compute_1rdm,
     dipole_moment,
     run_hivqe,
@@ -56,6 +57,19 @@ def test_config_validation_catches_bad_values():
     with pytest.raises(RunError):
         cfg = RunConfig(closed_shell=True, tensor_reconstruct=True)
         run_hivqe(cfg, random_integral_set(3, 2, 1, seed=0))
+
+
+def test_config_checks_value_types_by_key():
+    s = load_fixture("h2_0.74")
+    for kwargs in ({"tensor_reconstruct": "false"}, {"closed_shell": 1}, {"k": 10.5},
+                   {"shots": 100.0}, {"k": "1000"}, {"m": True}, {"eps": False},
+                   {"p_flip": "0.1"}, {"recovery_mode": None}):
+        (key,) = kwargs
+        with pytest.raises(RunError, match=repr(key)):
+            run_hivqe(RunConfig(**kwargs), s)
+    # ints are floats' subset; stored as given, so the echo keeps them
+    res = run_hivqe(RunConfig(p_flip=0, eps=1, max_iterations=1), s)
+    assert res.config["p_flip"] == 0 and type(res.config["p_flip"]) is int
 
 
 def test_config_refuses_more_than_64_orbitals():
@@ -330,6 +344,24 @@ def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):
     for state in states:
         assert (state.alpha.size, state.beta.size) == (3003, 3003)
 
+def test_warm_start_realigns_a_permuted_subset_with_missing_rows():
+    sector = Sector(4, 2, 2)
+    every = enumerate_sector(4, 2, 2)
+    rng = np.random.default_rng(7)
+    source = Subspace([every[i] for i in rng.permutation(len(every))[:20]], sector)
+    amps = rng.normal(size=len(source))
+    psi = CIVector(amps / np.linalg.norm(amps), -1.0)
+    target = Subspace([every[i] for i in rng.permutation(len(every))[:15]], sector)
+    lookup = dict(zip(source, psi.amplitudes))
+    expected = np.array([lookup.get(d, 0.0) for d in target])
+    assert 0 < np.count_nonzero(expected) < len(target)  # some rows missing
+    guess = _warm_start((psi, source), target)
+    assert np.array_equal(guess.amplitudes, expected / np.linalg.norm(expected))
+    assert _warm_start(None, target) is None
+    elsewhere = Subspace([d for d in every if d not in lookup], sector)
+    assert _warm_start((psi, source), elsewhere) is None
+
+
 # ---------------------------------------------------------------------------
 # Density matrices and dipoles
 # ---------------------------------------------------------------------------
@@ -351,8 +383,8 @@ def rdm_from_fock_space(dets, amps, n_orb):
 def test_compute_1rdm_matches_fock_space_contraction(shape, seed):
     s = random_integral_set(*shape, seed=seed)
     dets = enumerate_sector(*shape)
-    c = ground_state(project(dets, s), "tight")
     sub = Subspace(dets, Sector(*shape))
+    c = ground_state(project(sub, s), "tight")
     gamma = compute_1rdm(c, sub)
     expected = rdm_from_fock_space(dets, c.amplitudes, shape[0])
     assert np.max(np.abs(gamma - expected)) < 1e-12
@@ -415,6 +447,14 @@ def test_pes_sweep_without_reference_leaves_error_empty():
     rows = run_pes_sweep([("eq", None)], RunConfig(seed=0),
                          {"eq": load_fixture("h2_0.74")})
     assert rows[0]["e_ref"] is None and rows[0]["abs_error"] is None
+
+
+def test_pes_sweep_without_an_energy_leaves_error_empty():
+    ref = load_reference()["h2_0.74"]["e_fci"]
+    rows = run_pes_sweep([("eq", ref)], RunConfig(max_iterations=0),
+                         {"eq": load_fixture("h2_0.74")})
+    assert rows[0]["e_hivqe"] is None and rows[0]["abs_error"] is None
+    assert rows[0]["e_ref"] == ref
 
 
 def test_pes_sweep_rejects_mixed_sectors():

@@ -17,7 +17,7 @@ from hivqe.integrals import IntegralSet
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
 
-from helpers import load_fixture, load_reference, random_integral_set
+from helpers import load_fixture, load_reference, random_integral_set, subspace_of
 
 
 def dense_of(h):
@@ -27,7 +27,7 @@ def dense_of(h):
 def test_project_is_symmetric_with_core_on_diagonal():
     s = random_integral_set(4, 2, 2, seed=1, e_core=1.75)
     dets = enumerate_sector(4, 2, 2)
-    mat = dense_of(project(dets, s))
+    mat = dense_of(project(subspace_of(dets, s), s))
     assert np.allclose(mat, mat.T, atol=0)
     for i, d in enumerate(dets):
         assert mat[i, i] == pytest.approx(
@@ -37,7 +37,7 @@ def test_project_is_symmetric_with_core_on_diagonal():
 def test_project_matches_operator_algebra():
     s = random_integral_set(3, 1, 2, seed=14, e_core=-0.5)
     dets = enumerate_sector(3, 1, 2)
-    mat = dense_of(project(dets, s))
+    mat = dense_of(project(subspace_of(dets, s), s))
     dense = brute_force_hamiltonian(s)
     idx = [det_to_fock_index(d, 3) for d in dets]
     assert np.max(np.abs(mat - dense[np.ix_(idx, idx)])) < 1e-12
@@ -50,7 +50,7 @@ def test_project_partial_subspace_rows():
     dets = enumerate_sector(5, 2, 2)
     rng = np.random.default_rng(6)
     pick = [dets[i] for i in rng.permutation(len(dets))[:37]]
-    mat = dense_of(project(pick, s))
+    mat = dense_of(project(subspace_of(pick, s), s))
     for i, di in enumerate(pick):
         for j, dj in enumerate(pick):
             assert mat[i, j] == pytest.approx(
@@ -61,7 +61,7 @@ def test_project_partial_subspace_rows():
 def assert_matches_oracle(dets, s):
     """project() agrees element by element with slater_condon (+ e_core on
     the diagonal) and stores no off-diagonal zeros."""
-    h = project(dets, s)
+    h = project(subspace_of(dets, s), s)
     oracle = np.array([[slater_condon(di, dj, s) + (s.e_core if i == j else 0.0)
                         for j, dj in enumerate(dets)] for i, di in enumerate(dets)])
     assert np.max(np.abs(h.toarray() - oracle)) < 1e-12
@@ -166,34 +166,27 @@ def test_principal_slice_equals_a_fresh_projection():
     s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
     rng = np.random.default_rng(109)
     dets = enumerate_sector(8, 3, 3)
-    union = [dets[i] for i in rng.permutation(len(dets))[:1500]]
+    union = subspace_of([dets[i] for i in rng.permutation(len(dets))[:1500]], s)
     assert len(union) > DENSE_CUTOFF
     h = project(union, s)
     rows = rng.permutation(len(union))[:700]
     sliced = h[rows][:, rows]
     sliced.sort_indices()
-    fresh = project([union[i] for i in rows], s)
+    fresh = project(union.take(rows), s)
     assert fresh.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
 
 
-def test_project_refuses_more_than_64_orbitals():
-    s = IntegralSet.from_terms(65, 1, 1, 0.0, {}, {})
-    with pytest.raises(EigensolverError):
-        project([Determinant(1, 1)], s)
-
-
-def test_project_rejects_duplicate_determinants():
+def test_project_refuses_an_empty_subspace():
     s = random_integral_set(4, 2, 2, seed=3)
-    d = Determinant(0b11, 0b101)
     with pytest.raises(EigensolverError):
-        project([d, Determinant(0b101, 0b11), d], s)
+        project(subspace_of([], s), s)
 
 
 def test_davidson_tight_matches_dense():
     s = random_integral_set(4, 2, 2, seed=17, e_core=0.3)
-    h = project(enumerate_sector(4, 2, 2), s)
+    h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
     dense_energy = float(np.linalg.eigvalsh(dense_of(h))[0])
     c = ground_state(h, "tight", dense_cutoff=1)  # force the iterative path
     assert c.energy == pytest.approx(dense_energy, abs=1e-9)
@@ -206,14 +199,14 @@ def test_davidson_on_fixture_sectors():
     ref = load_reference()
     for name in ("h4_chain", "lih"):
         s = load_fixture(name)
-        h = project(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta), s)
+        h = project(subspace_of(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta), s), s)
         c = ground_state(h, "tight", dense_cutoff=1)
         assert c.energy == pytest.approx(ref[name]["e_fci"], abs=1e-9)
 
 
 def test_loose_mode_is_variational_upper_bound():
     s = random_integral_set(4, 2, 2, seed=23)
-    h = project(enumerate_sector(4, 2, 2), s)
+    h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
     tight = ground_state(h, "tight", dense_cutoff=1)
     loose = ground_state(h, "loose", dense_cutoff=1)
     assert loose.energy >= tight.energy - 1e-10
@@ -222,7 +215,7 @@ def test_loose_mode_is_variational_upper_bound():
 def test_sign_convention_largest_amplitude_positive():
     for seed in range(4):
         s = random_integral_set(4, 2, 1, seed=40 + seed)
-        h = project(enumerate_sector(4, 2, 1), s)
+        h = project(subspace_of(enumerate_sector(4, 2, 1), s), s)
         for kwargs in ({"dense_cutoff": 1}, {}):
             c = ground_state(h, "tight", **kwargs)
             assert c.amplitudes[np.argmax(np.abs(c.amplitudes))] > 0
@@ -230,7 +223,7 @@ def test_sign_convention_largest_amplitude_positive():
 
 def test_warm_start_accepts_previous_vector():
     s = random_integral_set(4, 2, 2, seed=2)
-    h = project(enumerate_sector(4, 2, 2), s)
+    h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
     first = ground_state(h, "tight", dense_cutoff=1)
     again = ground_state(h, "tight", guess=first, dense_cutoff=1)
     assert again.energy == pytest.approx(first.energy, abs=1e-10)
@@ -276,7 +269,7 @@ def test_interlacing_under_subspace_growth():
     order = list(rng.permutation(len(dets)))
     energies = []
     for size in (4, 9, 18, 36):
-        h = project([dets[i] for i in order[:size]], s)
+        h = project(subspace_of([dets[i] for i in order[:size]], s), s)
         energies.append(ground_state(h, "tight").energy)
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
 

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from hivqe.determinants import Determinant, Sector, det_from_string
+from hivqe.determinants import (
+    Determinant,
+    Sector,
+    det_from_string,
+    generate_singles_doubles,
+    slater_condon,
+)
 from hivqe.eigensolver import ground_state, project
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import (
@@ -57,7 +63,7 @@ def test_filter_discard_keeps_first_appearance_order():
         "11001100": 7,   # valid (HF)
     })
     dets = filter_symmetry(batch, SEC22, "discard")
-    assert dets == [det_from_string("01011010"), det_from_string("11001100")]
+    assert list(dets) == [det_from_string("01011010"), det_from_string("11001100")]
 
 
 def test_filter_recover_flips_lowest_hint_bit():
@@ -66,7 +72,7 @@ def test_filter_recover_flips_lowest_hint_bit():
     hint = (np.array([0.9, 0.6, 0.4, 0.1]), np.array([0.5, 0.5, 0.5, 0.5]))
     batch = batch_of({"11101100": 1})
     dets = filter_symmetry(batch, SEC22, "recover", occupancy_hint=hint)
-    assert dets == [Determinant(0b0011, 0b0011)]
+    assert list(dets) == [Determinant(0b0011, 0b0011)]
 
 
 def test_filter_recover_adds_missing_electron():
@@ -74,7 +80,7 @@ def test_filter_recover_adds_missing_electron():
     hint = (np.array([0.5] * 4), np.array([0.1, 0.2, 0.9, 0.3]))
     batch = batch_of({"11000000": 1})
     dets = filter_symmetry(batch, SEC22, "recover", occupancy_hint=hint)
-    assert dets == [Determinant(0b0011, 0b1100)]  # betas placed on 2 then 3
+    assert list(dets) == [Determinant(0b0011, 0b1100)]  # betas placed on 2 then 3
 
 
 def test_filter_recover_never_drops_and_merges_duplicates():
@@ -115,7 +121,7 @@ def test_cap_screen_keeps_hf_and_ranks_by_amplitude():
     s, sub, c = h2_ground()
     rows = cap_screen(sub, loose_amplitudes(sub, s), 2)
     # H2 ground state is HF plus the double; singles carry ~zero weight
-    assert sub.take(rows).dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
+    assert list(sub.take(rows)) == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
 
 
 def test_cap_screen_without_hf_keeps_top_k():
@@ -125,7 +131,7 @@ def test_cap_screen_without_hf_keeps_top_k():
                     Determinant(0b10, 0b10)], sector)
     capped = sub.take(cap_screen(sub, loose_amplitudes(sub, s), 1))
     assert len(capped) == 1
-    assert capped.dets[0] in sub.dets
+    assert list(capped)[0] in list(sub)
 
 
 def test_cap_screen_pins_hf_below_the_ranked_survivors():
@@ -142,7 +148,7 @@ def test_amplitude_screen_drops_small_but_keeps_hf():
     s, sub, c = h2_ground()
     rows = amplitude_screen(sub, c.amplitudes, 1e-6)
     screened = sub.take(rows)
-    assert screened.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
+    assert list(screened) == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
     # nothing below threshold: every row back, in order
     c2 = ground_state(project(screened, s), "tight")
     assert amplitude_screen(screened, c2.amplitudes, 1e-6).tolist() == [0, 1]
@@ -153,7 +159,7 @@ def test_amplitude_screen_keeps_hf_even_when_tiny():
     sub = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], sector)
     amps = np.array([1e-9, 1.0])
     screened = sub.take(amplitude_screen(sub, amps / np.linalg.norm(amps), 1e-6))
-    assert Determinant(0b01, 0b01) in screened.dets
+    assert Determinant(0b01, 0b01) in list(screened)
 
 
 def test_amplitude_screen_mismatched_vector_raises():
@@ -166,7 +172,7 @@ def test_take_selects_rows_in_order_and_keeps_history():
     sector = Sector(2, 1, 1)
     sub = Subspace(enumerate_sector(2, 1, 1), sector, {Determinant(0b01, 0b01)})
     part = sub.take(np.array([3, 0]))
-    assert part.dets == [sub.dets[3], sub.dets[0]]
+    assert list(part) == [list(sub)[3], list(sub)[0]]
     assert part.expanded_refs == sub.expanded_refs
 
 
@@ -177,7 +183,7 @@ def test_classical_expand_ranks_by_coupling():
     # the double couples through an exchange integral; singles vanish by
     # Brillouin, so m=1 must pick the double
     grown = classical_expand(sub, np.array([1.0]), 1, s)
-    assert grown.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
+    assert list(grown) == [Determinant(0b01, 0b01), Determinant(0b10, 0b10)]
     assert Determinant(0b01, 0b01) in grown.expanded_refs
 
 
@@ -200,7 +206,7 @@ def test_classical_expand_m_zero_still_marks_reference():
     s = load_fixture("h2_0.74")
     sub = Subspace([Determinant(0b01, 0b01)], Sector(2, 1, 1))
     grown = classical_expand(sub, np.array([1.0]), 0, s)
-    assert grown.dets == sub.dets
+    assert list(grown) == list(sub)
     assert grown.expanded_refs == {Determinant(0b01, 0b01)}
 
 
@@ -208,7 +214,7 @@ def test_tensor_open_shell_products():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], sector)
     full = tensor_reconstruct(sub)
-    assert full.dets == [
+    assert list(full) == [
         Determinant(0b01, 0b01), Determinant(0b01, 0b10),
         Determinant(0b10, 0b01), Determinant(0b10, 0b10),
     ]
@@ -253,11 +259,11 @@ def test_tensor_refuses_a_product_beyond_the_cap_before_building_it(monkeypatch)
 def test_union_appends_in_first_seen_order():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01)], sector)
-    grown = union(sub, [Determinant(0b10, 0b10), Determinant(0b01, 0b01),
-                        Determinant(0b01, 0b10)])
-    assert grown.dets == [Determinant(0b01, 0b01), Determinant(0b10, 0b10),
-                          Determinant(0b01, 0b10)]
-    assert union(grown, [Determinant(0b01, 0b01)]) is grown
+    grown = union(sub, Subspace([Determinant(0b10, 0b10), Determinant(0b01, 0b01),
+                                 Determinant(0b01, 0b10)], sector))
+    assert list(grown) == [Determinant(0b01, 0b01), Determinant(0b10, 0b10),
+                           Determinant(0b01, 0b10)]
+    assert union(grown, Subspace([Determinant(0b01, 0b01)], sector)) is grown
 
 
 def test_dump_load_subspace_roundtrip():
@@ -265,3 +271,139 @@ def test_dump_load_subspace_roundtrip():
     dets = enumerate_sector(3, 2, 1)[:5]
     text = dump_subspace(Subspace(dets, sector))
     assert [det_from_string(line) for line in text.splitlines()] == dets
+
+
+def test_subspace_keeps_first_seen_rows():
+    d, e = Determinant(0b0011, 0b0101), Determinant(0b0101, 0b0011)
+    sub = Subspace([d, e, d, e, d], SEC22)
+    assert list(sub) == [d, e]
+    assert sub.alpha.tolist() == [0b0011, 0b0101] and sub.beta.tolist() == [0b0101, 0b0011]
+    assert not sub.alpha.flags.writeable and not sub.beta.flags.writeable
+
+
+def test_subspace_keeps_first_seen_rows_of_a_long_repetitive_list():
+    every = enumerate_sector(6, 2, 2)
+    rng = np.random.default_rng(5)
+    dets = [every[i] for i in rng.integers(0, len(every), size=4000)]
+    assert list(Subspace(dets, Sector(6, 2, 2))) == list(dict.fromkeys(dets))
+
+
+def test_subspace_refuses_more_than_64_orbitals():
+    with pytest.raises(ValueError, match="64 bits"):
+        Subspace([Determinant(1, 1)], Sector(65, 1, 1))
+    top = Determinant(1 << 63, 1 << 63)  # orbital 63 still fits
+    assert list(Subspace([top], Sector(64, 1, 1))) == [top]
+
+
+def test_subspace_names_the_first_foreign_determinant():
+    good, bad = Determinant(0b0011, 0b0011), Determinant(0b0111, 0b0011)
+    outside = Determinant(0b10001, 0b0011)  # orbital 4 of a 4-orbital sector
+    with pytest.raises(ValueError, match=r"alpha_mask=7, beta_mask=3\) violates Sector"):
+        Subspace([good, bad, outside], SEC22)
+    with pytest.raises(ValueError, match=r"alpha_mask=17, beta_mask=3\) violates"):
+        Subspace([good, outside, bad], SEC22)
+    with pytest.raises(ValueError, match=r"alpha_mask=-1, beta_mask=3\) violates"):
+        Subspace([good, Determinant(-1, 0b0011), bad], SEC22)  # outside the uint64 range
+    with pytest.raises(ValueError, match=r"alpha_mask=18446744073709551616"):
+        Subspace([good, Determinant(1 << 64, 0b0011)], SEC22)
+
+
+def test_iteration_yields_determinants_of_python_ints():
+    sub = Subspace(enumerate_sector(4, 2, 2), SEC22)
+    dets = list(sub)
+    assert dets == enumerate_sector(4, 2, 2)
+    assert all(type(d) is Determinant and type(d.alpha_mask) is int
+               and type(d.beta_mask) is int for d in dets)
+
+
+def test_find_returns_rows_and_minus_one_where_absent():
+    sub = Subspace([Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0011),
+                    Determinant(0b0011, 0b0101)], SEC22)
+    rows = sub.find([0b0011, 0b0101, 0b0011, 0b1100, 0b0101],
+                    [0b0101, 0b0011, 0b0011, 0b0011, 0b0101])
+    assert rows.tolist() == [2, 0, 1, -1, -1]
+    assert Subspace([], SEC22).find([0b0011], [0b0011]).tolist() == [-1]
+
+
+# Pure-Python references for the array screens: the tuple sorts and
+# dict.fromkeys orders that the string arrays must reproduce.
+
+def reference_cap(dets, amps, k, sector):
+    if len(dets) <= k:
+        return list(range(len(dets)))
+    kept = sorted(range(len(dets)), key=lambda i: (-abs(amps[i]), dets[i]))[:k]
+    hf = Determinant((1 << sector.n_alpha) - 1, (1 << sector.n_beta) - 1)
+    if hf in dets and dets.index(hf) not in kept:
+        kept[-1] = dets.index(hf)
+    return kept
+
+
+def reference_expand(dets, amps, refs, m, s, n_orb):
+    fresh = [(i, d) for i, d in enumerate(dets) if d not in refs]
+    if not fresh:
+        return None, dets
+    _, ref = min(fresh, key=lambda pair: (-abs(amps[pair[0]]), pair[1]))
+    present = set(dets)
+    ranked = sorted(((abs(slater_condon(ref, d, s)), d)
+                     for d in generate_singles_doubles(ref, n_orb) if d not in present),
+                    key=lambda pair: (-pair[0], pair[1]))
+    return ref, dets + [d for _, d in ranked[:m]]
+
+
+def reference_tensor(dets, closed_shell):
+    alphas = list(dict.fromkeys(d.alpha_mask for d in dets))
+    betas = list(dict.fromkeys(d.beta_mask for d in dets))
+    if closed_shell:
+        alphas = betas = list(dict.fromkeys(alphas + betas))
+    return [Determinant(a, b) for a in alphas for b in betas]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_screens_match_the_tuple_sort_references(seed):
+    rng = np.random.default_rng(seed)
+    # h4_chain's symmetry zeroes many couplings, so coupling ranks tie too
+    s = load_fixture("h4_chain") if seed % 2 else load_fixture("lih")
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    every = enumerate_sector(*sector)
+    for _ in range(8):
+        pick = rng.permutation(len(every))[: int(rng.integers(1, min(len(every), 60)))]
+        dets = [every[i] for i in pick]
+        refs = {dets[i] for i in rng.permutation(len(dets))[: int(rng.integers(0, 4))]}
+        sub = Subspace(dets, sector, refs)
+        amps = rng.choice([0.0, 0.2, -0.2, 0.5, -0.5, 1.0], size=len(dets))  # many ties
+        for k in (1, 2, len(dets) // 2 + 1, len(dets)):
+            assert cap_screen(sub, amps, k).tolist() == reference_cap(dets, amps, k, sector)
+
+        m = int(rng.integers(0, 6))
+        ref, expected = reference_expand(dets, amps, refs, m, s, sector.n_orb)
+        grown = classical_expand(sub, amps, m, s)
+        assert list(grown) == expected
+        assert grown.expanded_refs == (refs if ref is None else refs | {ref})
+
+        other = [every[i] for i in rng.permutation(len(every))[:20]]
+        assert list(union(sub, Subspace(other, sector))) == list(dict.fromkeys(dets + other))
+
+        for closed_shell in (False, True):
+            product = reference_tensor(dets, closed_shell)
+            built = tensor_reconstruct(sub, closed_shell)
+            assert list(built) == (dets if len(product) == len(dets) else product)
+
+
+def test_a_dropped_and_readded_reference_is_not_expanded_twice():
+    s = load_fixture("h4_chain")
+    sector = Sector(4, 2, 2)
+    ref, other = Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0011)
+    sub = Subspace([ref, other], sector)
+    grown = classical_expand(sub, np.array([0.9, 0.1]), 0, s)
+    assert grown.expanded_refs == {ref}
+    dropped = grown.take(cap_screen(grown, np.array([0.1, 0.9]), 1))
+    assert list(dropped) == [other]
+    readded = union(dropped, Subspace([ref], sector))
+    assert list(readded) == [other, ref] and ref in readded.expanded_refs
+    again = classical_expand(readded, np.array([0.1, 0.9]), 0, s)
+    assert again.expanded_refs == {ref, other}  # the larger amplitude was skipped
+
+
+def test_filter_refuses_a_batch_of_another_width():
+    with pytest.raises(ValueError, match="3 orbitals"):
+        filter_symmetry(batch_of({"110100": 1}, n_orb=3), SEC22)
