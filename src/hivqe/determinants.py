@@ -10,7 +10,6 @@ within each spin channel independently and the channel signs multiply.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,12 +45,8 @@ class Sector(NamedTuple):
     n_alpha: int
     n_beta: int
 
-    def size(self) -> int:
-        """Number of determinants, C(n_orb, n_alpha) * C(n_orb, n_beta)."""
-        return math.comb(self.n_orb, self.n_alpha) * math.comb(self.n_orb, self.n_beta)
-
     def contains(self, det: Determinant) -> bool:
-        mask_ok = (det.alpha_mask | det.beta_mask) < (1 << self.n_orb)
+        mask_ok = 0 <= (det.alpha_mask | det.beta_mask) < (1 << self.n_orb)
         return (
             mask_ok
             and det.alpha_mask.bit_count() == self.n_alpha

@@ -5,10 +5,12 @@ prepare and sample the ansatz state, filter to the symmetry sector, and
 loose-diagonalize those determinants alone (e_iter). The SPSA probes run the
 same step at the two perturbed angles (e_plus, e_minus). The iteration then
 unions its determinants into the cumulative subspace and assembles that
-union's Hamiltonian once. Over the cap, a loose solve of it ranks the rows,
-and the tight solve (the reported energy) runs on the kept rows and columns
-of the same matrix; only a tensor reconstruction that adds determinants
-assembles again. The loop then tests convergence, amplitude-screens,
+union's Hamiltonian once, extending the previous tight solve's matrix: only
+pairs that touch a new determinant are evaluated, and the diagonal is
+recomputed. Over the cap, a loose solve of it ranks the rows, and the tight
+solve (the reported energy) runs on the kept rows and columns of the same
+matrix; only a tensor reconstruction that adds determinants assembles again,
+extending the kept matrix. The loop then tests convergence, amplitude-screens,
 classically expands, and lets the optimizer update theta from the probe
 pair. The best cumulative Subspace and its eigenvector are returned; an
 eigenvector moves onto a later subspace's rows through Subspace.find.
@@ -229,6 +231,7 @@ def run_hivqe(
     history = EnergyHistory()
     carried = Subspace([], sector)
     prev: Optional[tuple] = None  # (eigenvector, its subspace)
+    known: Optional[tuple] = None  # (subspace, matrix) of the last tight solve
     trace: list[IterationRecord] = []
     best: Optional[tuple] = None  # (energy, eigenvector, its subspace)
     best_energy_seen = math.inf
@@ -266,7 +269,7 @@ def run_hivqe(
                 trace,
             )
         t1 = time.perf_counter()
-        sub, h = cum, project(cum, s)
+        sub, h = cum, project(cum, s, known)
         if len(cum) > cfg.k:
             rows = cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k)
             sub, h = cum.take(rows), h[rows][:, rows]
@@ -277,7 +280,7 @@ def run_hivqe(
             except ValueError as exc:
                 raise RunError(f"{exc}; lower k or disable it", trace) from None
             if tensored is not sub:
-                sub, h = tensored, project(tensored, s)
+                sub, h = tensored, project(tensored, s, (sub, h))
         try:
             psi = ground_state(h, "tight", _warm_start(prev, sub))
         except Exception as exc:
@@ -331,7 +334,7 @@ def run_hivqe(
             work = expanded
         record.n_dets_post_screen = len(work)
         carried = work
-        prev = (psi, sub)
+        prev, known = (psi, sub), (sub, h)
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)

@@ -3,13 +3,15 @@
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
 rows of a Subspace with string-driven numpy batches (Knowles & Handy, CPL
 111, 315, 1984): each row's pair of uint64 strings becomes a pair of indices
-into the distinct alpha and beta strings, excitations of degree 1 and 2
-are linked between the strings of each spin channel, and partner
-determinants are looked up by sorted key. Pairs come in three batches:
-alpha excitations with the beta string unchanged, beta excitations with the
-alpha string unchanged, and one single excitation in each channel. The
-diagonal comes from occupation vectors against J = (pp|qq) and K = (pq|qp).
-slater_condon is the element-by-element oracle for this kernel.
+into the distinct alpha and beta strings, excitations of degree 1 and 2 are
+linked between the strings of each spin channel, and partners are looked up
+by sorted key. Pairs come in three batches: alpha excitations with the beta
+string unchanged, beta excitations with the alpha string unchanged, and one
+single excitation in each channel. Handed an earlier subspace's matrix, it
+copies the pairs of rows both hold and batches only pairs that touch a new
+row (fast SHCI: Li, Otten, Holmes, Sharma & Umrigar, JCP 149, 214110, 2018).
+The diagonal, always recomputed, comes from occupation vectors against
+J = (pp|qq) and K = (pq|qp). slater_condon is the element-by-element oracle.
 
 ground_state() solves directly up to a configurable dimension; above it, a
 Davidson iteration with a diagonal preconditioner keeps its basis V and the
@@ -128,8 +130,13 @@ class _Links:
         start = np.searchsorted(src[order], np.arange(n_strings + 1))
         return cls(start, src[order], dst[order], holes[order], particles[order], phase[order])
 
-    def count(self) -> np.ndarray:
-        return np.diff(self.start)
+    def grouping(self, into: bool):
+        """(start, order, far): links order[start[k]:start[k+1]] leave string k
+        for string far[link], or, when into, reach string k from far[link]."""
+        if not into:
+            return self.start, np.arange(len(self.src)), self.dst
+        order = np.argsort(self.dst, kind="stable")
+        return np.searchsorted(self.dst[order], np.arange(len(self.start))), order, self.src
 
     def upward(self) -> "_Links":
         """Only the links whose target string index exceeds the source's."""
@@ -175,47 +182,52 @@ def _string_links(n_orb: int, packed: bytes):
 
 
 class _StringIndex:
-    """A subspace's rows as (alpha string, beta string) index pairs."""
+    """A subspace's rows as (alpha string, beta string) index pairs.
 
-    def __init__(self, sub: Subspace, n_orb: int):
-        self.alpha, self.ia = np.unique(sub.alpha, return_inverse=True)
-        self.beta, self.ib = np.unique(sub.beta, return_inverse=True)
-        keys = self.ia * len(self.beta) + self.ib
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
+    The pair walks yield each pair that touches a row not marked old, once:
+    upward links from those rows to any row, then upward links from old rows
+    into them.
+    """
+
+    def __init__(self, sub: Subspace, n_orb: int, old: Optional[np.ndarray] = None):
+        r = sub.ranks
+        self.alpha, self.ia, self.beta, self.ib, self.find = r.alpha, r.ia, r.beta, r.ib, r.row
+        self.old = np.zeros(len(sub), dtype=bool) if old is None else old
+        self.new = np.flatnonzero(~self.old)
+        self.directions = (False, True) if self.old.any() else (False,)
         # (singles, upward singles, doubles) per channel
         self.links = {"alpha": _string_links(n_orb, self.alpha.tobytes()),
                       "beta": _string_links(n_orb, self.beta.tobytes())}
 
-    def find(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-        """Positions of the determinants (ia, ib) in the list, -1 where absent."""
-        want = ia * len(self.beta) + ib
-        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
-        return np.where(self.keys[pos] == want, self.order[pos], -1)
-
     def same_spin(self, channel: str, links: _Links):
         """Yield (i, j, link) for pairs differing by one of the links in one channel only."""
         ix, iy = (self.ia, self.ib) if channel == "alpha" else (self.ib, self.ia)
-        for i, rank in _expand(links.count()[ix]):
-            link = links.start[ix[i]] + rank
-            pair = (links.dst[link], iy[i]) if channel == "alpha" else (iy[i], links.dst[link])
-            j = self.find(*pair)
-            hit = j >= 0
-            yield i[hit], j[hit], link[hit]
+        for into in self.directions:
+            start, order, far = links.grouping(into)
+            for k, rank in _expand(np.diff(start)[ix[self.new]]):
+                i = self.new[k]
+                link = order[start[ix[i]] + rank]
+                pair = (far[link], iy[i]) if channel == "alpha" else (iy[i], far[link])
+                j = self.find(*pair)
+                hit = (j >= 0) & self.old[j] if into else j >= 0
+                yield i[hit], j[hit], link[hit]
 
     def mixed(self):
         """Yield (i, j, alpha link, beta link) for pairs one single apart in each channel.
 
         Alpha links index the upward alpha singles, beta links all beta singles.
         """
-        up_alpha, beta = self.links["alpha"][1], self.links["beta"][0]
-        n_b = beta.count()[self.ib]
-        for i, rank in _expand(up_alpha.count()[self.ia] * n_b):
-            la = up_alpha.start[self.ia[i]] + rank // n_b[i]
-            lb = beta.start[self.ib[i]] + rank % n_b[i]
-            j = self.find(up_alpha.dst[la], beta.dst[lb])
-            hit = j >= 0
-            yield i[hit], j[hit], la[hit], lb[hit]
+        for into in self.directions:
+            a_start, a_order, a_far = self.links["alpha"][1].grouping(into)
+            b_start, b_order, b_far = self.links["beta"][0].grouping(into)
+            n_b = np.diff(b_start)[self.ib[self.new]]
+            for k, rank in _expand(np.diff(a_start)[self.ia[self.new]] * n_b):
+                i = self.new[k]
+                la = a_order[a_start[self.ia[i]] + rank // n_b[k]]
+                lb = b_order[b_start[self.ib[i]] + rank % n_b[k]]
+                j = self.find(a_far[la], b_far[lb])
+                hit = (j >= 0) & self.old[j] if into else j >= 0
+                yield i[hit], j[hit], la[hit], lb[hit]
 
 
 def single_excitation_pairs(sub: Subspace, n_orb: int):
@@ -253,17 +265,23 @@ def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: Inte
     return diag
 
 
-def project(sub: Subspace, s: IntegralSet) -> scipy.sparse.csr_matrix:
+def project(sub: Subspace, s: IntegralSet,
+            known: Optional[tuple] = None) -> scipy.sparse.csr_matrix:
     """Assemble <d_i|H|d_j> + e_core*I over the rows of sub, in order.
 
     Entries beyond excitation degree 2 and off-diagonal entries that vanish
     are not stored; every diagonal entry is. The matrix is stored fully
-    symmetric (both triangles).
+    symmetric (both triangles). Given known, an earlier (Subspace, matrix)
+    pair from project, entries between rows both subspaces hold are copied
+    and the kernel runs only on pairs that touch a new row; each value is
+    the same formula, so the matrix is bitwise a cold one. The diagonal is
+    always recomputed: its last bits depend on which strings sub holds.
     """
     n = len(sub)
     if n == 0:
         raise EigensolverError("cannot project onto an empty subspace")
-    index = _StringIndex(sub, s.n_orb)
+    at = np.full(n, -1) if known is None else known[0].find(sub.alpha, sub.beta)
+    index = _StringIndex(sub, s.n_orb, at >= 0)
     eri, ar = s.eri, np.arange(s.n_orb)
     occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
     rows, cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
@@ -273,6 +291,13 @@ def project(sub: Subspace, s: IntegralSet) -> scipy.sparse.csr_matrix:
         rows.append(np.minimum(i, j)[keep].astype(np.int32))
         cols.append(np.maximum(i, j)[keep].astype(np.int32))
         vals.append(v[keep])
+
+    if index.old.any():
+        to = np.full(known[1].shape[0], -1)  # known row -> row of sub
+        to[at[index.old]] = np.flatnonzero(index.old)
+        block = scipy.sparse.triu(known[1], 1, format="coo")
+        i, j = to[block.row], to[block.col]
+        emit(i, j, np.where((i >= 0) & (j >= 0), block.data, 0.0))  # emit drops the zeros
 
     for channel, other in (("alpha", "beta"), ("beta", "alpha")):
         _, up, doubles = index.links[channel]

@@ -67,9 +67,11 @@ class Subspace:
 
     Built from Determinants, a Subspace checks them against its sector and
     keeps the first-seen row of each; iterating it yields Determinants.
+    ranks places the rows among their sorted distinct strings, once, for
+    find and project.
     """
 
-    __slots__ = ("alpha", "beta", "sector", "expanded_refs")
+    __slots__ = ("alpha", "beta", "sector", "expanded_refs", "ranks")
 
     def __init__(self, dets=(), sector: Sector = None, expanded_refs=frozenset()):
         if sector is None:
@@ -84,7 +86,7 @@ class Subspace:
                      & (np.bitwise_count(alpha) == sector.n_alpha)
                      & (np.bitwise_count(beta) == sector.n_beta))
         except OverflowError:  # a mask outside 0 .. 2**64 - 1
-            valid = np.array([min(d) >= 0 and sector.contains(d) for d in dets])
+            valid = np.array([sector.contains(d) for d in dets])
         if not valid.all():
             raise ValueError(f"{dets[int(np.argmin(valid))]} violates {sector}")
         self._assign(alpha, beta, sector, expanded_refs)
@@ -98,6 +100,7 @@ class Subspace:
         alpha.flags.writeable = beta.flags.writeable = False
         self.alpha, self.beta, self.sector = alpha, beta, sector
         self.expanded_refs = frozenset(expanded_refs)
+        self.ranks = StringRanks(alpha, beta)
         return self
 
     def __len__(self):
@@ -109,25 +112,38 @@ class Subspace:
     def find(self, alpha, beta) -> np.ndarray:
         """Row of each (alpha[i], beta[i]) string pair, -1 where absent.
 
-        The one row lookup: union, warm start, the Hartree-Fock pin and the
-        expansion's candidate filter all use it. A pair is keyed by the ranks
-        of its two strings among the rows' and the queries' strings.
+        The one row lookup: union, warm start, the Hartree-Fock pin, the
+        expansion's candidate filter and project's reuse of an earlier matrix
+        all use it. Queries are located among the rows' ranked strings.
         """
         alpha, beta = np.asarray(alpha, dtype=np.uint64), np.asarray(beta, dtype=np.uint64)
-        n = len(self)
-        if not n:
+        if not len(self):
             return np.full(len(alpha), -1)
-        _, ia = np.unique(np.concatenate((self.alpha, alpha)), return_inverse=True)
-        ub, ib = np.unique(np.concatenate((self.beta, beta)), return_inverse=True)
-        ids = ia * len(ub) + ib  # one per distinct pair: rows first, then the queries
-        order = np.argsort(ids[:n])
-        rows = ids[:n][order]
-        pos = np.minimum(np.searchsorted(rows, ids[n:]), n - 1)
-        return np.where(rows[pos] == ids[n:], order[pos], -1)
+        r = self.ranks
+        ia = np.minimum(np.searchsorted(r.alpha, alpha), len(r.alpha) - 1)
+        ib = np.minimum(np.searchsorted(r.beta, beta), len(r.beta) - 1)
+        return np.where((r.alpha[ia] == alpha) & (r.beta[ib] == beta), r.row(ia, ib), -1)
 
     def take(self, rows) -> "Subspace":
         """The determinants at distinct rows, in that order; history carries over."""
         return Subspace._of(self.alpha[rows], self.beta[rows], self.sector, self.expanded_refs)
+
+
+class StringRanks:
+    """Rows as indices ia, ib into each channel's sorted distinct strings alpha, beta."""
+
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray):
+        self.alpha, self.ia = np.unique(alpha, return_inverse=True)
+        self.beta, self.ib = np.unique(beta, return_inverse=True)
+        keys = self.ia * len(self.beta) + self.ib
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def row(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Row of each index pair (ia[i], ib[i]), -1 where absent."""
+        want = ia * len(self.beta) + ib
+        pos = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
+        return np.where(self._keys[pos] == want, self._order[pos], -1)
 
 
 def _strings(dets) -> tuple:

@@ -19,7 +19,7 @@ from hivqe.determinants import (
     slater_condon,
 )
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
-from hivqe.sampler import enumerate_sector
+from hivqe.sampler import enumerate_sector, sector_size
 
 from helpers import load_fixture, random_integral_set
 
@@ -37,12 +37,21 @@ def test_hartree_fock_det_fills_lowest_orbitals():
 
 def test_sector_size_and_membership():
     sec = Sector(4, 2, 1)
-    assert sec.size() == 6 * 4
+    assert sector_size(*sec) == 6 * 4
     assert sec.contains(Determinant(0b0011, 0b1000))
     assert not sec.contains(Determinant(0b0111, 0b1000))
     assert not sec.contains(Determinant(0b0011, 0b0000))
     # orbital beyond n_orb disqualifies even with the right popcounts
     assert not sec.contains(Determinant(0b10001, 0b0001))
+
+
+def test_sector_refuses_negative_masks():
+    """A negative mask has no place in any sector, whatever its popcount."""
+    sec = Sector(2, 1, 1)
+    assert sec.contains(Determinant(0b01, 0b01))
+    assert not sec.contains(Determinant(-1, 0b01))
+    assert not sec.contains(Determinant(0b01, -2))
+    assert not sec.contains(Determinant(-(1 << 70), 0b01))
 
 
 def test_det_string_roundtrip():

@@ -210,10 +210,10 @@ def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
     calls = []
 
     def counting(original):
-        def project_counted(dets, s):
+        def project_counted(dets, s, known=None):
             if inspect.currentframe().f_back.f_code.co_name != "sample_and_solve":
                 calls.append(len(dets))
-            return original(dets, s)
+            return original(dets, s, known)
         return project_counted
 
     # both names, so a call through either module is counted
@@ -223,6 +223,37 @@ def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
     res = run_hivqe(cfg, load_fixture("h4_chain"))
     assert sum(r.n_dets_union > cfg.k for r in res.trace) == 2
     assert calls == [r.n_dets_union for r in res.trace]
+
+
+@pytest.mark.parametrize("extra", [
+    {"p_flip": 0.05, "recovery_mode": "recover"},
+    {"tensor_reconstruct": True, "p_flip": 0.02, "recovery_mode": "recover"},
+])
+def test_extending_known_matrices_changes_no_result(monkeypatch, extra):
+    """A run whose project ignores the pair the driver hands it assembles
+    every matrix cold; its trace and result are the same to the bit."""
+    s = load_fixture("lih")
+    cfg = RunConfig(seed=2, k=40, m=12, shots=200, max_iterations=8, **extra)
+    extended = []
+
+    def counting(sub, s, known=None):
+        if known is not None and (known[0].find(sub.alpha, sub.beta) >= 0).any():
+            extended.append(len(sub))
+        return project(sub, s, known)
+
+    monkeypatch.setattr("hivqe.driver.project", counting)
+    warm = run_hivqe(cfg, s)
+    monkeypatch.setattr("hivqe.driver.project", lambda sub, s, known=None: project(sub, s))
+    cold = run_hivqe(cfg, s)
+    assert len(extended) >= 4
+
+    def timeless(trace):
+        return repr([dataclasses.replace(r, wall_ms_sample=0.0, wall_ms_diag=0.0) for r in trace])
+
+    assert timeless(warm.trace) == timeless(cold.trace)
+    assert repr(warm.result_dict()) == repr(cold.result_dict())
+    assert warm.dets == cold.dets
+    assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
 
 
 def test_tensor_reconstruction_cap_guard():

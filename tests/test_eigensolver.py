@@ -162,7 +162,9 @@ def test_project_uses_the_top_orbital_of_64():
 
 def test_principal_slice_equals_a_fresh_projection():
     """Kept rows and columns of an assembled union, indices sorted, are the
-    matrix project() builds over those determinants: same storage, same floats."""
+    matrix project() builds over those determinants: same storage, same floats.
+    That holds here because the kept rows hold every spin string of the union;
+    see the next test for a slice that loses strings."""
     s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
     rng = np.random.default_rng(109)
     dets = enumerate_sector(8, 3, 3)
@@ -176,6 +178,76 @@ def test_principal_slice_equals_a_fresh_projection():
     assert fresh.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
+
+
+def same_storage(a, b) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("indptr", "indices", "data"))
+
+
+def off_diagonal(h):
+    h = h.tolil()
+    h.setdiag(0)
+    return h.tocsr()
+
+
+def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_diagonal():
+    """Off-diagonal elements do not depend on which other strings the
+    subspace holds; the diagonal may, in its last bits, so project never
+    reuses it."""
+    s = random_integral_set(12, 6, 6, seed=5, e_core=0.5)
+    rng = np.random.default_rng(5)
+    strings = [m for m in range(1 << 12) if m.bit_count() == 6]
+    for _ in range(20):
+        alphas, betas = (rng.choice(strings, 60, replace=False) for _ in range(2))
+        union = subspace_of(list(dict.fromkeys(
+            Determinant(int(a), int(b)) for a, b in zip(rng.choice(alphas, 400),
+                                                         rng.choice(betas, 400)))), s)
+        rows = np.sort(rng.choice(len(union), len(union) // 3, replace=False))
+        kept = union.take(rows)
+        assert len(np.unique(kept.alpha)) < len(np.unique(union.alpha))
+        sliced = project(union, s)[rows][:, rows]
+        sliced.sort_indices()
+        fresh = project(kept, s)
+        assert same_storage(off_diagonal(sliced), off_diagonal(fresh))
+        assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
+
+
+def extension_cases(n_dets, rng):
+    """(known rows, rows) index pairs into a sector of n_dets determinants."""
+    perm = rng.permutation(n_dets)
+    a, b, c = perm[:90], perm[90:180], perm[180:210]
+    return [
+        (a, rng.permutation(a)),                  # full overlap, reordered
+        (a, a),                                   # full overlap, same order
+        (a, np.r_[a[:60], c]),                    # dropped and added rows
+        (a, np.r_[c[:10], rng.permutation(a)[:60], c[10:]]),  # all three, mixed
+        (np.r_[a, b], rng.permutation(a)[:70]),   # known strings absent from the rows
+        (a, b),                                   # no overlap
+        (a, np.r_[a, c[:1]]),                     # a single new row, last
+        (a, np.r_[c[:1], a]),                     # a single new row, first
+        (a[:1], np.r_[a[:1], b]),                 # one old row
+    ]
+
+
+@pytest.mark.parametrize("name", ["lih", "random"])
+def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
+    s = load_fixture("lih") if name == "lih" else random_integral_set(8, 3, 4, seed=41, e_core=0.2)
+    dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    assert len(dets) >= 210
+    rng = np.random.default_rng(41)
+    for known_rows, rows in extension_cases(len(dets), rng):
+        known_sub = subspace_of([dets[i] for i in known_rows], s)
+        known = (known_sub, project(known_sub, s))
+        sub = subspace_of([dets[i] for i in rows], s)
+        cold, warm = project(sub, s), project(sub, s, known)
+        assert same_storage(cold, warm)
+        assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
+        # a known matrix that is itself a capped slice serves as well
+        sliced = known[1][::2][:, ::2]
+        sliced.sort_indices()
+        assert same_storage(cold, project(sub, s, (known_sub.take(np.arange(0, len(known_sub), 2)),
+                                                    sliced)))
 
 
 def test_project_refuses_an_empty_subspace():

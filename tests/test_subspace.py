@@ -325,6 +325,25 @@ def test_find_returns_rows_and_minus_one_where_absent():
     assert Subspace([], SEC22).find([0b0011], [0b0011]).tolist() == [-1]
 
 
+def test_find_answers_repeated_queries_from_one_ranking():
+    """Queries whose strings no row holds, below, between and above the rows'
+    strings, are absent; asking again gives the same rows."""
+    sec = Sector(6, 3, 2)
+    everything = enumerate_sector(6, 3, 2)
+    rng = np.random.default_rng(7)
+    dets = [everything[i] for i in rng.permutation(len(everything))[:40]]
+    sub = Subspace(dets, sec)
+    where = {d: i for i, d in enumerate(dets)}
+    for _ in range(3):
+        pick = rng.permutation(len(everything))[:100]
+        alpha = [everything[i].alpha_mask for i in pick] + [0, 1 << 62, 0b000111]
+        beta = [everything[i].beta_mask for i in pick] + [0b11, 0b11, (1 << 63) | 1]
+        want = [where.get(Determinant(a, b), -1) for a, b in zip(alpha, beta)]
+        assert sub.find(alpha, beta).tolist() == want
+        assert sub.find(alpha[:1], beta[:1]).tolist() == want[:1]
+    assert sub.find(sub.alpha, sub.beta).tolist() == list(range(len(sub)))
+
+
 # Pure-Python references for the array screens: the tuple sorts and
 # dict.fromkeys orders that the string arrays must reproduce.
 
