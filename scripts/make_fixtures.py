@@ -32,7 +32,6 @@ from scipy.special import hyp1f1
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hivqe.determinants import hartree_fock_det, slater_condon
-from hivqe.eigensolver import project
 from hivqe.integrals import (
     DipoleIntegrals,
     IntegralSet,

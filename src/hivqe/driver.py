@@ -89,6 +89,8 @@ class RunConfig:
             if (isinstance(value, bool) != (kind is bool)
                     or not isinstance(value, (int, float) if kind is float else kind)):
                 raise RunError(f"config key {name!r} expects {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise RunError(f"config key {name!r} must be finite, got {value!r}")
         if s.n_orb > 64:
             raise RunError(f"{s.n_orb} orbitals exceed the 64-orbital limit of the spin strings")
         for name, floor in (("shots", 1), ("k", 1), ("m", 0), ("max_iterations", 0),

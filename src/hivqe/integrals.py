@@ -1,18 +1,16 @@
 """FCIDUMP ingestion and symmetric molecular-integral lookup.
 
-One- and two-electron integrals are stored over spatial orbitals. Two-body
-values use chemist notation (pq|rs) and are kept in a dict keyed by the
-canonical representative of the 8-fold permutation group, so a query through
-any equivalent index order returns the identical stored float. A dense
-(n_orb,)*4 copy with every symmetry image filled is built on first use for
-vectorized Hamiltonian assembly.
+One- and two-electron integrals are stored over spatial orbitals as dense
+read-only arrays. Two-body values use chemist notation (pq|rs) and live in one
+(n_orb,)*4 array with all eight symmetry images of each record filled, so a
+query through any equivalent index order returns the identical stored float,
+and Hamiltonian assembly reads the same array.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,6 @@ __all__ = [
     "IntegralSet",
     "DipoleIntegrals",
     "FcidumpError",
-    "canonical_eri_key",
     "parse_fcidump",
     "write_fcidump",
     "get_eri",
@@ -33,20 +30,14 @@ class FcidumpError(ValueError):
     """Raised for malformed FCIDUMP or dipole-sidecar content."""
 
 
-def canonical_eri_key(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int]:
-    """Canonical representative of (pq|rs) under its 8-fold symmetry.
+def _set_eri(eri: np.ndarray, p: int, q: int, r: int, s: int, v: float) -> None:
+    """Write v to all eight images of (pq|rs).
 
     Real-orbital two-electron integrals satisfy
-    (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq); each index pair is sorted
-    descending and the larger pair is placed first.
+    (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq).
     """
-    if p < q:
-        p, q = q, p
-    if r < s:
-        r, s = s, r
-    if (p, q) < (r, s):
-        p, q, r, s = r, s, p, q
-    return p, q, r, s
+    eri[p, q, r, s] = eri[q, p, r, s] = eri[p, q, s, r] = eri[q, p, s, r] = v
+    eri[r, s, p, q] = eri[s, r, p, q] = eri[r, s, q, p] = eri[s, r, q, p] = v
 
 
 @dataclass(frozen=True)
@@ -63,8 +54,9 @@ class IntegralSet:
         Scalar energy offset (nuclear repulsion plus any frozen core), Hartree.
     one_body : numpy.ndarray
         Symmetric (n_orb, n_orb) table of h_pq, Hartree.
-    two_body : dict
-        Canonical-key map of (pq|rs) values, Hartree. Missing keys mean zero.
+    eri : numpy.ndarray
+        Read-only (n_orb,)*4 table of (pq|rs), Hartree, with every symmetry
+        image filled: 8*n_orb**4 bytes, 134 MB at 64 orbitals.
     """
 
     n_orb: int
@@ -72,7 +64,7 @@ class IntegralSet:
     n_beta: int
     e_core: float
     one_body: np.ndarray
-    two_body: dict = field(default_factory=dict)
+    eri: np.ndarray
 
     def __post_init__(self):
         if not (0 <= self.n_alpha <= self.n_orb and 0 <= self.n_beta <= self.n_orb):
@@ -80,40 +72,24 @@ class IntegralSet:
                 f"electron counts ({self.n_alpha}a,{self.n_beta}b) do not fit "
                 f"in {self.n_orb} orbitals"
             )
-
-    @cached_property
-    def eri(self) -> np.ndarray:
-        """Dense (pq|rs) array over all four indices, built on first use.
-
-        Every symmetry image of a canonical key holds its value, so
-        ``eri[p, q, r, s] == get_eri(self, p, q, r, s)`` for all indices.
-        """
-        n = self.n_orb
-        eri = np.zeros((n, n, n, n))
-        keys = [k for k in self.two_body if k == canonical_eri_key(*k)]
-        if keys:
-            p, q, r, s = np.array(keys, dtype=np.intp).T
-            vals = np.array([self.two_body[k] for k in keys])
-            for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
-                eri[a, b, c, d] = vals
-                eri[c, d, a, b] = vals
-        eri.flags.writeable = False
-        return eri
+        if self.eri.shape != (self.n_orb,) * 4:
+            raise FcidumpError(f"eri has shape {self.eri.shape}, expected ({self.n_orb},)*4")
+        self.eri.flags.writeable = False
 
     @classmethod
     def from_terms(cls, n_orb, n_alpha, n_beta, e_core, one_body_terms, two_body_terms):
         """Build a set from sparse {(p,q): h} and {(p,q,r,s): v} maps.
 
-        Index tuples may arrive in any symmetry-equivalent order; they are
-        symmetrized / canonicalized here. Convenient for synthetic fixtures.
+        Index tuples may arrive in any symmetry-equivalent order; every
+        symmetry image is filled here. Convenient for synthetic fixtures.
         """
         h = np.zeros((n_orb, n_orb))
         for (p, q), v in one_body_terms.items():
             h[p, q] = v
             h[q, p] = v
-        eri = {}
+        eri = np.zeros((n_orb,) * 4)
         for key, v in two_body_terms.items():
-            eri[canonical_eri_key(*key)] = v
+            _set_eri(eri, *key, v)
         return cls(n_orb, n_alpha, n_beta, e_core, h, eri)
 
 
@@ -122,7 +98,7 @@ def get_eri(s: IntegralSet, p: int, q: int, r: int, s_: int) -> float:
     for idx in (p, q, r, s_):
         if not 0 <= idx < s.n_orb:
             raise IndexError(f"orbital index {idx} out of range for n_orb={s.n_orb}")
-    return s.two_body.get(canonical_eri_key(p, q, r, s_), 0.0)
+    return float(s.eri[p, q, r, s_])
 
 
 _HEADER_INT = {
@@ -163,7 +139,7 @@ def parse_fcidump(text: str) -> IntegralSet:
 
     e_core = 0.0
     one_body = np.zeros((n_orb, n_orb))
-    two_body: dict = {}
+    eri = np.zeros((n_orb,) * 4)
     for lineno, line in enumerate(body.splitlines(), 1):
         tokens = line.split()
         if not tokens:
@@ -188,16 +164,17 @@ def parse_fcidump(text: str) -> IntegralSet:
         elif i == 0 or j == 0 or k == 0 or l == 0:
             raise FcidumpError(f"body line {lineno}: mixed zero/nonzero indices")
         else:
-            two_body[canonical_eri_key(i - 1, j - 1, k - 1, l - 1)] = value
+            _set_eri(eri, i - 1, j - 1, k - 1, l - 1, value)
 
-    return IntegralSet(n_orb, n_alpha, n_beta, e_core, one_body, two_body)
+    return IntegralSet(n_orb, n_alpha, n_beta, e_core, one_body, eri)
 
 
 def write_fcidump(s: IntegralSet) -> str:
     """Serialize an :class:`IntegralSet` back to FCIDUMP text.
 
-    Output is deterministic (sorted records) and round-trips exactly:
-    17 significant digits reproduce every float bit-for-bit.
+    Output is deterministic and round-trips exactly: two-body records are
+    the nonzero entries with p>=q, r>=s, (p,q)>=(r,s) in ascending index
+    order, and 17 significant digits reproduce every float bit-for-bit.
     """
     nelec = s.n_alpha + s.n_beta
     ms2 = s.n_alpha - s.n_beta
@@ -212,10 +189,10 @@ def write_fcidump(s: IntegralSet) -> str:
     def rec(v, i, j, k, l):
         lines.append(f"{v: .16E} {i:4d} {j:4d} {k:4d} {l:4d}")
 
-    for (p, q, r, t) in sorted(s.two_body):
-        v = s.two_body[(p, q, r, t)]
-        if v != 0.0:
-            rec(v, p + 1, q + 1, r + 1, t + 1)
+    a, b = np.tril_indices(s.n_orb)  # orbital pairs a>=b in ascending order
+    pairs = s.eri[a[:, None], b[:, None], a, b]
+    for i, j in np.argwhere(np.tril(pairs) != 0.0):
+        rec(pairs[i, j], a[i] + 1, b[i] + 1, a[j] + 1, b[j] + 1)
     for p in range(s.n_orb):
         for q in range(p + 1):
             if s.one_body[p, q] != 0.0:

@@ -28,7 +28,6 @@ __all__ = [
     "FciResult",
     "fci_ground",
     "brute_force_hamiltonian",
-    "transition_matrix",
     "det_to_fock_index",
     "ORACLE_SECTOR_LIMIT",
     "BRUTE_FORCE_SPIN_ORBITAL_LIMIT",
@@ -91,23 +90,6 @@ def _apply_string(mask: int, ops) -> dict:
         if not state:
             break
     return state
-
-
-def transition_matrix(n_orb: int, p: int, q: int) -> np.ndarray:
-    """Dense a_p^dagger a_q over the full Fock space (spin-orbital indices).
-
-    Building block for operator-level cross-checks (density matrices,
-    rotation generators). Limited to 8 spin orbitals like the Hamiltonian.
-    """
-    n_so = 2 * n_orb
-    if n_so > BRUTE_FORCE_SPIN_ORBITAL_LIMIT:
-        raise ValueError(f"{n_so} spin orbitals exceed the brute-force limit")
-    dim = 1 << n_so
-    out = np.zeros((dim, dim))
-    for m in range(dim):
-        for mask, coeff in _apply_string(m, [("+", p), ("-", q)]).items():
-            out[mask, m] += coeff
-    return out
 
 
 def brute_force_hamiltonian(s: IntegralSet) -> np.ndarray:

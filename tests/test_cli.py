@@ -84,7 +84,7 @@ def test_run_override_precedence(tmp_path):
     assert doc["config"]["k"] == 3  # file value survives under other overrides
 
 
-@pytest.mark.parametrize("override", ["shotz=10", "p_flip", "shots=lots"])
+@pytest.mark.parametrize("override", ["shotz=10", "p_flip", "shots=lots", "threshold=nan"])
 def test_run_rejects_bad_overrides(tmp_path, capsys, override):
     rc = main(["run", "--fcidump", H2, "--set", override,
                "--out", str(tmp_path)])

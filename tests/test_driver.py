@@ -21,7 +21,7 @@ from hivqe.driver import (
 from hivqe.eigensolver import CIVector, ground_state, project
 from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
 from hivqe.optimizer import make_optimizer, propose
-from hivqe.oracle import fci_ground, transition_matrix
+from hivqe.oracle import fci_ground
 from hivqe.sampler import (
     NoiseModel,
     brick_wall_ansatz,
@@ -32,7 +32,14 @@ from hivqe.sampler import (
 )
 from hivqe.subspace import Subspace, bitstring_is_valid, filter_symmetry
 
-from helpers import FIXTURES, fock_vector, load_fixture, load_reference, random_integral_set
+from helpers import (
+    FIXTURES,
+    fock_vector,
+    jw_annihilator,
+    load_fixture,
+    load_reference,
+    random_integral_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +70,9 @@ def test_config_checks_value_types_by_key():
     s = load_fixture("h2_0.74")
     for kwargs in ({"tensor_reconstruct": "false"}, {"closed_shell": 1}, {"k": 10.5},
                    {"shots": 100.0}, {"k": "1000"}, {"m": True}, {"eps": False},
-                   {"p_flip": "0.1"}, {"recovery_mode": None}):
+                   {"p_flip": "0.1"}, {"recovery_mode": None},
+                   {"threshold": math.nan}, {"threshold": math.inf},
+                   {"eps": math.nan}, {"eps": math.inf}):
         (key,) = kwargs
         with pytest.raises(RunError, match=repr(key)):
             run_hivqe(RunConfig(**kwargs), s)
@@ -404,8 +413,8 @@ def rdm_from_fock_space(dets, amps, n_orb):
     for p in range(n_orb):
         for q in range(n_orb):
             for off in (0, n_orb):
-                gamma[p, q] += vec @ transition_matrix(
-                    n_orb, p + off, q + off) @ vec
+                gamma[p, q] += vec @ jw_annihilator(2 * n_orb, p + off).T @ (
+                    jw_annihilator(2 * n_orb, q + off) @ vec)
     return gamma
 
 

@@ -1,6 +1,8 @@
-"""FCIDUMP and dipole-sidecar parsing, writing, and key canonicalization."""
+"""FCIDUMP and dipole-sidecar parsing, writing, and the dense (pq|rs) table."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from hivqe.integrals import (
     DipoleIntegrals,
     FcidumpError,
-    canonical_eri_key,
+    IntegralSet,
     get_eri,
     parse_dipole_file,
     parse_fcidump,
@@ -16,7 +18,9 @@ from hivqe.integrals import (
     write_fcidump,
 )
 
-from helpers import load_fixture, random_integral_set
+from helpers import FIXTURES, load_fixture, random_integral_set
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """\
 &FCI NORB=2,NELEC=2,MS2=0,
@@ -34,16 +38,19 @@ MINIMAL = """\
 """
 
 
-def test_canonical_key_covers_all_eight_permutations():
+def eight_images(p, q, r, s):
+    return [(p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)]
+
+
+def test_get_eri_is_one_float_over_all_eight_permutations():
+    s = random_integral_set(6, 3, 3, seed=4)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        p, q, r, s = rng.integers(0, 6, size=4)
-        key = canonical_eri_key(p, q, r, s)
-        equivalents = [
-            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-        ]
-        assert {canonical_eri_key(*e) for e in equivalents} == {key}
+        p, q, r, t = (int(i) for i in rng.integers(0, 6, size=4))
+        values = [get_eri(s, *e) for e in eight_images(p, q, r, t)]
+        assert all(type(v) is float for v in values)
+        assert len(set(values)) == 1
 
 
 def test_parse_minimal_header_and_records():
@@ -101,20 +108,60 @@ def test_roundtrip_is_bit_exact():
             s.n_orb, s.n_alpha, s.n_beta)
         assert again.e_core == s.e_core
         assert np.array_equal(again.one_body, s.one_body)
-        assert again.two_body == s.two_body
+        assert np.array_equal(again.eri, s.eri)
+    # the writers reproduce every committed file byte for byte
+    paths = [*FIXTURES.glob("*.fcidump"), *(ROOT / "bench" / "inputs").glob("*.fcidump")]
+    assert len(paths) == 8
+    for path in paths:
+        text = path.read_text()
+        assert write_fcidump(parse_fcidump(text)) == text, path.name
+    for path in sorted(FIXTURES.glob("*.dipole")):
+        text = path.read_text()
+        n_orb = load_fixture(path.stem).n_orb
+        assert write_dipole_file(parse_dipole_file(text, n_orb)) == text, path.name
 
 
 def test_roundtrip_random_set():
     s = random_integral_set(4, 2, 2, seed=9, e_core=-3.25)
     again = parse_fcidump(write_fcidump(s))
-    assert again.two_body == s.two_body
+    assert np.array_equal(again.eri, s.eri)
     assert np.array_equal(again.one_body, s.one_body)
 
 
-def test_dense_eri_matches_get_eri_at_every_index():
-    s = random_integral_set(4, 2, 1, seed=12)
+@pytest.mark.parametrize("name", ["h4_chain", "lih"])
+def test_eri_holds_each_record_at_its_eight_images_and_zero_elsewhere(name):
+    text = (FIXTURES / f"{name}.fcidump").read_text()
+    expected = {}
+    for line in text.split("&END")[1].splitlines():
+        tokens = line.split()
+        if tokens and "0" not in tokens[1:]:
+            p, q, r, t = (int(i) - 1 for i in tokens[1:])
+            for image in eight_images(p, q, r, t):
+                expected[image] = float(tokens[0])
+    s = parse_fcidump(text)
+    assert 0 < len(expected) < s.n_orb ** 4
     for idx in itertools.product(range(s.n_orb), repeat=4):
-        assert s.eri[idx] == get_eri(s, *idx)
+        assert s.eri[idx] == expected.get(idx, 0.0)
+    assert not s.eri.flags.writeable
+
+
+def test_integral_set_refuses_a_misshapen_eri():
+    with pytest.raises(FcidumpError, match="shape"):
+        IntegralSet(2, 1, 1, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 3)))
+
+
+def test_make_fixtures_reproduces_the_committed_files():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    ang = fixtures.BOHR_PER_ANGSTROM
+    for name, atoms, nelec in (
+            ("h2_0.74", [("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 0.74 * ang))], 2),
+            ("lih", [("Li", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1.5949 * ang))], 4)):
+        ints, dipole, _ = fixtures.make_integral_set(atoms, nelec)
+        assert write_fcidump(ints) == (FIXTURES / f"{name}.fcidump").read_text(), name
+        assert write_dipole_file(dipole) == (FIXTURES / f"{name}.dipole").read_text(), name
 
 
 def test_get_eri_checks_range():

@@ -12,7 +12,6 @@ from hivqe.oracle import (
     brute_force_hamiltonian,
     det_to_fock_index,
     fci_ground,
-    transition_matrix,
 )
 from hivqe.sampler import enumerate_sector
 
@@ -32,15 +31,6 @@ def test_det_to_fock_index_packs_alpha_low():
     assert det_to_fock_index(Determinant(0b11, 0b10), 2) == 0b1011
 
 
-def test_transition_matrix_against_kron_jordan_wigner():
-    n = 3
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        p, q = rng.integers(0, 2 * n, size=2)
-        expected = jw_annihilator(2 * n, int(p)).T @ jw_annihilator(2 * n, int(q))
-        assert np.array_equal(transition_matrix(n, int(p), int(q)), expected)
-
-
 def test_anticommutation_relations():
     n_qubits = 4
     dim = 1 << n_qubits
@@ -56,7 +46,8 @@ def test_anticommutation_relations():
 
 def test_number_operator_counts_sector():
     n = 3
-    number = sum(transition_matrix(n, j, j) for j in range(2 * n))
+    number = sum(jw_annihilator(2 * n, j).T @ jw_annihilator(2 * n, j)
+                 for j in range(2 * n))
     for d in enumerate_sector(3, 2, 1):
         idx = det_to_fock_index(d, 3)
         assert number[idx, idx] == 3.0

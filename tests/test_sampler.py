@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from hivqe.determinants import Determinant, Sector
-from hivqe.oracle import det_to_fock_index, transition_matrix
+from hivqe.oracle import det_to_fock_index
 from hivqe.sampler import (
     AnsatzSpec,
     NoiseModel,
@@ -25,6 +25,8 @@ from hivqe.sampler import (
     sample,
     sector_size,
 )
+
+from helpers import jw_annihilator
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -109,7 +111,7 @@ def statevector_oracle(spec, theta, sector, start):
     vec[det_to_fock_index(start, n)] = 1.0
     for (channel, p, q), angle in zip(spec.rotations, theta):
         off = 0 if channel == "alpha" else n
-        e_qp = transition_matrix(n, q + off, p + off)
+        e_qp = jw_annihilator(2 * n, q + off).T @ jw_annihilator(2 * n, p + off)
         vec = expm((angle / 2.0) * (e_qp - e_qp.T)) @ vec
     return vec
 
