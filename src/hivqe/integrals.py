@@ -40,7 +40,7 @@ def _set_eri(eri: np.ndarray, p: int, q: int, r: int, s: int, v: float) -> None:
     eri[r, s, p, q] = eri[s, r, p, q] = eri[r, s, q, p] = eri[s, r, q, p] = v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralSet:
     """Molecular Hamiltonian data for a fixed orbital space.
 
@@ -53,10 +53,12 @@ class IntegralSet:
     e_core : float
         Scalar energy offset (nuclear repulsion plus any frozen core), Hartree.
     one_body : numpy.ndarray
-        Symmetric (n_orb, n_orb) table of h_pq, Hartree.
+        Read-only symmetric (n_orb, n_orb) table of h_pq, Hartree.
     eri : numpy.ndarray
         Read-only (n_orb,)*4 table of (pq|rs), Hartree, with every symmetry
         image filled: 8*n_orb**4 bytes, 134 MB at 64 orbitals.
+
+    Sets compare by identity, as their fields are arrays.
     """
 
     n_orb: int
@@ -74,6 +76,7 @@ class IntegralSet:
             )
         if self.eri.shape != (self.n_orb,) * 4:
             raise FcidumpError(f"eri has shape {self.eri.shape}, expected ({self.n_orb},)*4")
+        self.one_body.flags.writeable = False
         self.eri.flags.writeable = False
 
     @classmethod
@@ -201,18 +204,23 @@ def write_fcidump(s: IntegralSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipoleIntegrals:
     """Dipole operator matrix elements in the same orbital basis.
 
     x, y, z are symmetric (n_orb, n_orb) tables in atomic units;
-    nuclear is the fixed nuclear dipole 3-vector (also a.u.).
+    nuclear is the fixed nuclear dipole 3-vector (also a.u.). All four are
+    read-only, and sets compare by identity.
     """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     nuclear: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.x, self.y, self.z, self.nuclear):
+            array.flags.writeable = False
 
     def component(self, axis: str) -> np.ndarray:
         return {"x": self.x, "y": self.y, "z": self.z}[axis]

@@ -6,7 +6,8 @@ number per spin and touches one channel only, so from the Hartree-Fock start
 the state stays a product psi_alpha x psi_beta. It is held as two vectors
 over the spin strings of each channel, C(n_orb, n_alpha) + C(n_orb, n_beta)
 amplitudes, and the joint sector is never enumerated: that is left to
-:func:`enumerate_sector` for the exact-diagonalization oracle.
+:func:`enumerate_sector` for the exact-diagonalization oracle. Sampling draws
+each channel's string on its own and builds no joint vector either.
 Measurement noise is modeled as independent classical bit flips applied to
 the sampled bitstrings, which is the only noise effect the downstream
 filtering consumes.
@@ -41,10 +42,8 @@ MAX_ENUMERATED = 5_000_000
 
 
 class SectorTooLargeError(RuntimeError):
-    def __init__(self, count: int, limit: int):
-        super().__init__(
-            f"sector holds {count} determinants, beyond the enumeration limit {limit}"
-        )
+    def __init__(self, count: int, limit: int, what: str = "sector determinants"):
+        super().__init__(f"{count} {what} exceed the enumeration limit {limit}")
         self.count = count
 
 
@@ -136,11 +135,6 @@ class SectorState:
             if abs(norm_sq - 1.0) > 1e-12:
                 raise ValueError(f"{channel} state norm^2 {norm_sq} deviates from 1")
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Joint amplitudes over the sector, in :func:`enumerate_sector` order."""
-        return np.outer(self.alpha, self.beta).ravel()
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -187,6 +181,9 @@ def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
     differ only by moving one electron between its orbital pair, under the
     half-angle convention: the p-occupied amplitude maps to
     cos(t/2)*a_p - s*sin(t/2)*a_q with s the crossing sign.
+
+    Raises SectorTooLargeError, before building any string table, when a
+    channel has more than MAX_ENUMERATED strings.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.n_params,):
@@ -196,6 +193,9 @@ def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
     if spec.n_orb != sector.n_orb:
         raise ValueError("ansatz and sector orbital counts differ")
     n_e = {"alpha": sector.n_alpha, "beta": sector.n_beta}
+    largest = max(math.comb(sector.n_orb, count) for count in n_e.values())
+    if largest > MAX_ENUMERATED:
+        raise SectorTooLargeError(largest, MAX_ENUMERATED, "spin strings in one channel")
     amps = {}
     for channel, count in n_e.items():
         # The Hartree-Fock string is the smallest, so it comes first.
@@ -220,10 +220,9 @@ def mean_occupations(state: SectorState):
             state.beta**2 @ _channel(n, n_beta)[1])
 
 
-def _bitstrings(state: SectorState, joint: np.ndarray) -> np.ndarray:
-    """(len(joint), 2*n_orb) 0/1 rows of joint sector indices, alpha block first."""
+def _bitstrings(state: SectorState, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """(len(ia), 2*n_orb) 0/1 rows of string index pairs, alpha block first."""
     n, n_alpha, n_beta = state.sector
-    ia, ib = np.divmod(joint, len(state.beta))
     return np.concatenate([_channel(n, n_alpha)[1][ia], _channel(n, n_beta)[1][ib]], axis=1)
 
 
@@ -237,22 +236,28 @@ def _keys(bits: np.ndarray) -> list[str]:
 def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBatch:
     """Draw shots i.i.d. from |amplitude|^2 and apply readout flips.
 
+    The state is a product, so each shot's alpha string is drawn from
+    |alpha|^2 and its beta string from |beta|^2, with the same joint law in
+    O(C(n, n_alpha) + C(n, n_beta) + shots * n_orb) memory. One generator
+    draws all alpha strings, then all beta strings, then the flips.
+
     Deterministic for a fixed seed (accepts anything numpy's default_rng
-    does). Keys of the returned batch are raw 2*n_orb bitstrings.
+    does). Keys of the returned batch are raw 2*n_orb bitstrings; noiseless
+    batches list them in ascending (alpha, beta) string order.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
-    probs = state.amplitudes**2
-    probs = probs / probs.sum()
-    drawn = rng.choice(len(probs), size=shots, p=probs)
+    ia, ib = (rng.choice(len(amps), size=shots, p=amps**2 / np.sum(amps**2))
+              for amps in (state.alpha, state.beta))
     n_orb = state.sector.n_orb
 
     if noise.p_flip == 0.0:
-        uniq, counts = np.unique(drawn, return_counts=True)
-        table = dict(zip(_keys(_bitstrings(state, uniq)), counts.tolist()))
+        _, first, counts = np.unique(ia * len(state.beta) + ib,
+                                     return_index=True, return_counts=True)
+        table = dict(zip(_keys(_bitstrings(state, ia[first], ib[first])), counts.tolist()))
         return SampleBatch(table, shots, n_orb)
 
-    bits = _bitstrings(state, drawn)
+    bits = _bitstrings(state, ia, ib)
     bits ^= (rng.random(bits.shape) < noise.p_flip).astype(np.uint8)
     return SampleBatch(dict(Counter(_keys(bits))), shots, n_orb)

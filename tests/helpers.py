@@ -36,6 +36,11 @@ def subspace_of(dets, s: IntegralSet) -> Subspace:
     return Subspace(dets, Sector(s.n_orb, s.n_alpha, s.n_beta))
 
 
+def joint_amplitudes(state) -> np.ndarray:
+    """A sampler state's amplitudes over its sector, in enumerate_sector order."""
+    return np.outer(state.alpha, state.beta).ravel()
+
+
 def random_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet:
     """Random symmetric integrals; one draw per canonical two-body key."""
     rng = np.random.default_rng(seed)

@@ -189,16 +189,25 @@ def test_fci_solves_small_sector(capsys):
         load_reference()["h2_0.74"]["e_fci"], abs=1e-9)
 
 
-def big_sector_fcidump(tmp_path):
+def big_sector_fcidump(tmp_path, n_orb=20, n_elec=14):
     path = tmp_path / "big.fcidump"
     path.write_text(
-        "&FCI NORB=20,NELEC=14,MS2=0,\n"
-        "  ORBSYM=" + "1," * 20 + "\n"
+        f"&FCI NORB={n_orb},NELEC={n_elec},MS2=0,\n"
+        "  ORBSYM=" + "1," * n_orb + "\n"
         "  ISYM=1,\n"
         "&END\n"
         "0.0 0 0 0 0\n"
     )
     return str(path)
+
+
+def test_run_refuses_a_spin_channel_beyond_the_string_tables(tmp_path, capsys):
+    rc = main(["run", "--fcidump", big_sector_fcidump(tmp_path, 40, 40),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{math.comb(40, 20)} spin strings in one channel exceed" in err
 
 
 def test_fci_count_only_handles_huge_sectors(tmp_path, capsys):

@@ -150,6 +150,17 @@ def test_integral_set_refuses_a_misshapen_eri():
         IntegralSet(2, 1, 1, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 3)))
 
 
+def test_integral_and_dipole_sets_compare_and_stay_read_only():
+    first, second = load_fixture("h2_0.74"), load_fixture("h2_0.74")
+    assert first == first and first != second  # by identity, without raising
+    text = (FIXTURES / "h2_0.74.dipole").read_text()
+    d1, d2 = parse_dipole_file(text, 2), parse_dipole_file(text, 2)
+    assert d1 == d1 and d1 != d2
+    for array in (first.one_body, first.eri, d1.x, d1.y, d1.z, d1.nuclear):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_make_fixtures_reproduces_the_committed_files():
     spec = importlib.util.spec_from_file_location(
         "make_fixtures", ROOT / "scripts" / "make_fixtures.py")

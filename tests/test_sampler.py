@@ -26,7 +26,7 @@ from hivqe.sampler import (
     sector_size,
 )
 
-from helpers import jw_annihilator
+from helpers import joint_amplitudes, jw_annihilator
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -62,6 +62,16 @@ def test_oversized_sector_raises_with_count():
     assert info.value.count == 165_636_900
 
 
+def test_oversized_spin_channel_is_refused_before_any_table():
+    # C(40, 20) = 137,846,528,820 strings per channel: one amplitude
+    # vector alone would take 1.1 TB
+    spec = brick_wall_ansatz(40, 1)
+    with pytest.raises(SectorTooLargeError) as info:
+        prepare_state(spec, np.zeros(spec.n_params), Sector(40, 20, 20))
+    assert info.value.count == math.comb(40, 20)
+    assert "spin strings in one channel" in str(info.value)
+
+
 def test_brick_wall_layout():
     spec = brick_wall_ansatz(4, 2)
     assert spec.n_params == 6
@@ -90,7 +100,7 @@ def test_zero_angles_give_hartree_fock():
     hf = dets.index(Determinant(0b0011, 0b0011))
     expected = np.zeros(len(dets))
     expected[hf] = 1.0
-    assert np.array_equal(state.amplitudes, expected)
+    assert np.array_equal(joint_amplitudes(state), expected)
 
 
 def test_pi_rotation_moves_the_electron_completely():
@@ -99,7 +109,7 @@ def test_pi_rotation_moves_the_electron_completely():
     spec = AnsatzSpec(2, 1, (("alpha", 0, 1),))
     state = prepare_state(spec, np.array([math.pi]), sec)
     dets = enumerate_sector(2, 1, 0)
-    amp = dict(zip(dets, state.amplitudes))
+    amp = dict(zip(dets, joint_amplitudes(state)))
     assert abs(amp[Determinant(0b10, 0b00)]) == pytest.approx(1.0, abs=1e-12)
     assert amp[Determinant(0b01, 0b00)] == pytest.approx(0.0, abs=1e-12)
 
@@ -131,7 +141,7 @@ def test_prepare_state_matches_statevector_oracle(n_orb, n_alpha, n_beta, layers
     hf = Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
     oracle = statevector_oracle(spec, theta, sec, hf)
     mine = np.zeros_like(oracle)
-    for d, amp in zip(enumerate_sector(n_orb, n_alpha, n_beta), state.amplitudes):
+    for d, amp in zip(enumerate_sector(n_orb, n_alpha, n_beta), joint_amplitudes(state)):
         mine[det_to_fock_index(d, n_orb)] = amp
     assert np.max(np.abs(mine - oracle)) < 1e-12
 
@@ -143,7 +153,7 @@ def test_non_adjacent_rotation_crossing_sign():
     theta = np.array([0.9])
     state = prepare_state(spec, theta, sec)
     oracle = statevector_oracle(spec, theta, sec, Determinant(0b011, 0))
-    for d, amp in zip(enumerate_sector(3, 2, 0), state.amplitudes):
+    for d, amp in zip(enumerate_sector(3, 2, 0), joint_amplitudes(state)):
         assert amp == pytest.approx(oracle[det_to_fock_index(d, 3)], abs=1e-12)
 
 
@@ -155,7 +165,8 @@ def test_norm_preserved_over_many_random_parameter_sets():
     for _ in range(1000):
         theta = rng.normal(size=spec.n_params) * 2.0
         state = prepare_state(spec, theta, sec)
-        worst = max(worst, abs(float(state.amplitudes @ state.amplitudes) - 1.0))
+        amps = joint_amplitudes(state)
+        worst = max(worst, abs(float(amps @ amps) - 1.0))
     assert worst < 1e-12
 
 
@@ -165,7 +176,7 @@ def test_mean_occupations_match_probabilities():
     theta = np.linspace(-1.0, 1.0, spec.n_params)
     state = prepare_state(spec, theta, sec)
     occ_a, occ_b = mean_occupations(state)
-    probs = state.amplitudes**2
+    probs = joint_amplitudes(state)**2
     dets = enumerate_sector(3, 2, 1)
     for p in range(3):
         expect_a = sum(pr for pr, d in zip(probs, dets) if d.alpha_mask >> p & 1)
@@ -200,7 +211,7 @@ def test_sample_counts_and_support():
     assert batch.total_shots == 4000
     assert sum(batch.counts.values()) == 4000
     dets = enumerate_sector(3, 2, 1)
-    probs = dict(zip(dets, state.amplitudes**2))
+    probs = dict(zip(dets, joint_amplitudes(state)**2))
     from hivqe.determinants import det_from_string
 
     for bits, count in batch.counts.items():
@@ -208,6 +219,8 @@ def test_sample_counts_and_support():
         d = det_from_string(bits)
         assert probs[d] > 0.0
         assert count > 0
+    listed = [det_from_string(bits) for bits in batch.counts]
+    assert listed == sorted(listed)  # joint-index order, as enumerate_sector
 
 
 def test_sample_frequencies_track_probabilities():
@@ -217,7 +230,7 @@ def test_sample_frequencies_track_probabilities():
     from hivqe.determinants import det_from_string
 
     dets = enumerate_sector(3, 2, 1)
-    probs = dict(zip(dets, state.amplitudes**2))
+    probs = dict(zip(dets, joint_amplitudes(state)**2))
     for bits, count in batch.counts.items():
         p = probs[det_from_string(bits)]
         sigma = math.sqrt(p * (1 - p) * shots)
@@ -247,6 +260,27 @@ def test_noise_rate_statistics():
     )
     rate = flipped / (shots * 6)
     assert rate == pytest.approx(0.05, abs=0.005)
+
+
+@pytest.mark.parametrize("p_flip", [0.0, 0.01])
+def test_sampling_memory_scales_with_the_channels_not_the_sector(p_flip):
+    """15 orbitals with 5 alpha and 5 beta electrons: 3,003 strings per
+    channel, 9,018,009 determinants. A joint probability vector alone would
+    take 72 MB; drawing each channel on its own stays far below that."""
+    import tracemalloc
+
+    sec = Sector(15, 5, 5)
+    spec = brick_wall_ansatz(15, 2)
+    theta = np.random.default_rng(15).normal(size=spec.n_params)
+    state = prepare_state(spec, theta, sec)
+    tracemalloc.start()
+    try:
+        batch = sample(state, 4000, NoiseModel(p_flip), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.total_shots == 4000
+    assert peak < 16 * 2**20
 
 
 def test_sample_rejects_nonpositive_shots():
