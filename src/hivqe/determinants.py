@@ -26,7 +26,6 @@ __all__ = [
     "slater_condon",
     "generate_singles_doubles",
     "det_to_string",
-    "det_from_string",
     "occupied_orbitals",
 ]
 
@@ -96,9 +95,9 @@ def _single_phase(mask: int, hole: int, particle: int) -> int:
     return -1 if between.bit_count() & 1 else 1
 
 
-# Vectorized forms over uint64 strings, shared by the Hamiltonian kernel and
-# the sampler. _BIT[p] is the mask of orbital p; unsigned, so orbital 63 is no
-# sign bit.
+# Vectorized forms over uint64 strings, shared by the Hamiltonian kernel, the
+# sampler and the filter. _BIT[p] is the mask of orbital p; unsigned, so
+# orbital 63 is no sign bit.
 _ONE = np.uint64(1)
 _BIT = _ONE << np.arange(64, dtype=np.uint64)
 
@@ -106,6 +105,14 @@ _BIT = _ONE << np.arange(64, dtype=np.uint64)
 def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
     """(len(strings), n_orb) 0/1 float occupations of uint64 strings."""
     return ((strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & _ONE).astype(float)
+
+
+def _distinct_rows(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """The first row of each distinct (alpha[i], beta[i]) pair, in ascending
+    pair order, and how many rows hold each pair."""
+    ia = np.unique(alpha, return_inverse=True)[1]
+    distinct_beta, ib = np.unique(beta, return_inverse=True)
+    return np.unique(ia * len(distinct_beta) + ib, return_index=True, return_counts=True)[1:]
 
 
 def _phase(strings: np.ndarray, holes, particles) -> np.ndarray:
@@ -268,13 +275,3 @@ def det_to_string(d: Determinant, n_orb: int) -> str:
     beta = "".join("1" if (d.beta_mask >> p) & 1 else "0" for p in range(n_orb))
     return f"{alpha}|{beta}"
 
-
-def det_from_string(text: str) -> Determinant:
-    """Inverse of :func:`det_to_string`; the "|" separator is optional."""
-    bits = text.replace("|", "").strip()
-    if len(bits) % 2 or not set(bits) <= {"0", "1"}:
-        raise ValueError(f"not a determinant string: {text!r}")
-    n_orb = len(bits) // 2
-    alpha = sum(1 << p for p in range(n_orb) if bits[p] == "1")
-    beta = sum(1 << p for p in range(n_orb) if bits[n_orb + p] == "1")
-    return Determinant(alpha, beta)

@@ -33,7 +33,6 @@ from .sampler import NoiseModel, brick_wall_ansatz, mean_occupations, prepare_st
 from .subspace import (
     Subspace,
     amplitude_screen,
-    bitstring_is_valid,
     cap_screen,
     classical_expand,
     filter_symmetry,
@@ -259,9 +258,7 @@ def run_hivqe(
         t0 = time.perf_counter()
         batch, iter_dets, e_iter = sample_and_solve(opt.theta, i, 0)
         wall_sample = (time.perf_counter() - t0) * 1000.0
-        shots_valid = sum(
-            c for bs, c in batch.counts.items() if bitstring_is_valid(bs, sector)
-        )
+        shots_valid = int(batch.shots[batch.in_sector(sector)].sum())
 
         cum = union(carried, iter_dets)
         if len(cum) == 0:
@@ -303,7 +300,7 @@ def run_hivqe(
             iteration=i,
             e_cum=e_cum,
             e_iter=e_iter,
-            n_dets_sampled=len(batch.counts),
+            n_dets_sampled=len(batch),
             n_dets_valid=len(iter_dets),
             shots_valid=shots_valid,
             shots_invalid=batch.total_shots - shots_valid,

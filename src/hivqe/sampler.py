@@ -9,20 +9,20 @@ amplitudes, and the joint sector is never enumerated: that is left to
 :func:`enumerate_sector` for the exact-diagonalization oracle. Sampling draws
 each channel's string on its own and builds no joint vector either.
 Measurement noise is modeled as independent classical bit flips applied to
-the sampled bitstrings, which is the only noise effect the downstream
-filtering consumes.
+the sampled strings, which is the only noise effect the downstream filtering
+consumes. A batch of shots stays in uint64 strings from the draw to the
+filter.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .determinants import _BIT, Determinant, Sector, _occupations, _phase
+from .determinants import _BIT, Determinant, Sector, _distinct_rows, _occupations, _phase
 from .subspace import SampleBatch
 
 __all__ = [
@@ -148,13 +148,11 @@ class NoiseModel:
 
 
 @lru_cache(maxsize=8)
-def _channel(n_orb: int, n_e: int):
-    """Ascending uint64 strings with n_e of n_orb bits set, and their 0/1 rows."""
+def _channel(n_orb: int, n_e: int) -> np.ndarray:
+    """Ascending uint64 strings with n_e of n_orb bits set."""
     strings = np.array(_masks_with_popcount(n_orb, n_e), dtype=np.uint64)
-    bits = _occupations(strings, n_orb).astype(np.uint8)
-    for array in (strings, bits):
-        array.flags.writeable = False  # shared through the cache
-    return strings, bits
+    strings.flags.writeable = False  # shared through the cache
+    return strings
 
 
 @lru_cache(maxsize=256)
@@ -165,8 +163,8 @@ def _rotation_plan(n_orb: int, n_e: int, p: int, q: int):
     empty, their partners with the occupation swapped, and the sign
     (-1)**(occupied orbitals strictly between p and q).
     """
-    strings, bits = _channel(n_orb, n_e)
-    i_idx = np.flatnonzero(bits[:, p] > bits[:, q])
+    strings = _channel(n_orb, n_e)
+    i_idx = np.flatnonzero(((strings & _BIT[p]) > 0) & ((strings & _BIT[q]) == 0))
     j_idx = np.searchsorted(strings, strings[i_idx] ^ _BIT[p] ^ _BIT[q])
     plan = (i_idx, j_idx, _phase(strings[i_idx], p, q))
     for array in plan:
@@ -216,21 +214,8 @@ def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
 def mean_occupations(state: SectorState):
     """Per-orbital mean occupation (alpha array, beta array) of the state."""
     n, n_alpha, n_beta = state.sector
-    return (state.alpha**2 @ _channel(n, n_alpha)[1],
-            state.beta**2 @ _channel(n, n_beta)[1])
-
-
-def _bitstrings(state: SectorState, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """(len(ia), 2*n_orb) 0/1 rows of string index pairs, alpha block first."""
-    n, n_alpha, n_beta = state.sector
-    return np.concatenate([_channel(n, n_alpha)[1][ia], _channel(n, n_beta)[1][ib]], axis=1)
-
-
-def _keys(bits: np.ndarray) -> list[str]:
-    """Each 0/1 row as a bitstring."""
-    width = bits.shape[1]
-    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    return [text[i * width:(i + 1) * width] for i in range(len(bits))]
+    return (state.alpha**2 @ _occupations(_channel(n, n_alpha), n),
+            state.beta**2 @ _occupations(_channel(n, n_beta), n))
 
 
 def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBatch:
@@ -239,25 +224,28 @@ def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBat
     The state is a product, so each shot's alpha string is drawn from
     |alpha|^2 and its beta string from |beta|^2, with the same joint law in
     O(C(n, n_alpha) + C(n, n_beta) + shots * n_orb) memory. One generator
-    draws all alpha strings, then all beta strings, then the flips.
+    draws all alpha strings, then all beta strings, then one uniform per
+    shot and bit (alpha orbitals first); a uniform below p_flip flips its bit.
 
     Deterministic for a fixed seed (accepts anything numpy's default_rng
-    does). Keys of the returned batch are raw 2*n_orb bitstrings; noiseless
-    batches list them in ascending (alpha, beta) string order.
+    does). The batch holds each distinct raw (alpha, beta) string pair once,
+    with its shot count: noiseless batches in ascending (alpha, beta) order,
+    noisy ones in order of first appearance.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
+    n, n_alpha, n_beta = state.sector
     ia, ib = (rng.choice(len(amps), size=shots, p=amps**2 / np.sum(amps**2))
               for amps in (state.alpha, state.beta))
-    n_orb = state.sector.n_orb
-
+    alpha, beta = _channel(n, n_alpha), _channel(n, n_beta)
     if noise.p_flip == 0.0:
-        _, first, counts = np.unique(ia * len(state.beta) + ib,
-                                     return_index=True, return_counts=True)
-        table = dict(zip(_keys(_bitstrings(state, ia[first], ib[first])), counts.tolist()))
-        return SampleBatch(table, shots, n_orb)
-
-    bits = _bitstrings(state, ia, ib)
-    bits ^= (rng.random(bits.shape) < noise.p_flip).astype(np.uint8)
-    return SampleBatch(dict(Counter(_keys(bits))), shots, n_orb)
+        # The channel strings ascend with their index, so the pair index does too.
+        _, first, counts = np.unique(ia * len(beta) + ib, return_index=True, return_counts=True)
+        return SampleBatch(alpha[ia[first]], beta[ib[first]], counts, shots, n)
+    flips = rng.random((shots, 2 * n)) < noise.p_flip
+    # A boolean row times _BIT is the string with those bits set.
+    alpha, beta = alpha[ia] ^ (flips[:, :n] @ _BIT[:n]), beta[ib] ^ (flips[:, n:] @ _BIT[:n])
+    first, counts = _distinct_rows(alpha, beta)
+    seen = np.argsort(first)  # first-appearance order
+    return SampleBatch(alpha[first[seen]], beta[first[seen]], counts[seen], shots, n)

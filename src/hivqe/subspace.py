@@ -7,7 +7,9 @@ output order, so one index array selects the determinants (Subspace.take),
 the amplitudes and the rows and columns of an assembled matrix alike; the
 other operations return a new Subspace (or the input itself when nothing
 changed). Nothing here assembles or solves a Hamiltonian. Every ranking is
-a lexsort with the (alpha, beta) string pair as its final keys.
+a lexsort with the (alpha, beta) string pair as its final keys. A
+SampleBatch holds the sampler's shots as string arrays too; text appears
+only in dump_subspace and in a batch's counts view.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 from .determinants import (
     Determinant,
     Sector,
-    det_from_string,
+    _BIT,
+    _distinct_rows,
+    _occupations,
     det_to_string,
     generate_singles_doubles,
     hartree_fock_det,
@@ -41,25 +45,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Multiset of raw measured bitstrings.
+    """The distinct measured (alpha, beta) string pairs and their shot counts.
 
-    Keys are plain 2*n_orb character strings (alpha block then beta block,
-    orbital 0 leftmost in each); values are shot counts.
+    Row i is the raw uint64 string pair (alpha[i], beta[i]), measured
+    shots[i] >= 1 times; the three arrays are read-only, and the shots sum to
+    total_shots. A pair need not lie in any sector: the filter decides that.
     """
 
-    counts: dict
+    alpha: np.ndarray
+    beta: np.ndarray
+    shots: np.ndarray
     total_shots: int
     n_orb: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("counts do not sum to total_shots")
-        width = 2 * self.n_orb
-        for bs in self.counts:
-            if len(bs) != width:
-                raise ValueError(f"bitstring {bs!r} is not {width} characters")
+        if not len(self.alpha) == len(self.beta) == len(self.shots):
+            raise ValueError("alpha, beta and shots differ in length")
+        if len(self) and int(np.max(self.alpha | self.beta)) >> self.n_orb:
+            raise ValueError(f"a string sets a bit at or above orbital {self.n_orb}")
+        if np.any(self.shots < 1) or int(np.sum(self.shots)) != self.total_shots:
+            raise ValueError("every row needs a shot, and the shots must sum to total_shots")
+        for array in (self.alpha, self.beta, self.shots):
+            array.flags.writeable = False
+
+    def __len__(self):
+        return len(self.alpha)
+
+    def in_sector(self, sector: Sector) -> np.ndarray:
+        """Mask of the rows whose popcounts already match the sector."""
+        return ((np.bitwise_count(self.alpha) == sector.n_alpha)
+                & (np.bitwise_count(self.beta) == sector.n_beta))
+
+    @property
+    def counts(self) -> dict:
+        """A text view {bitstring: shots} in row order, built on each access
+        for readers outside the package; keys are det_to_string without "|"."""
+        bits = np.hstack([_occupations(s, self.n_orb) for s in (self.alpha, self.beta)])
+        keys = (bits + ord("0")).astype(np.uint8).view(f"S{bits.shape[1]}").astype(str)
+        return dict(zip(keys.ravel().tolist(), self.shots.tolist()))
 
 
 class Subspace:
@@ -137,13 +162,13 @@ class StringRanks:
         self.beta, self.ib = np.unique(beta, return_inverse=True)
         keys = self.ia * len(self.beta) + self.ib
         self._order = np.argsort(keys)
-        self._keys = keys[self._order]
+        self._sorted = keys[self._order]
 
     def row(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row of each index pair (ia[i], ib[i]), -1 where absent."""
         want = ia * len(self.beta) + ib
-        pos = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
-        return np.where(self._keys[pos] == want, self._order[pos], -1)
+        pos = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == want, self._order[pos], -1)
 
 
 def _strings(dets) -> tuple:
@@ -168,35 +193,30 @@ def bitstring_is_valid(bits: str, sector: Sector) -> bool:
     return bits[:n].count("1") == sector.n_alpha and bits[n:].count("1") == sector.n_beta
 
 
-def _repair_channel(bits: list[int], target: int, occupancy) -> None:
-    """Flip bits in place until the channel popcount matches target.
+def _repair(strings: np.ndarray, target: int, occupancy, n_orb: int) -> np.ndarray:
+    """The strings with every popcount moved to target by flipping bits.
 
-    Flip order: descending distance |bit - mean occupancy| (a bit disagreeing
-    with the rounded hint has distance > 0.5, so it is always flipped before
-    any agreeing bit), ties broken by ascending orbital index. Only bits whose
-    flip moves the popcount toward the target are candidates.
+    Candidates are the bits whose flip moves the popcount toward the target.
+    Each string flips its first |popcount - target| of them by descending
+    |bit - mean occupancy|, ties by ascending orbital.
     """
-    have = sum(bits)
-    if have == target:
-        return
-    flip_to = 0 if have > target else 1
-    candidates = [p for p, b in enumerate(bits) if b != flip_to]
-    candidates.sort(key=lambda p: (-abs(bits[p] - occupancy[p]), p))
-    for p in candidates:
-        if have == target:
-            break
-        bits[p] = flip_to
-        have += 2 * flip_to - 1
+    excess = np.bitwise_count(strings).astype(np.int64) - target
+    bits = _occupations(strings, n_orb)
+    candidate = bits == (excess > 0)[:, None]  # 1s when over target, else 0s
+    distance = np.abs(bits - np.asarray(occupancy, dtype=float))
+    order = np.argsort(np.where(candidate, -distance, np.inf), axis=1, kind="stable")
+    flip = np.argsort(order, axis=1) < np.abs(excess)[:, None]  # rank below |excess|
+    return strings ^ (flip @ _BIT[:n_orb])
 
 
 def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
                     occupancy_hint=None) -> Subspace:
     """Reduce raw samples to the subspace of their sector-valid determinants.
 
-    mode="discard" drops invalid bitstrings; mode="recover" repairs them by
-    flipping, within the violating spin channel, the bits farthest from the
-    supplied mean occupancies until the popcount matches. Row order is
-    first appearance in the batch; repaired duplicates merge.
+    mode="discard" drops the rows outside the sector; mode="recover" repairs
+    them by flipping, within each violating spin channel, the bits farthest
+    from the supplied mean occupancies until the popcount matches. Row order
+    is first appearance in the batch; repaired duplicates merge.
     """
     if mode not in ("discard", "recover"):
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -205,18 +225,14 @@ def filter_symmetry(batch: SampleBatch, sector: Sector, mode: str = "discard",
     n = sector.n_orb
     if batch.n_orb != n:
         raise ValueError(f"a batch over {batch.n_orb} orbitals does not fit {sector}")
-    out: list[Determinant] = []
-    for bits in batch.counts:
-        if bitstring_is_valid(bits, sector):
-            out.append(det_from_string(bits))
-        elif mode == "recover":
-            alpha = [1 if c == "1" else 0 for c in bits[:n]]
-            beta = [1 if c == "1" else 0 for c in bits[n:]]
-            _repair_channel(alpha, sector.n_alpha, occupancy_hint[0])
-            _repair_channel(beta, sector.n_beta, occupancy_hint[1])
-            out.append(Determinant(sum(b << p for p, b in enumerate(alpha)),
-                                   sum(b << p for p, b in enumerate(beta))))
-    return Subspace(out, sector)
+    if mode == "discard":
+        keep = batch.in_sector(sector)
+        alpha, beta = batch.alpha[keep], batch.beta[keep]
+    else:
+        alpha = _repair(batch.alpha, sector.n_alpha, occupancy_hint[0], n)
+        beta = _repair(batch.beta, sector.n_beta, occupancy_hint[1], n)
+    first = np.sort(_distinct_rows(alpha, beta)[0])
+    return Subspace._of(alpha[first], beta[first], sector, frozenset())
 
 
 def cap_screen(sub: Subspace, amplitudes: np.ndarray, k: int) -> np.ndarray:

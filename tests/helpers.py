@@ -2,7 +2,9 @@
 
 The Jordan-Wigner matrices built here use plain numpy kron products and know
 nothing about the package's bit tricks; they exist so the operator-algebra
-module can itself be checked against something independent.
+module can itself be checked against something independent. The bitstring
+filter below is the one-key-at-a-time form that the vectorized
+``filter_symmetry`` replaced, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hivqe.determinants import Sector
+from hivqe.determinants import Determinant, Sector
 from hivqe.integrals import IntegralSet
-from hivqe.subspace import Subspace
+from hivqe.subspace import SampleBatch, Subspace, bitstring_is_valid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,6 +36,66 @@ def load_reference() -> dict:
 def subspace_of(dets, s: IntegralSet) -> Subspace:
     """The determinants as a Subspace of the integral set's sector."""
     return Subspace(dets, Sector(s.n_orb, s.n_alpha, s.n_beta))
+
+
+def det_from_string(text: str) -> Determinant:
+    """Inverse of ``det_to_string`` (a subspace.txt line); the "|" is optional."""
+    bits = text.replace("|", "").strip()
+    if len(bits) % 2 or not set(bits) <= {"0", "1"}:
+        raise ValueError(f"not a determinant string: {text!r}")
+    n_orb = len(bits) // 2
+    alpha = sum(1 << p for p in range(n_orb) if bits[p] == "1")
+    beta = sum(1 << p for p in range(n_orb) if bits[n_orb + p] == "1")
+    return Determinant(alpha, beta)
+
+
+def batch_of(text_counts: dict, n_orb: int) -> SampleBatch:
+    """A SampleBatch of {2*n_orb-character bitstring: shots}, rows in dict order."""
+    if any(len(bits) != 2 * n_orb for bits in text_counts):
+        raise ValueError(f"every bitstring needs {2 * n_orb} characters")
+    dets = [det_from_string(bits) for bits in text_counts]
+    shots = np.array(list(text_counts.values()), dtype=np.int64)
+    return SampleBatch(np.array([d.alpha_mask for d in dets], dtype=np.uint64),
+                       np.array([d.beta_mask for d in dets], dtype=np.uint64),
+                       shots, int(shots.sum()), n_orb)
+
+
+def _repair_channel(bits: list[int], target: int, occupancy) -> None:
+    """Flip bits in place until the channel popcount matches target.
+
+    Flip order: descending distance |bit - mean occupancy|, ties broken by
+    ascending orbital index. Only bits whose flip moves the popcount toward
+    the target are candidates.
+    """
+    have = sum(bits)
+    if have == target:
+        return
+    flip_to = 0 if have > target else 1
+    candidates = [p for p, b in enumerate(bits) if b != flip_to]
+    candidates.sort(key=lambda p: (-abs(bits[p] - occupancy[p]), p))
+    for p in candidates:
+        if have == target:
+            break
+        bits[p] = flip_to
+        have += 2 * flip_to - 1
+
+
+def filter_reference(text_counts: dict, sector: Sector, mode: str,
+                     occupancy_hint=None) -> list[Determinant]:
+    """filter_symmetry's determinants, one bitstring key at a time, first-seen."""
+    n = sector.n_orb
+    out = []
+    for bits in text_counts:
+        if bitstring_is_valid(bits, sector):
+            out.append(det_from_string(bits))
+        elif mode == "recover":
+            alpha = [1 if c == "1" else 0 for c in bits[:n]]
+            beta = [1 if c == "1" else 0 for c in bits[n:]]
+            _repair_channel(alpha, sector.n_alpha, occupancy_hint[0])
+            _repair_channel(beta, sector.n_beta, occupancy_hint[1])
+            out.append(Determinant(sum(b << p for p, b in enumerate(alpha)),
+                                   sum(b << p for p, b in enumerate(beta))))
+    return list(dict.fromkeys(out))
 
 
 def joint_amplitudes(state) -> np.ndarray:

@@ -11,10 +11,9 @@ import math
 import pytest
 
 from hivqe.cli import main
-from hivqe.determinants import det_from_string
 from hivqe.driver import IterationRecord
 
-from helpers import FIXTURES, load_reference
+from helpers import FIXTURES, det_from_string, load_reference
 
 H2 = str(FIXTURES / "h2_0.74.fcidump")
 LIH = str(FIXTURES / "lih.fcidump")

@@ -10,7 +10,6 @@ import pytest
 from hivqe.determinants import (
     Determinant,
     Sector,
-    det_from_string,
     det_to_string,
     excitation_info,
     generate_singles_doubles,
@@ -21,7 +20,7 @@ from hivqe.determinants import (
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector, sector_size
 
-from helpers import load_fixture, random_integral_set
+from helpers import det_from_string, load_fixture, random_integral_set
 
 
 def test_occupied_orbitals_orders_ascending():

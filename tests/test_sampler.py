@@ -7,6 +7,7 @@ oracle shares code with the sector-restricted fast path.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from hivqe.sampler import (
     sample,
     sector_size,
 )
+from hivqe.subspace import bitstring_is_valid, filter_symmetry
 
-from helpers import joint_amplitudes, jw_annihilator
+from helpers import det_from_string, filter_reference, joint_amplitudes, jw_annihilator
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -212,8 +214,6 @@ def test_sample_counts_and_support():
     assert sum(batch.counts.values()) == 4000
     dets = enumerate_sector(3, 2, 1)
     probs = dict(zip(dets, joint_amplitudes(state)**2))
-    from hivqe.determinants import det_from_string
-
     for bits, count in batch.counts.items():
         assert len(bits) == 6
         d = det_from_string(bits)
@@ -227,8 +227,6 @@ def test_sample_frequencies_track_probabilities():
     state, _ = prepared_example()
     shots = 200_000
     batch = sample(state, shots, NoiseModel(0.0), seed=77)
-    from hivqe.determinants import det_from_string
-
     dets = enumerate_sector(3, 2, 1)
     probs = dict(zip(dets, joint_amplitudes(state)**2))
     for bits, count in batch.counts.items():
@@ -281,6 +279,41 @@ def test_sampling_memory_scales_with_the_channels_not_the_sector(p_flip):
         tracemalloc.stop()
     assert batch.total_shots == 4000
     assert peak < 16 * 2**20
+
+
+def test_noisy_batch_over_40_orbitals_keeps_every_distinct_pair():
+    """One alpha and one beta electron in 40 orbitals, with readout flips.
+
+    The batch must hold exactly the distinct raw (alpha, beta) pairs of the
+    draw, in order of first appearance. A pair packed into one 64-bit
+    alpha << 40 | beta key would lose alpha's top bits and merge pairs.
+    """
+    sec = Sector(40, 1, 1)
+    spec = brick_wall_ansatz(40, 2)
+    state = prepare_state(spec, np.random.default_rng(40).normal(size=spec.n_params), sec)
+    shots, p_flip = 3000, 0.05
+    batch = sample(state, shots, NoiseModel(p_flip), seed=9)
+
+    # sample's documented stream: alpha strings, beta strings, then the flips.
+    # With one electron, string i of a channel is 1 << i.
+    rng = np.random.default_rng(9)
+    ia, ib = (rng.choice(40, size=shots, p=amps**2 / np.sum(amps**2))
+              for amps in (state.alpha, state.beta))
+    flips = rng.random((shots, 80)) < p_flip
+    expect = Counter(
+        ((1 << int(ia[i])) ^ sum(1 << p for p in range(40) if flips[i, p]),
+         (1 << int(ib[i])) ^ sum(1 << p for p in range(40) if flips[i, 40 + p]))
+        for i in range(shots))
+    got = list(zip(batch.alpha.tolist(), batch.beta.tolist(), batch.shots.tolist()))
+    assert got == [(a, b, c) for (a, b), c in expect.items()]
+    assert any(a >> 24 for a, _, _ in got)  # bits that a packed key would drop
+
+    hint = mean_occupations(state)
+    for mode in ("discard", "recover"):
+        dets = filter_symmetry(batch, sec, mode, hint)
+        assert list(dets) == filter_reference(batch.counts, sec, mode, hint)
+    assert batch.shots[batch.in_sector(sec)].sum() == sum(
+        c for bits, c in batch.counts.items() if bitstring_is_valid(bits, sec))
 
 
 def test_sample_rejects_nonpositive_shots():

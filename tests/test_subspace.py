@@ -8,7 +8,6 @@ import pytest
 from hivqe.determinants import (
     Determinant,
     Sector,
-    det_from_string,
     generate_singles_doubles,
     slater_condon,
 )
@@ -27,20 +26,42 @@ from hivqe.subspace import (
     union,
 )
 
-from helpers import load_fixture
+from helpers import batch_of, det_from_string, filter_reference, load_fixture
 
 SEC22 = Sector(4, 2, 2)
 
 
-def batch_of(counts, n_orb=4):
-    return SampleBatch(dict(counts), sum(counts.values()), n_orb)
+def strings(*values):
+    return np.array(values, dtype=np.uint64)
 
 
-def test_sample_batch_validates_shape():
+def test_sample_batch_refuses_inconsistent_arrays():
+    SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([3, 1]), 4, 4)
+    with pytest.raises(ValueError, match="length"):
+        SampleBatch(strings(0b0011, 0b1100), strings(0b0011), np.array([3, 1]), 4, 4)
+    with pytest.raises(ValueError, match="length"):
+        SampleBatch(strings(0b0011), strings(0b0011), np.array([3, 1]), 4, 4)
+    with pytest.raises(ValueError, match="orbital 4"):
+        SampleBatch(strings(0b0011, 0b10001), strings(0b0011, 0b0101), np.array([3, 1]), 4, 4)
+    with pytest.raises(ValueError, match="orbital 4"):
+        SampleBatch(strings(0b0011), strings(0b10000), np.array([4]), 4, 4)
+    with pytest.raises(ValueError, match="needs a shot"):
+        SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([4, 0]), 4, 4)
+    with pytest.raises(ValueError, match="sum"):
+        SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([3, 2]), 4, 4)
     with pytest.raises(ValueError):
-        SampleBatch({"11001100": 3}, 4, 4)  # counts do not sum to total
-    with pytest.raises(ValueError):
-        SampleBatch({"110011": 3}, 3, 4)  # width != 2 * n_orb
+        batch_of({"110011": 3}, 4)  # width != 2 * n_orb
+
+
+def test_sample_batch_arrays_are_read_only_and_counts_is_a_text_view():
+    batch = batch_of({"01011010": 5, "11101100": 2}, 4)
+    assert batch.alpha.tolist() == [0b1010, 0b0111]
+    assert batch.beta.tolist() == [0b0101, 0b0011]
+    assert batch.shots.tolist() == [5, 2] and len(batch) == 2
+    for array in (batch.alpha, batch.beta, batch.shots):
+        assert not array.flags.writeable
+    assert list(batch.counts.items()) == [("01011010", 5), ("11101100", 2)]
+    assert batch.in_sector(SEC22).tolist() == [True, False]
 
 
 def test_bitstring_validity():
@@ -61,7 +82,7 @@ def test_filter_discard_keeps_first_appearance_order():
         "01011010": 5,   # valid
         "11101100": 2,   # invalid alpha
         "11001100": 7,   # valid (HF)
-    })
+    }, 4)
     dets = filter_symmetry(batch, SEC22, "discard")
     assert list(dets) == [det_from_string("01011010"), det_from_string("11001100")]
 
@@ -70,7 +91,7 @@ def test_filter_recover_flips_lowest_hint_bit():
     # alpha channel has one electron too many; the hint says orbital 2 is the
     # least expected to be occupied, so it is the one dropped.
     hint = (np.array([0.9, 0.6, 0.4, 0.1]), np.array([0.5, 0.5, 0.5, 0.5]))
-    batch = batch_of({"11101100": 1})
+    batch = batch_of({"11101100": 1}, 4)
     dets = filter_symmetry(batch, SEC22, "recover", occupancy_hint=hint)
     assert list(dets) == [Determinant(0b0011, 0b0011)]
 
@@ -78,14 +99,14 @@ def test_filter_recover_flips_lowest_hint_bit():
 def test_filter_recover_adds_missing_electron():
     # beta channel one short; orbital with the highest hint gains it
     hint = (np.array([0.5] * 4), np.array([0.1, 0.2, 0.9, 0.3]))
-    batch = batch_of({"11000000": 1})
+    batch = batch_of({"11000000": 1}, 4)
     dets = filter_symmetry(batch, SEC22, "recover", occupancy_hint=hint)
     assert list(dets) == [Determinant(0b0011, 0b1100)]  # betas placed on 2 then 3
 
 
 def test_filter_recover_never_drops_and_merges_duplicates():
     hint = (np.full(4, 0.5), np.full(4, 0.5))
-    batch = batch_of({"11101100": 3, "11011100": 2, "11001100": 4})
+    batch = batch_of({"11101100": 3, "11011100": 2, "11001100": 4}, 4)
     dets = filter_symmetry(batch, SEC22, "recover", occupancy_hint=hint)
     assert all(SEC22.contains(d) for d in dets)
     assert len(dets) == len(set(dets))
@@ -95,7 +116,40 @@ def test_filter_recover_never_drops_and_merges_duplicates():
 
 def test_filter_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        filter_symmetry(batch_of({"11001100": 1}), SEC22, "patch")
+        filter_symmetry(batch_of({"11001100": 1}, 4), SEC22, "patch")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_filter_matches_the_bitstring_reference(seed):
+    """filter_symmetry against the one-key-at-a-time filter of tests/helpers.py.
+
+    Each channel is over-filled, under-filled or valid, in every combination,
+    so some rows have both channels invalid at once. The hints hold exact
+    ties: all 0.5, and values such as 0.25 and 0.75 that put a 0 bit and a
+    1 bit at equal distance.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    sector = Sector(n, int(rng.integers(1, n)), int(rng.integers(1, n)))
+
+    def channel(target, delta):
+        bits = np.zeros(n, dtype=int)
+        bits[rng.choice(n, min(max(target + delta, 0), n), replace=False)] = 1
+        return "".join(map(str, bits))
+
+    rows = [channel(sector.n_alpha, da) + channel(sector.n_beta, db)
+            for da, db in itertools.product((-2, -1, 0, 1, 2), repeat=2) for _ in range(3)]
+    text = {bits: int(rng.integers(1, 5)) for bits in rng.permutation(rows).tolist()}
+    batch = batch_of(text, n)
+    ties = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.9])
+    hints = [(np.full(n, 0.5), np.full(n, 0.5)),
+             (rng.choice(ties, n), rng.choice(ties, n)),
+             (rng.random(n), rng.random(n))]
+    assert list(filter_symmetry(batch, sector, "discard")) == filter_reference(
+        text, sector, "discard")
+    for hint in hints:
+        assert list(filter_symmetry(batch, sector, "recover", hint)) == filter_reference(
+            text, sector, "recover", hint)
 
 
 def h2_ground():
