@@ -198,13 +198,15 @@ def _cmd_sweep(args) -> int:
     entries = []
     integrals_by_label = {}
     base = manifest_path.parent
-    for line in manifest_path.read_text().splitlines():
+    for number, line in enumerate(manifest_path.read_text().splitlines(), 1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) not in (2, 3):
             raise ValueError(f"manifest line needs 'label path [e_ref]': {line!r}")
         label, rel = tokens[0], tokens[1]
+        if label in integrals_by_label:
+            raise ValueError(f"manifest line {number} repeats the label {label!r}")
         e_ref = float(tokens[2]) if len(tokens) == 3 else None
         path = Path(rel)
         if not path.is_absolute():

@@ -6,11 +6,16 @@ electron. Masks fit in 64 bits, so n_orb <= 64. Fermionic phases follow the
 convention that spin orbitals are ordered by ascending spatial index with the
 whole alpha string before the beta string; crossings are therefore counted
 within each spin channel independently and the channel signs multiply.
+
+slater_condon's element helpers also take arrays of moves out of one
+determinant; with _excitations, the strings one or two moves from one string,
+they score classical expansion's candidates as string arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +29,6 @@ __all__ = [
     "hartree_fock_det",
     "excitation_info",
     "slater_condon",
-    "generate_singles_doubles",
     "det_to_string",
     "occupied_orbitals",
 ]
@@ -174,14 +178,28 @@ def _diagonal_element(d: Determinant, s: IntegralSet) -> float:
     return e
 
 
-def _single_element(h, p, phase, occ_same, occ_other, s: IntegralSet) -> float:
+def _single_element(h, p, phase, occ_same, occ_other, s: IntegralSet):
+    """<d1|H|d2> for the move h -> p of sign phase; occ_same and occ_other are
+    d1's ascending occupations of the moving channel and of the other. h, p
+    and phase may be arrays of moves out of one d1, each summed as one move."""
     # The q == h term cancels identically, so the sum may run over the full
     # occupation of the source determinant.
     e = s.one_body[h, p]
     for q in occ_same:
-        e += get_eri(s, h, p, q, q) - get_eri(s, h, q, q, p)
+        e = e + (s.eri[h, p, q, q] - s.eri[h, q, q, p])
     for q in occ_other:
-        e += get_eri(s, h, p, q, q)
+        e = e + s.eri[h, p, q, q]
+    return phase * e
+
+
+def _double_element(holes, particles, phase, s: IntegralSet, exchange: bool = True):
+    """<d1|H|d2> for the moves holes[i] -> particles[i] of sign phase, entries
+    scalars or arrays; exchange=False for one move per channel, as opposite
+    spins never exchange."""
+    (h1, h2), (p1, p2) = holes, particles
+    e = s.eri[h1, p1, h2, p2]
+    if exchange:
+        e = e - s.eri[h1, p2, h2, p1]
     return phase * e
 
 
@@ -200,73 +218,31 @@ def slater_condon(d1: Determinant, d2: Determinant, s: IntegralSet) -> float:
         return _diagonal_element(d1, s)
 
     info = excitation_info(d1, d2)
-    if degree == 1:
-        if deg_a == 1:
-            return _single_element(
-                info.alpha_holes[0], info.alpha_particles[0], info.phase,
-                occupied_orbitals(d1.alpha_mask), occupied_orbitals(d1.beta_mask), s,
-            )
-        return _single_element(
-            info.beta_holes[0], info.beta_particles[0], info.phase,
-            occupied_orbitals(d1.beta_mask), occupied_orbitals(d1.alpha_mask), s,
-        )
-
-    # degree == 2
-    if deg_a == 2:
-        h1, h2 = info.alpha_holes
-        p1, p2 = info.alpha_particles
-        return info.phase * (get_eri(s, h1, p1, h2, p2) - get_eri(s, h1, p2, h2, p1))
-    if deg_b == 2:
-        h1, h2 = info.beta_holes
-        p1, p2 = info.beta_particles
-        return info.phase * (get_eri(s, h1, p1, h2, p2) - get_eri(s, h1, p2, h2, p1))
-    # One excitation in each channel: Coulomb only, opposite spins never exchange.
-    ha, pa = info.alpha_holes[0], info.alpha_particles[0]
-    hb, pb = info.beta_holes[0], info.beta_particles[0]
-    return info.phase * get_eri(s, ha, pa, hb, pb)
+    holes = info.alpha_holes + info.beta_holes
+    particles = info.alpha_particles + info.beta_particles
+    if degree == 2:
+        return _double_element(holes, particles, info.phase, s, exchange=deg_a != 1)
+    occ = occupied_orbitals(d1.alpha_mask), occupied_orbitals(d1.beta_mask)
+    same, other = occ if deg_a else occ[::-1]
+    return _single_element(holes[0], particles[0], info.phase, same, other, s)
 
 
-def _channel_singles(mask: int, n_orb: int):
-    occ = occupied_orbitals(mask)
-    virt = [p for p in range(n_orb) if not (mask >> p) & 1]
-    for h in occ:
-        for p in virt:
-            yield mask ^ (1 << h) | (1 << p)
+def _excitations(string, n_orb: int, degree: int) -> tuple:
+    """Every string that moves degree (1 or 2) electrons of one uint64 string.
 
-
-def _channel_doubles(mask: int, n_orb: int):
-    occ = occupied_orbitals(mask)
-    virt = [p for p in range(n_orb) if not (mask >> p) & 1]
-    for i, h1 in enumerate(occ):
-        for h2 in occ[i + 1:]:
-            for a, p1 in enumerate(virt):
-                for p2 in virt[a + 1:]:
-                    yield mask ^ (1 << h1) ^ (1 << h2) | (1 << p1) | (1 << p2)
-
-
-def generate_singles_doubles(ref: Determinant, n_orb: int) -> list[Determinant]:
-    """All determinants one or two excitations away from ref.
-
-    Per-spin electron counts are preserved, the reference itself is excluded,
-    and the construction yields no duplicates. Order is deterministic:
-    alpha singles, beta singles, alpha doubles, beta doubles, then
-    mixed alpha-beta doubles, each block in ascending loop order.
+    Returns (strings, holes, particles, phase): holes and particles are
+    (len(strings), degree) ascending orbitals, paired in that order as
+    excitation_info pairs them, and phase is the sign of those moves.
     """
-    out = []
-    alpha_singles = list(_channel_singles(ref.alpha_mask, n_orb))
-    beta_singles = list(_channel_singles(ref.beta_mask, n_orb))
-    for a in alpha_singles:
-        out.append(Determinant(a, ref.beta_mask))
-    for b in beta_singles:
-        out.append(Determinant(ref.alpha_mask, b))
-    for a in _channel_doubles(ref.alpha_mask, n_orb):
-        out.append(Determinant(a, ref.beta_mask))
-    for b in _channel_doubles(ref.beta_mask, n_orb):
-        out.append(Determinant(ref.alpha_mask, b))
-    for a in alpha_singles:
-        for b in beta_singles:
-            out.append(Determinant(a, b))
-    return out
+    bits = _occupations(np.array([string], dtype=np.uint64), n_orb)[0]
+    holes, particles = (np.array(list(combinations(np.flatnonzero(bits == v), degree)),
+                                 dtype=np.intp).reshape(-1, degree) for v in (1, 0))
+    holes, particles = np.repeat(holes, len(particles), axis=0), np.tile(particles, (len(holes), 1))
+    strings, phase = np.uint64(string), np.ones(len(holes))
+    for k in range(degree):  # one move at a time, each signed on the string it moves in
+        phase *= _phase(strings, holes[:, k], particles[:, k])
+        strings = strings ^ _BIT[holes[:, k]] ^ _BIT[particles[:, k]]
+    return strings, holes, particles, phase
 
 
 def det_to_string(d: Determinant, n_orb: int) -> str:

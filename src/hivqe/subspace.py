@@ -23,11 +23,13 @@ from .determinants import (
     Sector,
     _BIT,
     _distinct_rows,
+    _double_element,
+    _excitations,
     _occupations,
+    _single_element,
     det_to_string,
-    generate_singles_doubles,
     hartree_fock_det,
-    slater_condon,
+    occupied_orbitals,
 )
 from .integrals import IntegralSet
 
@@ -274,11 +276,12 @@ def amplitude_screen(sub: Subspace, amplitudes: np.ndarray, threshold: float) ->
 def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralSet) -> Subspace:
     """Expand around the largest-amplitude not-yet-expanded determinant.
 
-    amplitudes is a wavefunction over sub. Generates that reference's singles
-    and doubles, ranks candidates absent from the subspace by |<ref|H|cand>|
-    descending, appends the top m, and marks the reference as expanded. When
-    every determinant has already served as a reference the subspace is
-    returned unchanged.
+    amplitudes is a wavefunction over sub. That reference's singles and
+    doubles are built as string arrays and scored by slater_condon's own
+    element helpers; candidates absent from the subspace are ranked by
+    |<ref|H|cand>| descending, the top m appended, and the reference marked
+    as expanded. When every determinant has already served as a reference
+    the subspace is returned unchanged.
     """
     if len(amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
@@ -288,15 +291,29 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
     order = order[~np.isin(order, sub.find(*_strings(sub.expanded_refs)))]
     if not len(order):
         return sub
-    ref = Determinant(int(sub.alpha[order[0]]), int(sub.beta[order[0]]))
-    candidates = generate_singles_doubles(ref, sub.sector.n_orb)
-    alpha, beta = _strings(candidates)
+    ref_a, ref_b = sub.alpha[order[0]], sub.beta[order[0]]
+    n = sub.sector.n_orb
+    occ_a, occ_b = occupied_orbitals(int(ref_a)), occupied_orbitals(int(ref_b))
+    a1, ha1, pa1, sa1 = _excitations(ref_a, n, 1)
+    b1, hb1, pb1, sb1 = _excitations(ref_b, n, 1)
+    a2, ha2, pa2, sa2 = _excitations(ref_a, n, 2)
+    b2, hb2, pb2, sb2 = _excitations(ref_b, n, 2)
+    ia, ib = np.divmod(np.arange(len(a1) * len(b1)), len(b1))
+    # alpha singles, beta singles, alpha doubles, beta doubles, alpha single x beta single
+    alpha = np.concatenate((a1, np.full(len(b1), ref_a), a2, np.full(len(b2), ref_a), a1[ia]))
+    beta = np.concatenate((np.full(len(a1), ref_b), b1, np.full(len(a2), ref_b), b2, b1[ib]))
+    coupling = np.abs(np.concatenate((
+        _single_element(ha1[:, 0], pa1[:, 0], sa1, occ_a, occ_b, s),
+        _single_element(hb1[:, 0], pb1[:, 0], sb1, occ_b, occ_a, s),
+        _double_element(ha2.T, pa2.T, sa2, s),
+        _double_element(hb2.T, pb2.T, sb2, s),
+        _double_element((ha1[ia, 0], hb1[ib, 0]), (pa1[ia, 0], pb1[ib, 0]), sa1[ia] * sb1[ib], s,
+                        exchange=False))))
     absent = np.flatnonzero(sub.find(alpha, beta) < 0)
-    coupling = np.array([abs(slater_condon(ref, candidates[i], s)) for i in absent.tolist()])
-    added = absent[np.lexsort((beta[absent], alpha[absent], -coupling))[:m]]
+    added = absent[np.lexsort((beta[absent], alpha[absent], -coupling[absent]))[:m]]
     return Subspace._of(np.concatenate((sub.alpha, alpha[added])),
                         np.concatenate((sub.beta, beta[added])),
-                        sub.sector, sub.expanded_refs | {ref})
+                        sub.sector, sub.expanded_refs | {Determinant(int(ref_a), int(ref_b))})
 
 
 def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = None) -> Subspace:

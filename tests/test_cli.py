@@ -276,6 +276,20 @@ def test_sweep_resolves_paths_relative_to_manifest(tmp_path):
         manifest.unlink()
 
 
+def test_sweep_refuses_a_repeated_label(tmp_path, capsys):
+    """Two geometries under one label would both run the last file listed."""
+    manifest = tmp_path / "curve.txt"
+    manifest.write_text(
+        "# one label, two geometries\n"
+        f"a {FIXTURES / 'h2_0.74.fcidump'} -1.137\n"
+        f"a {FIXTURES / 'h2_1.50.fcidump'} -0.99\n"
+    )
+    rc = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "manifest line 3 repeats the label 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "pes.csv").exists()
+
+
 def test_sweep_empty_manifest_exits_one(tmp_path, capsys):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing here\n\n")

@@ -12,7 +12,6 @@ from hivqe.determinants import (
     Sector,
     det_to_string,
     excitation_info,
-    generate_singles_doubles,
     hartree_fock_det,
     occupied_orbitals,
     slater_condon,
@@ -114,33 +113,6 @@ def test_slater_condon_zero_beyond_double():
     ref = hartree_fock_det(s)
     triple = Determinant(0b111000, ref.beta_mask)  # three alpha moves
     assert slater_condon(ref, triple, s) == 0.0
-
-
-def test_generate_singles_doubles_matches_enumeration():
-    n_orb = 4
-    ref = Determinant(0b0011, 0b0101)
-    got = generate_singles_doubles(ref, n_orb)
-    assert len(set(got)) == len(got)
-    assert ref not in got
-
-    def degree(d):
-        return ((d.alpha_mask ^ ref.alpha_mask).bit_count()
-                + (d.beta_mask ^ ref.beta_mask).bit_count()) // 2
-
-    expected = {d for d in enumerate_sector(n_orb, 2, 2)
-                if 1 <= degree(d) <= 2}
-    assert set(got) == expected
-
-
-def test_generate_singles_doubles_block_order():
-    ref = Determinant(0b01, 0b01)
-    got = generate_singles_doubles(ref, 2)
-    # one alpha single, one beta single, no same-spin doubles, one mixed double
-    assert got == [
-        Determinant(0b10, 0b01),
-        Determinant(0b01, 0b10),
-        Determinant(0b10, 0b10),
-    ]
 
 
 def test_hf_diagonal_matches_scf_energy():

@@ -8,9 +8,10 @@ import pytest
 from hivqe.determinants import (
     Determinant,
     Sector,
-    generate_singles_doubles,
+    hartree_fock_det,
     slater_condon,
 )
+from hivqe.integrals import IntegralSet
 from hivqe.eigensolver import ground_state, project
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import (
@@ -26,7 +27,13 @@ from hivqe.subspace import (
     union,
 )
 
-from helpers import batch_of, det_from_string, filter_reference, load_fixture
+from helpers import (
+    batch_of,
+    det_from_string,
+    filter_reference,
+    load_fixture,
+    random_integral_set,
+)
 
 SEC22 = Sector(4, 2, 2)
 
@@ -411,16 +418,25 @@ def reference_cap(dets, amps, k, sector):
     return kept
 
 
-def reference_expand(dets, amps, refs, m, s, n_orb):
+def excitation_degree(d, ref):
+    return ((d.alpha_mask ^ ref.alpha_mask).bit_count()
+            + (d.beta_mask ^ ref.beta_mask).bit_count()) // 2
+
+
+def reference_ranking(ref, candidates, s):
+    """Candidates by |<ref|H|cand>| descending, ties by (alpha, beta) ascending."""
+    return sorted(candidates, key=lambda d: (-abs(slater_condon(ref, d, s)), d))
+
+
+def reference_expand(dets, amps, refs, m, s, every):
     fresh = [(i, d) for i, d in enumerate(dets) if d not in refs]
     if not fresh:
         return None, dets
     _, ref = min(fresh, key=lambda pair: (-abs(amps[pair[0]]), pair[1]))
     present = set(dets)
-    ranked = sorted(((abs(slater_condon(ref, d, s)), d)
-                     for d in generate_singles_doubles(ref, n_orb) if d not in present),
-                    key=lambda pair: (-pair[0], pair[1]))
-    return ref, dets + [d for _, d in ranked[:m]]
+    ranked = reference_ranking(
+        ref, [d for d in every if 1 <= excitation_degree(d, ref) <= 2 and d not in present], s)
+    return ref, dets + ranked[:m]
 
 
 def reference_tensor(dets, closed_shell):
@@ -431,7 +447,7 @@ def reference_tensor(dets, closed_shell):
     return [Determinant(a, b) for a in alphas for b in betas]
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(50))
 def test_array_screens_match_the_tuple_sort_references(seed):
     rng = np.random.default_rng(seed)
     # h4_chain's symmetry zeroes many couplings, so coupling ranks tie too
@@ -448,7 +464,7 @@ def test_array_screens_match_the_tuple_sort_references(seed):
             assert cap_screen(sub, amps, k).tolist() == reference_cap(dets, amps, k, sector)
 
         m = int(rng.integers(0, 6))
-        ref, expected = reference_expand(dets, amps, refs, m, s, sector.n_orb)
+        ref, expected = reference_expand(dets, amps, refs, m, s, every)
         grown = classical_expand(sub, amps, m, s)
         assert list(grown) == expected
         assert grown.expanded_refs == (refs if ref is None else refs | {ref})
@@ -460,6 +476,44 @@ def test_array_screens_match_the_tuple_sort_references(seed):
             product = reference_tensor(dets, closed_shell)
             built = tensor_reconstruct(sub, closed_shell)
             assert list(built) == (dets if len(product) == len(dets) else product)
+
+
+def _top_orbital_case():
+    """64 orbitals, 1a/1b, integrals only among a few orbitals that include 63."""
+    active = (0, 1, 5, 31, 62, 63)
+    rng = np.random.default_rng(63)
+    one = {(p, q): rng.normal() for p in active for q in active if q <= p}
+    two = {(p, q, r, t): rng.normal()
+           for p in active for q in active for r in active for t in active
+           if q <= p and t <= r and (r, t) <= (p, q)}
+    return IntegralSet.from_terms(64, 1, 1, 0.0, one, two), Determinant(1 << 63, 1 << 5)
+
+
+EXPANSION_CASES = {
+    "lih_hf": lambda: (load_fixture("lih"), None),
+    "h4_chain_hf": lambda: (load_fixture("h4_chain"), None),
+    "no_beta": lambda: (random_integral_set(6, 3, 0, seed=21), Determinant(0b101010, 0)),
+    "full_alpha": lambda: (random_integral_set(5, 5, 2, seed=22), Determinant(0b11111, 0b10100)),
+    "one_per_channel": lambda: (random_integral_set(5, 1, 1, seed=23), Determinant(0b100, 0b1000)),
+    "orbital_63": _top_orbital_case,
+}
+
+
+@pytest.mark.parametrize("case", EXPANSION_CASES)
+def test_expansion_appends_every_single_and_double_once(case):
+    """A one-row subspace with m above the candidate count gains exactly the
+    sector determinants one or two moves from its row, ranked as
+    slater_condon ranks them."""
+    s, ref = EXPANSION_CASES[case]()
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    ref = ref or hartree_fock_det(s)
+    grown = classical_expand(Subspace([ref], sector), np.ones(1), 10**6, s)
+    candidates = [d for d in enumerate_sector(*sector) if 1 <= excitation_degree(d, ref) <= 2]
+    assert list(grown) == [ref] + reference_ranking(ref, candidates, s)
+    assert grown.expanded_refs == {ref}
+    if case == "orbital_63":  # moves out of and into orbital 63 both couple
+        assert any(slater_condon(ref, d, s) != 0 for d in candidates if not d.alpha_mask >> 63)
+        assert any(slater_condon(ref, d, s) != 0 for d in candidates if d.beta_mask >> 63)
 
 
 def test_a_dropped_and_readded_reference_is_not_expanded_twice():
