@@ -9,11 +9,12 @@ union's Hamiltonian once, extending the previous tight solve's matrix: only
 pairs that touch a new determinant are evaluated, and the diagonal is
 recomputed. Over the cap, a loose solve of it ranks the rows, and the tight
 solve (the reported energy) runs on the kept rows and columns of the same
-matrix; only a tensor reconstruction that adds determinants assembles again,
-extending the kept matrix. The loop then tests convergence, amplitude-screens,
-classically expands, and lets the optimizer update theta from the probe
-pair. The best cumulative Subspace and its eigenvector are returned; an
-eigenvector moves onto a later subspace's rows through Subspace.find.
+matrix, in subspace order; only a tensor reconstruction that adds
+determinants assembles again, extending the kept matrix. The loop then tests
+convergence, amplitude-screens, classically expands, and lets the optimizer
+update theta from the probe pair. The best cumulative Subspace (of equal
+energies, the smaller) and its eigenvector are returned; an eigenvector
+moves onto a later subspace's rows through Subspace.find.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .determinants import Sector, _occupations, hartree_fock_det, slater_condon
-from .eigensolver import CIVector, ground_state, project, single_excitation_pairs
+from .eigensolver import CIVector, ground_state, principal_block, project, single_excitation_pairs
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
 from .sampler import NoiseModel, brick_wall_ansatz, mean_occupations, prepare_state, sample
@@ -271,8 +272,7 @@ def run_hivqe(
         sub, h = cum, project(cum, s, known)
         if len(cum) > cfg.k:
             rows = cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k)
-            sub, h = cum.take(rows), h[rows][:, rows]
-            h.sort_indices()  # project's order, so matvecs sum each row alike
+            sub, h = principal_block(cum, h, rows)
         if cfg.tensor_reconstruct:
             try:
                 tensored = tensor_reconstruct(sub, cfg.closed_shell, 10 * cfg.k)
@@ -287,7 +287,7 @@ def run_hivqe(
         e_cum = psi.energy
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
-        if best is None or e_cum < best[0]:
+        if best is None or (e_cum, len(sub)) < (best[0], len(best[2])):  # ties: fewer rows
             best = (e_cum, psi.amplitudes.copy(), sub)
         if best_energy_seen - e_cum > 1e-10:
             best_energy_seen = e_cum

@@ -2,21 +2,22 @@
 
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
 rows of a Subspace with string-driven numpy batches (Knowles & Handy, CPL
-111, 315, 1984): each row's pair of uint64 strings becomes a pair of indices
-into the distinct alpha and beta strings, excitations of degree 1 and 2 are
-linked between the strings of each spin channel, and partners are looked up
-by sorted key. Pairs come in three batches: alpha excitations with the beta
-string unchanged, beta excitations with the alpha string unchanged, and one
-single excitation in each channel. Handed an earlier subspace's matrix, it
-copies the pairs of rows both hold and batches only pairs that touch a new
-row (fast SHCI: Li, Otten, Holmes, Sharma & Umrigar, JCP 149, 214110, 2018).
-The diagonal, always recomputed, comes from occupation vectors against
-J = (pp|qq) and K = (pq|qp). slater_condon is the element-by-element oracle.
+111, 315, 1984) and stores it once, as its upper triangle: each row's pair
+of uint64 strings becomes a pair of indices into the distinct alpha and beta
+strings, excitations of degree 1 and 2 are linked between the strings of each
+spin channel, and partners are found by StringRanks.row. Pairs come in three
+batches: alpha excitations with the beta string unchanged, beta excitations
+with the alpha string unchanged, and one single excitation in each channel.
+Handed an earlier subspace's triangle, it copies the pairs of rows both hold
+and batches only pairs that touch a new row (fast SHCI: Li, Otten, Holmes,
+Sharma & Umrigar, JCP 149, 214110, 2018). The diagonal, always recomputed,
+comes from occupation vectors against J = (pp|qq) and K = (pq|qp).
+slater_condon is the element-by-element oracle.
 
-ground_state() solves directly up to a configurable dimension; above it, a
-Davidson iteration with a diagonal preconditioner keeps its basis V and the
-products AV as (n, m) arrays and restarts from the Ritz pair once m reaches
-MAX_SUBSPACE (Davidson, J. Comput. Phys. 17, 87, 1975).
+ground_state() finds the lowest eigenpair alone, directly up to a set
+dimension; above it, a Davidson iteration applies the triangle and its
+transpose, keeps its basis V and the products AV as (n, m) arrays and
+restarts once m reaches MAX_SUBSPACE (Davidson, J. Comput. Phys. 17, 87, 1975).
 """
 
 from __future__ import annotations
@@ -269,12 +270,12 @@ def project(sub: Subspace, s: IntegralSet,
             known: Optional[tuple] = None) -> scipy.sparse.csr_matrix:
     """Assemble <d_i|H|d_j> + e_core*I over the rows of sub, in order.
 
-    Entries beyond excitation degree 2 and off-diagonal entries that vanish
-    are not stored; every diagonal entry is. The matrix is stored fully
-    symmetric (both triangles). Given known, an earlier (Subspace, matrix)
-    pair from project, entries between rows both subspaces hold are copied
-    and the kernel runs only on pairs that touch a new row; each value is
-    the same formula, so the matrix is bitwise a cold one. The diagonal is
+    Only the upper triangle (row <= column) is stored, without entries beyond
+    excitation degree 2 or off-diagonal entries that vanish; every diagonal
+    entry is stored. Given known, an earlier (Subspace, matrix) pair from
+    project or principal_block, entries between rows both subspaces hold are
+    copied and the kernel runs only on pairs that touch a new row; each value
+    is the same formula, so the matrix is bitwise a cold one. The diagonal is
     always recomputed: its last bits depend on which strings sub holds.
     """
     n = len(sub)
@@ -284,7 +285,8 @@ def project(sub: Subspace, s: IntegralSet,
     index = _StringIndex(sub, s.n_orb, at >= 0)
     eri, ar = s.eri, np.arange(s.n_orb)
     occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
-    rows, cols, vals = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    diag = np.arange(n, dtype=np.int32)
+    rows, cols, vals = [diag], [diag], [_diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core]
 
     def emit(i, j, v):
         keep = v != 0.0
@@ -295,9 +297,9 @@ def project(sub: Subspace, s: IntegralSet,
     if index.old.any():
         to = np.full(known[1].shape[0], -1)  # known row -> row of sub
         to[at[index.old]] = np.flatnonzero(index.old)
-        block = scipy.sparse.triu(known[1], 1, format="coo")
+        block = known[1].tocoo()
         i, j = to[block.row], to[block.col]
-        emit(i, j, np.where((i >= 0) & (j >= 0), block.data, 0.0))  # emit drops the zeros
+        emit(i, j, np.where((i >= 0) & (j >= 0) & (i != j), block.data, 0.0))  # emit drops 0s
 
     for channel, other in (("alpha", "beta"), ("beta", "alpha")):
         _, up, doubles = index.links[channel]
@@ -323,28 +325,31 @@ def project(sub: Subspace, s: IntegralSet,
         emit(i, j, up_alpha.phase[la] * beta.phase[lb] * eri[
             up_alpha.holes[la], up_alpha.particles[la], beta.holes[lb], beta.particles[lb]])
 
-    # U + U.T + diag, assembled in one conversion.
-    r, c, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    diag = np.arange(n, dtype=np.int32)
-    return scipy.sparse.coo_matrix(
-        (np.concatenate((v, v, _diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core)),
-         (np.concatenate((r, c, diag)), np.concatenate((c, r, diag)))),
-        shape=(n, n),
-    ).tocsr()
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
-def _davidson(matrix, tol: float, max_iter: int, guess: Optional[np.ndarray]):
-    """(theta, x, residual norm, converged) from a Davidson iteration whose
-    basis V and products AV are the columns of two (n, m) arrays."""
-    n = matrix.shape[0]
-    diag = matrix.diagonal()
+def principal_block(sub: Subspace, h: scipy.sparse.csr_matrix, rows) -> tuple:
+    """sub.take(rows) and h's block at rows, rows ascending so it stays one triangle."""
+    rows = np.sort(rows)
+    return sub.take(rows), h[rows][:, rows]
+
+
+def _davidson(upper, tol: float, max_iter: int, guess: Optional[np.ndarray]):
+    """(theta, x, residual norm, converged) from a Davidson iteration on the
+    triangle upper, whose basis V and products AV are two (n, m) arrays."""
+    n, lower, diag = upper.shape[0], upper.T, upper.diagonal()
+
+    def apply(v):
+        return upper @ v + lower @ v - diag * v
+
     if guess is not None and np.linalg.norm(guess) > 0:
         v0 = guess / np.linalg.norm(guess)
     else:
         v0 = np.zeros(n)
         v0[int(np.argmin(diag))] = 1.0
     V = v0[:, None]
-    AV = (matrix @ v0)[:, None]
+    AV = apply(v0)[:, None]
     for _ in range(max_iter):
         # eigh reads the lower triangle, V_i . AV_j for j <= i
         w, vecs = scipy.linalg.eigh(V.T @ AV)
@@ -375,7 +380,7 @@ def _davidson(matrix, tol: float, max_iter: int, guess: Optional[np.ndarray]):
             return theta, x, residual_norm, False
         t /= norm
         V = np.column_stack((V, t))
-        AV = np.column_stack((AV, matrix @ t))
+        AV = np.column_stack((AV, apply(t)))
     return theta, x, residual_norm, False
 
 
@@ -385,13 +390,14 @@ def ground_state(
     guess: Optional[CIVector] = None,
     dense_cutoff: int = DENSE_CUTOFF,
 ) -> CIVector:
-    """Lowest eigenpair of the symmetric matrix h that project() returns.
+    """Lowest eigenpair of the symmetric matrix whose upper triangle is h, as
+    project() returns it; entries below the diagonal must be absent.
 
     mode="tight" iterates Davidson to residual 1e-8 and raises on failure;
     mode="loose" stops at residual 1e-3 or 20 iterations, whichever first,
-    and returns the best estimate. Dimensions <= dense_cutoff use a direct
-    dense solve. The returned vector is normalized with its largest-magnitude
-    amplitude positive.
+    and returns the best estimate. Dimensions <= dense_cutoff solve directly
+    for the lowest pair alone. The returned vector is normalized with its
+    largest-magnitude amplitude positive.
     """
     if mode not in ("tight", "loose"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -399,7 +405,7 @@ def ground_state(
     if n == 0:
         raise EigensolverError("empty Hamiltonian")
     if n <= dense_cutoff:
-        w, v = scipy.linalg.eigh(h.toarray())
+        w, v = scipy.linalg.eigh(h.toarray(), lower=False, subset_by_index=[0, 0])
         theta, x = float(w[0]), v[:, 0]
     else:
         guess_vec = None

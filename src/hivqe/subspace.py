@@ -157,18 +157,30 @@ class Subspace:
 
 
 class StringRanks:
-    """Rows as indices ia, ib into each channel's sorted distinct strings alpha, beta."""
+    """Rows as indices ia, ib into each channel's sorted distinct strings alpha, beta.
+
+    row() reads a len(alpha)*len(beta) table of rows (-1 where absent) while
+    that is at most TABLE_FILL entries per row, as in any full sector, and
+    beyond that searches the sorted pair keys."""
+
+    TABLE_FILL = 64
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray):
         self.alpha, self.ia = np.unique(alpha, return_inverse=True)
         self.beta, self.ib = np.unique(beta, return_inverse=True)
-        keys = self.ia * len(self.beta) + self.ib
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
+        keys, size = self.ia * len(self.beta) + self.ib, len(self.alpha) * len(self.beta)
+        if size <= self.TABLE_FILL * len(keys):
+            self._table = np.full(size, -1, dtype=np.int32)
+            self._table[keys] = np.arange(len(keys))
+        else:
+            self._table, self._order = None, np.argsort(keys)
+            self._sorted = keys[self._order]
 
     def row(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row of each index pair (ia[i], ib[i]), -1 where absent."""
         want = ia * len(self.beta) + ib
+        if self._table is not None:
+            return self._table[want]
         pos = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
         return np.where(self._sorted[pos] == want, self._order[pos], -1)
 
@@ -182,11 +194,6 @@ def _strings(dets) -> tuple:
 def _hf_row(sub: Subspace) -> int:
     """Row of the Hartree-Fock determinant in sub, -1 when absent."""
     return int(sub.find(*_strings([hartree_fock_det(sub.sector)]))[0])
-
-
-def _rank(sub: Subspace, amplitudes: np.ndarray) -> np.ndarray:
-    """Rows by |amplitude| descending, ties by (alpha, beta) ascending."""
-    return np.lexsort((sub.beta, sub.alpha, -np.abs(amplitudes)))
 
 
 def bitstring_is_valid(bits: str, sector: Sector) -> bool:
@@ -250,7 +257,7 @@ def cap_screen(sub: Subspace, amplitudes: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("amplitude vector does not match subspace length")
     if len(sub) <= k:
         return np.arange(len(sub))
-    kept = _rank(sub, amplitudes)[:k]
+    kept = np.lexsort((sub.beta, sub.alpha, -np.abs(amplitudes)))[:k]
     hf = _hf_row(sub)
     if hf >= 0 and hf not in kept:
         kept[-1] = hf  # it ranks below every other survivor
@@ -287,11 +294,13 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
         raise ValueError("amplitude vector does not match subspace length")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    order = _rank(sub, amplitudes)
-    order = order[~np.isin(order, sub.find(*_strings(sub.expanded_refs)))]
-    if not len(order):
+    size = np.abs(amplitudes)
+    done = sub.find(*_strings(sub.expanded_refs))
+    size[done[done >= 0]] = -1.0  # each determinant serves as a reference once
+    tied = np.flatnonzero(size == size.max(initial=0.0))  # the largest fresh |amplitude|
+    if not len(tied):
         return sub
-    ref_a, ref_b = sub.alpha[order[0]], sub.beta[order[0]]
+    ref_a, ref_b = min(zip(sub.alpha[tied], sub.beta[tied]))  # ties by (alpha, beta)
     n = sub.sector.n_orb
     occ_a, occ_b = occupied_orbitals(int(ref_a)), occupied_orbitals(int(ref_b))
     a1, ha1, pa1, sa1 = _excitations(ref_a, n, 1)

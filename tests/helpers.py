@@ -38,6 +38,14 @@ def subspace_of(dets, s: IntegralSet) -> Subspace:
     return Subspace(dets, Sector(s.n_orb, s.n_alpha, s.n_beta))
 
 
+def dense_symmetric(h) -> np.ndarray:
+    """The symmetric matrix that project() stores as its upper triangle, as a
+    dense array; nothing may be stored below the diagonal."""
+    upper = h.toarray()
+    assert not np.tril(upper, -1).any(), "an entry is stored below the diagonal"
+    return upper + np.triu(upper, 1).T
+
+
 def det_from_string(text: str) -> Determinant:
     """Inverse of ``det_to_string`` (a subspace.txt line); the "|" is optional."""
     bits = text.replace("|", "").strip()

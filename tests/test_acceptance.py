@@ -29,7 +29,8 @@ from hivqe.sampler import (
 )
 from hivqe.subspace import bitstring_is_valid, filter_symmetry
 
-from helpers import FIXTURES, load_fixture, load_reference, random_integral_set, subspace_of
+from helpers import (FIXTURES, dense_symmetric, load_fixture, load_reference, random_integral_set,
+                     subspace_of)
 
 
 def test_01_projected_hamiltonian_matches_operator_algebra():
@@ -47,7 +48,7 @@ def test_01_projected_hamiltonian_matches_operator_algebra():
     for s in systems:
         dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
         h = project(subspace_of(dets, s), s)
-        dense = h.toarray()
+        dense = dense_symmetric(h)
 
         full = brute_force_hamiltonian(s)
         idx = [det_to_fock_index(d, s.n_orb) for d in dets]

@@ -11,23 +11,26 @@ from hivqe.eigensolver import (
     CIVector,
     EigensolverError,
     ground_state,
+    principal_block,
     project,
 )
 from hivqe.integrals import IntegralSet
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
 
-from helpers import load_fixture, load_reference, random_integral_set, subspace_of
-
-
-def dense_of(h):
-    return h.toarray()
+from helpers import dense_symmetric, load_fixture, load_reference, random_integral_set, subspace_of
 
 
 def test_project_is_symmetric_with_core_on_diagonal():
+    """project stores the symmetric matrix once: its upper triangle and the
+    diagonal, with nothing below it."""
     s = random_integral_set(4, 2, 2, seed=1, e_core=1.75)
     dets = enumerate_sector(4, 2, 2)
-    mat = dense_of(project(subspace_of(dets, s), s))
+    h = project(subspace_of(dets, s), s)
+    stored = h.toarray()
+    assert not np.tril(stored, -1).any()
+    assert np.count_nonzero(np.triu(stored, 1)) > 0
+    mat = dense_symmetric(h)
     assert np.allclose(mat, mat.T, atol=0)
     for i, d in enumerate(dets):
         assert mat[i, i] == pytest.approx(
@@ -37,7 +40,7 @@ def test_project_is_symmetric_with_core_on_diagonal():
 def test_project_matches_operator_algebra():
     s = random_integral_set(3, 1, 2, seed=14, e_core=-0.5)
     dets = enumerate_sector(3, 1, 2)
-    mat = dense_of(project(subspace_of(dets, s), s))
+    mat = dense_symmetric(project(subspace_of(dets, s), s))
     dense = brute_force_hamiltonian(s)
     idx = [det_to_fock_index(d, 3) for d in dets]
     assert np.max(np.abs(mat - dense[np.ix_(idx, idx)])) < 1e-12
@@ -50,7 +53,7 @@ def test_project_partial_subspace_rows():
     dets = enumerate_sector(5, 2, 2)
     rng = np.random.default_rng(6)
     pick = [dets[i] for i in rng.permutation(len(dets))[:37]]
-    mat = dense_of(project(subspace_of(pick, s), s))
+    mat = dense_symmetric(project(subspace_of(pick, s), s))
     for i, di in enumerate(pick):
         for j, dj in enumerate(pick):
             assert mat[i, j] == pytest.approx(
@@ -59,13 +62,16 @@ def test_project_partial_subspace_rows():
 
 
 def assert_matches_oracle(dets, s):
-    """project() agrees element by element with slater_condon (+ e_core on
-    the diagonal) and stores no off-diagonal zeros."""
+    """project()'s stored upper triangle agrees element by element with
+    slater_condon (+ e_core on the diagonal), holds nothing below the
+    diagonal and stores no off-diagonal zeros."""
     h = project(subspace_of(dets, s), s)
     oracle = np.array([[slater_condon(di, dj, s) + (s.e_core if i == j else 0.0)
                         for j, dj in enumerate(dets)] for i, di in enumerate(dets)])
-    assert np.max(np.abs(h.toarray() - oracle)) < 1e-12
-    assert h.nnz == len(dets) + np.count_nonzero(oracle - np.diag(np.diag(oracle)))
+    stored = h.toarray()
+    assert not np.tril(stored, -1).any()
+    assert np.max(np.abs(stored - np.triu(oracle))) < 1e-12
+    assert h.nnz == len(dets) + np.count_nonzero(np.triu(oracle, 1))
 
 
 def walk_strings(n_orb, n_e, count, rng):
@@ -161,8 +167,9 @@ def test_project_uses_the_top_orbital_of_64():
 
 
 def test_principal_slice_equals_a_fresh_projection():
-    """Kept rows and columns of an assembled union, indices sorted, are the
-    matrix project() builds over those determinants: same storage, same floats.
+    """Kept rows and columns of an assembled union, taken by principal_block,
+    are the matrix project() builds over those determinants: same storage,
+    same floats.
     That holds here because the kept rows hold every spin string of the union;
     see the next test for a slice that loses strings."""
     s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
@@ -172,10 +179,11 @@ def test_principal_slice_equals_a_fresh_projection():
     assert len(union) > DENSE_CUTOFF
     h = project(union, s)
     rows = rng.permutation(len(union))[:700]
-    sliced = h[rows][:, rows]
-    sliced.sort_indices()
-    fresh = project(union.take(rows), s)
-    assert fresh.has_sorted_indices
+    kept, sliced = principal_block(union, h, rows)
+    assert np.array_equal(kept.alpha, union.alpha[np.sort(rows)])
+    assert np.array_equal(kept.beta, union.beta[np.sort(rows)])
+    fresh = project(kept, s)
+    assert fresh.has_sorted_indices and sliced.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
 
@@ -206,8 +214,7 @@ def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_
         rows = np.sort(rng.choice(len(union), len(union) // 3, replace=False))
         kept = union.take(rows)
         assert len(np.unique(kept.alpha)) < len(np.unique(union.alpha))
-        sliced = project(union, s)[rows][:, rows]
-        sliced.sort_indices()
+        sliced = principal_block(union, project(union, s), rows)[1]
         fresh = project(kept, s)
         assert same_storage(off_diagonal(sliced), off_diagonal(fresh))
         assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
@@ -243,11 +250,10 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
         cold, warm = project(sub, s), project(sub, s, known)
         assert same_storage(cold, warm)
         assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
-        # a known matrix that is itself a capped slice serves as well
-        sliced = known[1][::2][:, ::2]
-        sliced.sort_indices()
-        assert same_storage(cold, project(sub, s, (known_sub.take(np.arange(0, len(known_sub), 2)),
-                                                    sliced)))
+        # a known matrix that is itself a capped slice serves as well, from
+        # rows in any order: principal_block takes them ascending
+        for kept in (np.arange(0, len(known_sub), 2), rng.permutation(len(known_sub))[:60]):
+            assert same_storage(cold, project(sub, s, principal_block(*known, kept)))
 
 
 def test_project_refuses_an_empty_subspace():
@@ -259,12 +265,27 @@ def test_project_refuses_an_empty_subspace():
 def test_davidson_tight_matches_dense():
     s = random_integral_set(4, 2, 2, seed=17, e_core=0.3)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
-    dense_energy = float(np.linalg.eigvalsh(dense_of(h))[0])
+    dense_energy = float(np.linalg.eigvalsh(dense_symmetric(h))[0])
     c = ground_state(h, "tight", dense_cutoff=1)  # force the iterative path
     assert c.energy == pytest.approx(dense_energy, abs=1e-9)
     # and the dense path agrees with itself
     c2 = ground_state(h, "tight")
     assert c2.energy == pytest.approx(dense_energy, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lih", "h4_chain", "random"])
+def test_both_ground_state_paths_equal_a_full_dense_eigh(name):
+    """The dense path reads the stored triangle and Davidson applies it and
+    its transpose; both find the lowest eigenpair of the full symmetric matrix."""
+    s = load_fixture(name) if name != "random" else random_integral_set(7, 3, 3, seed=8, e_core=0.4)
+    dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    rng = np.random.default_rng(8)
+    h = project(subspace_of([dets[i] for i in rng.permutation(len(dets))], s), s)
+    w, v = np.linalg.eigh(dense_symmetric(h))
+    for cutoff in (h.shape[0], 1):
+        c = ground_state(h, "tight", dense_cutoff=cutoff)
+        assert abs(c.energy - w[0]) < 1e-12
+        assert abs(c.amplitudes @ v[:, 0]) > 1 - 1e-12
 
 
 def test_davidson_on_fixture_sectors():
@@ -312,7 +333,7 @@ def test_degenerate_ground_state_energy_still_exact():
     mat = (mat + mat.T) / 2
     from scipy.sparse import csr_matrix
 
-    c = ground_state(csr_matrix(mat), "tight", dense_cutoff=1)
+    c = ground_state(csr_matrix(np.triu(mat)), "tight", dense_cutoff=1)
     assert c.energy == pytest.approx(-2.0, abs=1e-9)
 
 

@@ -405,6 +405,52 @@ def test_find_answers_repeated_queries_from_one_ranking():
     assert sub.find(sub.alpha, sub.beta).tolist() == list(range(len(sub)))
 
 
+def rows_by_lookup(sub):
+    """Every (alpha, beta) index pair of sub's distinct strings, with the row
+    holding that pair (-1 where none does), from a dict of the rows."""
+    where = {(a, b): i for i, (a, b) in enumerate(zip(sub.alpha.tolist(), sub.beta.tolist()))}
+    r = sub.ranks
+    ia, ib = np.divmod(np.arange(len(r.alpha) * len(r.beta)), len(r.beta))
+    want = [where.get(pair, -1) for pair in zip(r.alpha[ia].tolist(), r.beta[ib].tolist())]
+    return ia, ib, want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_position_table_and_sorted_key_search_agree(seed):
+    """StringRanks.row reads a dense table for a subspace that fills enough
+    of its alpha x beta product and searches sorted keys for one that does
+    not; both find every row and report every absent pair as -1."""
+    rng = np.random.default_rng(seed)
+    sec = Sector(10, 3, 3)
+    strings = [m for m in range(1 << 10) if m.bit_count() == 3]  # 120 per channel
+    n_a, n_b = (int(v) for v in rng.integers(2, 60, size=2))
+    alphas, betas = (rng.choice(strings, size, replace=False) for size in (n_a, n_b))
+    product = [Determinant(int(a), int(b)) for a in alphas for b in betas]
+    keep = max(1, int(len(product) * rng.uniform(1 / 60, 1)))
+    dense = Subspace([product[i] for i in rng.permutation(len(product))[:keep]], sec)
+    # n distinct alpha strings paired with n distinct beta strings: n rows
+    # over an n x n product, past the table's 64 entries per row once n > 64.
+    n = int(rng.integers(65, 121))
+    alphas, betas = rng.permutation(strings)[:n], rng.permutation(strings)[:n]
+    sparse = Subspace([Determinant(int(a), int(b)) for a, b in zip(alphas, betas)], sec)
+    assert dense.ranks._table is not None and sparse.ranks._table is None
+    for sub in (dense, sparse):
+        ia, ib, want = rows_by_lookup(sub)
+        assert sub.ranks.row(ia, ib).tolist() == want
+        assert sub.find(sub.alpha, sub.beta).tolist() == list(range(len(sub)))
+        absent = np.array([a for a in strings if a not in set(sub.alpha.tolist())], dtype=np.uint64)
+        assert (sub.find(absent, np.full(len(absent), sub.beta[0])) == -1).all()
+
+
+def test_the_position_table_holds_at_most_64_entries_per_row():
+    sec = Sector(10, 3, 3)
+    assert Subspace(enumerate_sector(10, 3, 3), sec).ranks._table is not None
+    strings = [m for m in range(1 << 10) if m.bit_count() == 3]
+    for n, table in ((64, True), (65, False)):  # n rows over an n x n product
+        line = Subspace([Determinant(a, b) for a, b in zip(strings[:n], strings[::-1])], sec)
+        assert (line.ranks._table is not None) == table
+
+
 # Pure-Python references for the array screens: the tuple sorts and
 # dict.fromkeys orders that the string arrays must reproduce.
 
@@ -529,6 +575,14 @@ def test_a_dropped_and_readded_reference_is_not_expanded_twice():
     assert list(readded) == [other, ref] and ref in readded.expanded_refs
     again = classical_expand(readded, np.array([0.1, 0.9]), 0, s)
     assert again.expanded_refs == {ref, other}  # the larger amplitude was skipped
+
+
+def test_an_expanded_reference_no_row_holds_blocks_no_row():
+    s = load_fixture("h4_chain")
+    sector = Sector(4, 2, 2)
+    gone, only = Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0011)
+    sub = Subspace([only], sector, {gone})
+    assert classical_expand(sub, np.array([0.5]), 0, s).expanded_refs == {gone, only}
 
 
 def test_filter_refuses_a_batch_of_another_width():
