@@ -16,7 +16,10 @@ Every emitted fixture is validated in place:
 
 Run from the repository root:
 
-    python3 scripts/make_fixtures.py
+    OPENBLAS_NUM_THREADS=1 python3 scripts/make_fixtures.py
+
+The last digits of the LiH FCI energy and dipole depend on the BLAS thread
+count; the committed reference.json was written with one thread.
 """
 
 from __future__ import annotations

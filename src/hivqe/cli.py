@@ -124,8 +124,8 @@ def _csv_field(value) -> str:
 
 
 def _write_run_outputs(result, out_dir: Path) -> None:
+    from .determinants import det_to_string
     from .driver import IterationRecord
-    from .subspace import Subspace, dump_subspace
 
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.dumps(result.result_dict(), indent=2, sort_keys=True) + "\n"
@@ -137,7 +137,8 @@ def _write_run_outputs(result, out_dir: Path) -> None:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
 
-    (out_dir / "subspace.txt").write_text(dump_subspace(Subspace(result.dets, result.sector)))
+    n = result.sector.n_orb  # one "alpha|beta" line per determinant
+    (out_dir / "subspace.txt").write_text("".join(det_to_string(d, n) + "\n" for d in result.dets))
 
 
 def _cmd_run(args) -> int:

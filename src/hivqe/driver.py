@@ -5,16 +5,17 @@ prepare and sample the ansatz state, filter to the symmetry sector, and
 loose-diagonalize those determinants alone (e_iter). The SPSA probes run the
 same step at the two perturbed angles (e_plus, e_minus). The iteration then
 unions its determinants into the cumulative subspace and assembles that
-union's Hamiltonian once, extending the previous tight solve's matrix: only
-pairs that touch a new determinant are evaluated, and the diagonal is
-recomputed. Over the cap, a loose solve of it ranks the rows, and the tight
-solve (the reported energy) runs on the kept rows and columns of the same
-matrix, in subspace order; only a tensor reconstruction that adds
-determinants assembles again, extending the kept matrix. The loop then tests
-convergence, amplitude-screens, classically expands, and lets the optimizer
-update theta from the probe pair. The best cumulative Subspace (of equal
-energies, the smaller) and its eigenvector are returned; an eigenvector
-moves onto a later subspace's rows through Subspace.find.
+union's Hamiltonian once, extending the last tight solve's matrix: only
+pairs that touch a new determinant are evaluated. Over the cap, a loose
+solve ranks the rows and the tight solve (the reported energy) runs on the
+kept block of the same matrix, in subspace order; a tensor reconstruction
+that adds determinants extends the kept matrix. The last tight solve is one
+record, (subspace, matrix, eigenvector): the next assembly extends its matrix
+and the next tight solve starts from its eigenvector, moved onto the new rows
+through Subspace.find. The loop then tests convergence, amplitude-screens,
+classically expands, and lets the optimizer update theta from the probe pair.
+The lowest eigenpair (of equal energies, the one on fewer rows) is returned;
+a run of zero iterations returns no energy and no determinant.
 """
 
 from __future__ import annotations
@@ -189,42 +190,31 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, *key])
 
 
-def _warm_start(prev: Optional[tuple], sub: Subspace) -> Optional[CIVector]:
-    """The previous eigenvector moved onto sub's rows (0 where its subspace
-    lacks one), or None when there is none to carry."""
-    if prev is None:
+def _warm_start(last: Optional[tuple], sub: Subspace) -> Optional[np.ndarray]:
+    """The last tight solve's eigenvector moved onto sub's rows (0 where its
+    subspace lacks one) and normalized, or None when there is none to carry."""
+    if last is None:
         return None
-    psi, source = prev
+    source, _, psi = last
     rows = source.find(sub.alpha, sub.beta)
     vec = np.where(rows >= 0, psi.amplitudes[rows], 0.0)
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return None
-    return CIVector(vec / norm, 0.0)
+    return None if norm < 1e-12 else vec / norm
 
 
 def run_hivqe(
     cfg: RunConfig, s: IntegralSet, dipole_integrals: Optional[DipoleIntegrals] = None
 ) -> RunResult:
-    """Run the full loop; returns the best cumulative eigenpair found.
+    """Run the full loop; returns the best cumulative eigenpair found, if any.
 
-    Raises RunError when the first iteration filters to an empty subspace
-    (raise shots or enable recovery) or when tensor reconstruction blows past
-    the 10*k safety cap.
+    Raises RunError, holding the records of the iterations completed, when the
+    first iteration filters to an empty subspace (raise shots or enable
+    recovery) or when tensor reconstruction blows past the 10*k safety cap.
     """
     cfg.validate(s)
     sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
     hf = hartree_fock_det(s)
     e_hf = float(slater_condon(hf, hf, s) + s.e_core)
-    config_echo = asdict(cfg)
-
-    if cfg.max_iterations == 0:
-        return RunResult(
-            energy=None, e_hf=e_hf, e_corr=None, dets=[], amplitudes=None,
-            trace=[], dipole=None, status="max_iterations", iterations=0,
-            sector=sector, config=config_echo, seed=cfg.seed,
-        )
-
     ansatz = brick_wall_ansatz(s.n_orb, cfg.ansatz_layers)
     opt = make_optimizer(
         np.zeros(ansatz.n_params), seed=_stream(cfg.seed, 3), a=0.1, c=0.1
@@ -232,10 +222,9 @@ def run_hivqe(
     noise = NoiseModel(cfg.p_flip)
     history = EnergyHistory()
     carried = Subspace([], sector)
-    prev: Optional[tuple] = None  # (eigenvector, its subspace)
-    known: Optional[tuple] = None  # (subspace, matrix) of the last tight solve
+    last: Optional[tuple] = None  # (subspace, matrix, eigenvector) of the last tight solve
+    best: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
-    best: Optional[tuple] = None  # (energy, eigenvector, its subspace)
     best_energy_seen = math.inf
     stall_count = 0
     status = "max_iterations"
@@ -269,7 +258,7 @@ def run_hivqe(
                 trace,
             )
         t1 = time.perf_counter()
-        sub, h = cum, project(cum, s, known)
+        sub, h = cum, project(cum, s, last[:2] if last else None)
         if len(cum) > cfg.k:
             rows = cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k)
             sub, h = principal_block(cum, h, rows)
@@ -281,14 +270,14 @@ def run_hivqe(
             if tensored is not sub:
                 sub, h = tensored, project(tensored, s, (sub, h))
         try:
-            psi = ground_state(h, "tight", _warm_start(prev, sub))
+            psi = ground_state(h, "tight", _warm_start(last, sub))
         except Exception as exc:
             raise RunError(f"iteration {i}: cumulative diagonalization failed: {exc}", trace)
-        e_cum = psi.energy
+        last, e_cum = (sub, h, psi), psi.energy
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
-        if best is None or (e_cum, len(sub)) < (best[0], len(best[2])):  # ties: fewer rows
-            best = (e_cum, psi.amplitudes.copy(), sub)
+        if best is None or (e_cum, len(sub)) < (best[0].energy, len(best[1])):  # ties: fewer rows
+            best = (psi, sub)
         if best_energy_seen - e_cum > 1e-10:
             best_energy_seen = e_cum
             stall_count = 0
@@ -313,14 +302,13 @@ def run_hivqe(
             e_plus=math.nan,
             e_minus=math.nan,
         )
+        trace.append(record)  # the steps below fill in its last fields
 
         if converged(history, cfg.eps, cfg.window):
             status = "converged"
-            trace.append(record)
             break
         if stall_count >= cfg.stall_window:
             status = "stalled"
-            trace.append(record)
             break
 
         rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
@@ -333,7 +321,6 @@ def run_hivqe(
             work = expanded
         record.n_dets_post_screen = len(work)
         carried = work
-        prev, known = (psi, sub), (sub, h)
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)
@@ -342,27 +329,19 @@ def run_hivqe(
             record.e_plus, record.e_minus = e_plus, e_minus
             if math.isfinite(e_plus) and math.isfinite(e_minus):
                 update(opt, e_plus, e_minus)
-        trace.append(record)
 
-    energy, amplitudes, best_sub = best
-    energy = float(energy)
-    dipole = None
-    if dipole_integrals is not None:
-        gamma = compute_1rdm(CIVector(amplitudes, energy), best_sub)
-        dipole = dipole_moment(gamma, dipole_integrals)
+    energy = e_corr = amplitudes = dipole = None
+    dets = []
+    if best is not None:  # at least one iteration ran
+        psi, sub = best
+        energy, amplitudes, dets = psi.energy, psi.amplitudes, list(sub)
+        e_corr = energy - e_hf
+        if dipole_integrals is not None:
+            dipole = dipole_moment(compute_1rdm(psi, sub), dipole_integrals)
     return RunResult(
-        energy=energy,
-        e_hf=e_hf,
-        e_corr=energy - e_hf,
-        dets=list(best_sub),
-        amplitudes=amplitudes,
-        trace=trace,
-        dipole=dipole,
-        status=status,
-        iterations=len(trace),
-        sector=sector,
-        config=config_echo,
-        seed=cfg.seed,
+        energy=energy, e_hf=e_hf, e_corr=e_corr, dets=dets, amplitudes=amplitudes,
+        trace=trace, dipole=dipole, status=status, iterations=len(trace),
+        sector=sector, config=asdict(cfg), seed=cfg.seed,
     )
 
 

@@ -387,7 +387,7 @@ def _davidson(upper, tol: float, max_iter: int, guess: Optional[np.ndarray]):
 def ground_state(
     h: scipy.sparse.csr_matrix,
     mode: str = "tight",
-    guess: Optional[CIVector] = None,
+    guess: Optional[np.ndarray] = None,
     dense_cutoff: int = DENSE_CUTOFF,
 ) -> CIVector:
     """Lowest eigenpair of the symmetric matrix whose upper triangle is h, as
@@ -396,28 +396,26 @@ def ground_state(
     mode="tight" iterates Davidson to residual 1e-8 and raises on failure;
     mode="loose" stops at residual 1e-3 or 20 iterations, whichever first,
     and returns the best estimate. Dimensions <= dense_cutoff solve directly
-    for the lowest pair alone. The returned vector is normalized with its
-    largest-magnitude amplitude positive.
+    for the lowest pair alone. guess, an amplitude array over h's rows, is
+    where Davidson starts when its norm is nonzero; a direct solve ignores it.
+    The returned vector is normalized, its largest-magnitude amplitude positive.
     """
     if mode not in ("tight", "loose"):
         raise ValueError(f"unknown mode {mode!r}")
     n = h.shape[0]
     if n == 0:
         raise EigensolverError("empty Hamiltonian")
+    if guess is not None and len(guess) != n:
+        raise EigensolverError("guess vector length does not match dimension")
     if n <= dense_cutoff:
         w, v = scipy.linalg.eigh(h.toarray(), lower=False, subset_by_index=[0, 0])
         theta, x = float(w[0]), v[:, 0]
     else:
-        guess_vec = None
-        if guess is not None:
-            if len(guess.amplitudes) != n:
-                raise EigensolverError("guess vector length does not match dimension")
-            guess_vec = np.asarray(guess.amplitudes, dtype=float)
         if mode == "tight":
             tol, max_iter = TIGHT_RESIDUAL, TIGHT_MAX_ITER
         else:
             tol, max_iter = LOOSE_RESIDUAL, LOOSE_MAX_ITER
-        theta, x, res, ok = _davidson(h, tol, max_iter, guess_vec)
+        theta, x, res, ok = _davidson(h, tol, max_iter, guess)
         if mode == "tight" and not ok:
             raise EigensolverError(
                 f"Davidson failed to reach residual {tol:g} in {max_iter} iterations "

@@ -9,6 +9,7 @@ costs a sampling round plus a diagonalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,13 +97,14 @@ class EnergyHistory:
 
 def converged(history, eps: float = 1e-5, window: int = 3) -> bool:
     """Has the energy settled? True iff at least window+1 energies exist and
-    the max-min spread of the last `window` of them is below eps.
+    the last `window` of them are finite with a max-min spread below eps.
 
     Requiring one extra entry beyond the window means the examined values are
-    genuine steps from an earlier iterate, not just the initial point.
+    genuine steps from an earlier iterate, not just the initial point. A nan
+    (an iteration whose shots all filtered out) keeps its window unsettled.
     """
     energies = history.energies if isinstance(history, EnergyHistory) else list(history)
     if len(energies) < window + 1:
         return False
     tail = energies[-window:]
-    return (max(tail) - min(tail)) < eps
+    return all(map(math.isfinite, tail)) and (max(tail) - min(tail)) < eps

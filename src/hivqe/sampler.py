@@ -212,10 +212,17 @@ def prepare_state(spec: AnsatzSpec, theta, sector: Sector) -> SectorState:
 
 
 def mean_occupations(state: SectorState):
-    """Per-orbital mean occupation (alpha array, beta array) of the state."""
+    """Per-orbital mean occupation (alpha array, beta array) of the state.
+
+    The occupation table is built for at most 65,536 strings at a time, so a
+    large channel never holds all of it; a smaller one is a single product."""
     n, n_alpha, n_beta = state.sector
-    return (state.alpha**2 @ _occupations(_channel(n, n_alpha), n),
-            state.beta**2 @ _occupations(_channel(n, n_beta), n))
+    out, step = [], 1 << 16
+    for amps, strings in ((state.alpha, _channel(n, n_alpha)), (state.beta, _channel(n, n_beta))):
+        parts = (amps[lo:lo + step]**2 @ _occupations(strings[lo:lo + step], n)
+                 for lo in range(0, len(strings), step))
+        out.append(sum(parts, next(parts)))  # one chunk: the plain product, no added 0
+    return tuple(out)
 
 
 def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBatch:

@@ -9,7 +9,7 @@ other operations return a new Subspace (or the input itself when nothing
 changed). Nothing here assembles or solves a Hamiltonian. Every ranking is
 a lexsort with the (alpha, beta) string pair as its final keys. A
 SampleBatch holds the sampler's shots as string arrays too; text appears
-only in dump_subspace and in a batch's counts view.
+only in a batch's counts view.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .determinants import (
     _excitations,
     _occupations,
     _single_element,
-    det_to_string,
     hartree_fock_det,
     occupied_orbitals,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "tensor_reconstruct",
     "union",
     "bitstring_is_valid",
-    "dump_subspace",
 ]
 
 
@@ -360,9 +358,3 @@ def union(sub: Subspace, other: Subspace) -> Subspace:
     return Subspace._of(np.concatenate((sub.alpha, other.alpha[new])),
                         np.concatenate((sub.beta, other.beta[new])),
                         sub.sector, sub.expanded_refs)
-
-
-def dump_subspace(sub: Subspace) -> str:
-    """One determinant per line as "alpha|beta" strings (checkpoint format)."""
-    n = sub.sector.n_orb
-    return "".join(det_to_string(d, n) + "\n" for d in sub)

@@ -11,9 +11,9 @@ import math
 import pytest
 
 from hivqe.cli import main
-from hivqe.driver import IterationRecord
+from hivqe.driver import IterationRecord, RunConfig, run_hivqe
 
-from helpers import FIXTURES, det_from_string, load_reference
+from helpers import FIXTURES, det_from_string, load_fixture, load_reference
 
 H2 = str(FIXTURES / "h2_0.74.fcidump")
 LIH = str(FIXTURES / "lih.fcidump")
@@ -58,6 +58,17 @@ def test_run_writes_the_three_output_files(tmp_path, capsys):
         if line.strip()
     ]
     assert len(dets) == doc["n_dets"]
+
+
+def test_run_writes_the_result_determinants_in_order(tmp_path):
+    """subspace.txt holds RunResult.dets, one "alpha|beta" line each."""
+    rc = main(["run", "--fcidump", LIH, "--seed", "3", "--set", "k=40",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "subspace.txt").read_text()
+    result = run_hivqe(RunConfig(seed=3, k=40), load_fixture("lih"))
+    assert text.endswith("\n") and "|" in text.splitlines()[0]
+    assert [det_from_string(line) for line in text.splitlines()] == result.dets
 
 
 def test_run_override_precedence(tmp_path):

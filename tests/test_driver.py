@@ -18,7 +18,7 @@ from hivqe.driver import (
     run_hivqe,
     run_pes_sweep,
 )
-from hivqe.eigensolver import CIVector, ground_state, project
+from hivqe.eigensolver import CIVector, EigensolverError, ground_state, project
 from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
 from hivqe.optimizer import make_optimizer, propose
 from hivqe.oracle import fci_ground
@@ -30,7 +30,7 @@ from hivqe.sampler import (
     prepare_state,
     sample,
 )
-from hivqe.subspace import Subspace, bitstring_is_valid, filter_symmetry
+from hivqe.subspace import Subspace, bitstring_is_valid, filter_symmetry, tensor_reconstruct
 
 from helpers import (
     FIXTURES,
@@ -163,6 +163,71 @@ def test_max_iterations_zero_short_circuits():
     assert doc["converged"] is False
 
 
+def test_zero_iterations_with_dipole_integrals_report_no_energy():
+    s = load_fixture("lih")
+    d = parse_dipole_file((FIXTURES / "lih.dipole").read_text(), 6)
+    cfg = RunConfig(max_iterations=0)
+    res = run_hivqe(cfg, s, d)
+    assert res.dets == [] and res.trace == []
+    assert res.amplitudes is None and res.dipole is None
+    doc = res.result_dict()
+    assert doc.pop("e_hf") == pytest.approx(load_reference()["lih"]["e_hf"], abs=1e-9)
+    assert doc == {
+        "energy": None, "e_corr": None, "n_dets": 0, "converged": False, "iterations": 0,
+        "dipole": None, "config": dataclasses.asdict(cfg), "seed": 0,
+        "sector": {"n_orb": 6, "n_alpha": 2, "n_beta": 2},
+    }
+
+
+def timeless(trace):
+    """The trace's repr with its wall times zeroed."""
+    return repr([dataclasses.replace(r, wall_ms_sample=0.0, wall_ms_diag=0.0) for r in trace])
+
+
+LIH_TENSOR = dict(seed=2, k=40, m=12, shots=200, p_flip=0.02, recovery_mode="recover",
+                  tensor_reconstruct=True, max_iterations=5)
+
+
+@pytest.mark.parametrize("failing", ["tensor_reconstruct", "ground_state"])
+def test_run_error_holds_only_completed_iterations(monkeypatch, failing):
+    """A RunError raised in iteration 3 carries iterations 0-2, each as a run
+    that does not fail records it, and no record of the failing iteration."""
+    s = load_fixture("lih")
+    full = run_hivqe(RunConfig(**LIH_TENSOR), s)
+    calls = []
+
+    def tensor_refused_on_the_fourth_call(sub, closed_shell, cap):
+        calls.append(len(sub))
+        return tensor_reconstruct(sub, closed_shell, 0 if len(calls) == 4 else cap)
+
+    def fourth_tight_solve_fails(h, mode="tight", guess=None):
+        calls.append(mode)
+        if calls.count("tight") == 4:
+            raise EigensolverError("injected failure")
+        return ground_state(h, mode, guess)
+
+    fake = (tensor_refused_on_the_fourth_call if failing == "tensor_reconstruct"
+            else fourth_tight_solve_fails)
+    monkeypatch.setattr(f"hivqe.driver.{failing}", fake)
+    with pytest.raises(RunError, match="safety cap|injected failure") as info:
+        run_hivqe(RunConfig(**LIH_TENSOR), s)
+    assert [r.iteration for r in info.value.trace] == [0, 1, 2]
+    assert timeless(info.value.trace) == timeless(full.trace[:3])
+
+
+def test_a_nan_in_the_window_keeps_the_loop_running():
+    """Iteration energies are nan when every shot filters out; a window
+    holding one has not converged, wherever the nan sits."""
+    cfg = RunConfig(seed=0, shots=4, p_flip=0.3, recovery_mode="discard",
+                    convergence_source="iteration", eps=1e-3, k=6, m=2, max_iterations=30)
+    res = run_hivqe(cfg, load_fixture("h4_chain"))
+    e_iter = [r.e_iter for r in res.trace]
+    assert any(math.isnan(e) for e in e_iter[:14])  # this seed does draw empty batches
+    if res.status == "converged":
+        assert all(math.isfinite(e) for e in e_iter[-cfg.window:])
+    assert res.iterations > 14  # the nan window at iteration 14 no longer stops it
+
+
 def test_max_iterations_exhaustion_reports_status():
     s = load_fixture("lih")
     res = run_hivqe(RunConfig(seed=0, max_iterations=2, k=40), s)
@@ -255,10 +320,6 @@ def test_extending_known_matrices_changes_no_result(monkeypatch, extra):
     monkeypatch.setattr("hivqe.driver.project", lambda sub, s, known=None: project(sub, s))
     cold = run_hivqe(cfg, s)
     assert len(extended) >= 4
-
-    def timeless(trace):
-        return repr([dataclasses.replace(r, wall_ms_sample=0.0, wall_ms_diag=0.0) for r in trace])
-
     assert timeless(warm.trace) == timeless(cold.trace)
     assert repr(warm.result_dict()) == repr(cold.result_dict())
     assert warm.dets == cold.dets
@@ -395,11 +456,11 @@ def test_warm_start_realigns_a_permuted_subset_with_missing_rows():
     lookup = dict(zip(source, psi.amplitudes))
     expected = np.array([lookup.get(d, 0.0) for d in target])
     assert 0 < np.count_nonzero(expected) < len(target)  # some rows missing
-    guess = _warm_start((psi, source), target)
-    assert np.array_equal(guess.amplitudes, expected / np.linalg.norm(expected))
+    guess = _warm_start((source, None, psi), target)
+    assert np.array_equal(guess, expected / np.linalg.norm(expected))
     assert _warm_start(None, target) is None
     elsewhere = Subspace([d for d in every if d not in lookup], sector)
-    assert _warm_start((psi, source), elsewhere) is None
+    assert _warm_start((source, None, psi), elsewhere) is None
 
 
 # ---------------------------------------------------------------------------

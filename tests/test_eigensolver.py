@@ -318,10 +318,23 @@ def test_warm_start_accepts_previous_vector():
     s = random_integral_set(4, 2, 2, seed=2)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
     first = ground_state(h, "tight", dense_cutoff=1)
-    again = ground_state(h, "tight", guess=first, dense_cutoff=1)
+    again = ground_state(h, "tight", guess=first.amplitudes, dense_cutoff=1)
     assert again.energy == pytest.approx(first.energy, abs=1e-10)
     assert np.allclose(np.abs(again.amplitudes), np.abs(first.amplitudes),
                        atol=1e-6)
+
+
+def test_guess_is_an_amplitude_array_of_the_matrix_dimension():
+    s = random_integral_set(4, 2, 2, seed=2)
+    h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
+    cold = ground_state(h, "tight", dense_cutoff=1)
+    rng = np.random.default_rng(3)
+    guess = cold.amplitudes + 0.01 * rng.normal(size=h.shape[0])  # unnormalized
+    warm = ground_state(h, "tight", guess=guess, dense_cutoff=1)
+    assert warm.energy == pytest.approx(cold.energy, abs=1e-10)
+    for cutoff in (1, h.shape[0]):  # Davidson and the direct solve
+        with pytest.raises(EigensolverError, match="guess vector length"):
+            ground_state(h, "tight", guess=guess[:-1], dense_cutoff=cutoff)
 
 
 def test_degenerate_ground_state_energy_still_exact():
@@ -343,8 +356,7 @@ def test_davidson_escapes_when_the_correction_lies_in_the_span():
     from scipy.sparse import csr_matrix
 
     h = csr_matrix(np.diag([3, 1, 4, 1.5, 9, 2.6]))
-    c = ground_state(h, "tight", guess=CIVector(np.ones(6) / np.sqrt(6), 0.0),
-                     dense_cutoff=1)
+    c = ground_state(h, "tight", guess=np.ones(6) / np.sqrt(6), dense_cutoff=1)
     assert c.energy == pytest.approx(1.0, abs=1e-12)
     assert abs(c.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
 

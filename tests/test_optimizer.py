@@ -1,5 +1,7 @@
 """SPSA gain schedules, the update rule, and the convergence test."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,14 @@ def test_converged_accepts_history_object():
     for e in (-1.0, -2.0, -2.0, -2.0):
         h.append(e)
     assert converged(h, eps=1e-5, window=3)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.5, -1.0, math.nan, -1.0],  # max and min skip a nan after the first entry
+    [-0.5, math.nan, -1.0, -1.0],
+    [-0.5, -1.0, -1.0, math.nan],
+    [-0.5, -1.0, math.inf, -1.0],
+])
+def test_converged_refuses_a_window_with_a_nonfinite_energy(values):
+    assert not converged(values, eps=1e-5, window=3)
+    assert converged(values + [-1.0] * 3, eps=1e-5, window=3)  # once it leaves the window

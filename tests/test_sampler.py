@@ -7,17 +7,19 @@ oracle shares code with the sector-restricted fast path.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hivqe.determinants import Determinant, Sector
+from hivqe.determinants import Determinant, Sector, _occupations
 from hivqe.oracle import det_to_fock_index
 from hivqe.sampler import (
     AnsatzSpec,
     NoiseModel,
+    SectorState,
     SectorTooLargeError,
     brick_wall_ansatz,
     enumerate_sector,
@@ -187,6 +189,25 @@ def test_mean_occupations_match_probabilities():
         assert occ_b[p] == pytest.approx(expect_b, abs=1e-12)
     assert occ_a.sum() == pytest.approx(2.0, abs=1e-12)
     assert occ_b.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mean_occupations_bound_the_table_of_a_large_channel():
+    """C(20,10) = 184,756 alpha strings: the whole (strings, 20) occupation
+    table would take 29.6 MB as uint64 and as much again as float."""
+    sector = Sector(20, 10, 1)
+    rng = np.random.default_rng(5)
+    alpha, beta = rng.normal(size=math.comb(20, 10)), rng.normal(size=20)
+    state = SectorState(alpha / np.linalg.norm(alpha), beta / np.linalg.norm(beta), sector)
+    tracemalloc.start()
+    occ_a, occ_b = mean_occupations(state)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 30e6
+    strings = np.array([d.alpha_mask for d in enumerate_sector(20, 10, 0)], dtype=np.uint64)
+    one_product = state.alpha**2 @ _occupations(strings, 20)
+    assert np.max(np.abs(occ_a - one_product)) < 1e-12
+    assert np.max(np.abs(occ_b - state.beta**2 @ np.eye(20))) < 1e-12
+    assert occ_a.sum() == pytest.approx(10.0, abs=1e-12)
 
 
 def prepared_example():

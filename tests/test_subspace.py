@@ -21,7 +21,6 @@ from hivqe.subspace import (
     bitstring_is_valid,
     cap_screen,
     classical_expand,
-    dump_subspace,
     filter_symmetry,
     tensor_reconstruct,
     union,
@@ -325,13 +324,6 @@ def test_union_appends_in_first_seen_order():
     assert list(grown) == [Determinant(0b01, 0b01), Determinant(0b10, 0b10),
                            Determinant(0b01, 0b10)]
     assert union(grown, Subspace([Determinant(0b01, 0b01)], sector)) is grown
-
-
-def test_dump_load_subspace_roundtrip():
-    sector = Sector(3, 2, 1)
-    dets = enumerate_sector(3, 2, 1)[:5]
-    text = dump_subspace(Subspace(dets, sector))
-    assert [det_from_string(line) for line in text.splitlines()] == dets
 
 
 def test_subspace_keeps_first_seen_rows():
