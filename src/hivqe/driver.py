@@ -5,17 +5,18 @@ prepare and sample the ansatz state, filter to the symmetry sector, and
 loose-diagonalize those determinants alone (e_iter). The SPSA probes run the
 same step at the two perturbed angles (e_plus, e_minus). The iteration then
 unions its determinants into the cumulative subspace and assembles that
-union's Hamiltonian once, extending the last tight solve's matrix: only
-pairs that touch a new determinant are evaluated. Over the cap, a loose
-solve ranks the rows and the tight solve (the reported energy) runs on the
-kept block of the same matrix, in subspace order; a tensor reconstruction
-that adds determinants extends the kept matrix. The last tight solve is one
-record, (subspace, matrix, eigenvector): the next assembly extends its matrix
-and the next tight solve starts from its eigenvector, moved onto the new rows
-through Subspace.find. The loop then tests convergence, amplitude-screens,
-classically expands, and lets the optimizer update theta from the probe pair.
-The lowest eigenpair (of equal energies, the one on fewer rows) is returned;
-a run of zero iterations returns no energy and no determinant.
+union's Hamiltonian once. Rows are carried by appending: the union's first
+rows are the rows the last amplitude screen kept, so assembly copies their
+block of the last tight solve's matrix and builds only the rows after it,
+and the tight solve starts from their amplitudes, 0 on every other row. Over
+the cap, a loose solve ranks the rows, and the tight solve (the reported
+energy) runs on the kept block of the same matrix, in subspace order, from
+the same rows of its starting vector; a tensor reconstruction that adds
+determinants appends them to the kept matrix. The loop then tests
+convergence, amplitude-screens, classically expands, and lets the optimizer
+update theta from the probe pair. The lowest eigenpair (of equal energies,
+the one on fewer rows) is returned; a run of zero iterations returns no
+energy and no determinant.
 """
 
 from __future__ import annotations
@@ -190,18 +191,6 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, *key])
 
 
-def _warm_start(last: Optional[tuple], sub: Subspace) -> Optional[np.ndarray]:
-    """The last tight solve's eigenvector moved onto sub's rows (0 where its
-    subspace lacks one) and normalized, or None when there is none to carry."""
-    if last is None:
-        return None
-    source, _, psi = last
-    rows = source.find(sub.alpha, sub.beta)
-    vec = np.where(rows >= 0, psi.amplitudes[rows], 0.0)
-    norm = np.linalg.norm(vec)
-    return None if norm < 1e-12 else vec / norm
-
-
 def run_hivqe(
     cfg: RunConfig, s: IntegralSet, dipole_integrals: Optional[DipoleIntegrals] = None
 ) -> RunResult:
@@ -221,8 +210,8 @@ def run_hivqe(
     )
     noise = NoiseModel(cfg.p_flip)
     history = EnergyHistory()
-    carried = Subspace([], sector)
-    last: Optional[tuple] = None  # (subspace, matrix, eigenvector) of the last tight solve
+    carried, amplitudes = Subspace([], sector), np.zeros(0)  # amplitudes over carried
+    known: Optional[tuple] = None  # (subspace, matrix) of carried's first rows
     best: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
     best_energy_seen = math.inf
@@ -258,10 +247,11 @@ def run_hivqe(
                 trace,
             )
         t1 = time.perf_counter()
-        sub, h = cum, project(cum, s, last[:2] if last else None)
+        sub, h = cum, project(cum, s, known)
+        guess = np.pad(amplitudes, (0, len(cum) - len(amplitudes)))
         if len(cum) > cfg.k:
-            rows = cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k)
-            sub, h = principal_block(cum, h, rows)
+            rows = np.sort(cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k))
+            (sub, h), guess = principal_block(cum, h, rows), guess[rows]
         if cfg.tensor_reconstruct:
             try:
                 tensored = tensor_reconstruct(sub, cfg.closed_shell, 10 * cfg.k)
@@ -269,11 +259,12 @@ def run_hivqe(
                 raise RunError(f"{exc}; lower k or disable it", trace) from None
             if tensored is not sub:
                 sub, h = tensored, project(tensored, s, (sub, h))
+                guess = np.pad(guess, (0, len(sub) - len(guess)))
         try:
-            psi = ground_state(h, "tight", _warm_start(last, sub))
+            psi = ground_state(h, "tight", guess)
         except Exception as exc:
             raise RunError(f"iteration {i}: cumulative diagonalization failed: {exc}", trace)
-        last, e_cum = (sub, h, psi), psi.energy
+        e_cum = psi.energy
         wall_diag = (time.perf_counter() - t1) * 1000.0
 
         if best is None or (e_cum, len(sub)) < (best[0].energy, len(best[1])):  # ties: fewer rows
@@ -312,15 +303,15 @@ def run_hivqe(
             break
 
         rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
-        work, amplitudes = sub.take(rows), psi.amplitudes[rows]
+        known = principal_block(sub, h, rows)
+        carried, amplitudes = known[0], psi.amplitudes[rows]
         for _ in range(cfg.expansion_repeats):
-            expanded = classical_expand(work, amplitudes, cfg.m, s)
-            if expanded is work:
+            expanded = classical_expand(carried, amplitudes, cfg.m, s)
+            if expanded is carried:
                 break  # every determinant has already served as a reference
-            amplitudes = np.pad(amplitudes, (0, len(expanded) - len(work)))
-            work = expanded
-        record.n_dets_post_screen = len(work)
-        carried = work
+            amplitudes = np.pad(amplitudes, (0, len(expanded) - len(carried)))
+            carried = expanded
+        record.n_dets_post_screen = len(carried)
 
         if i + 1 < cfg.max_iterations and ansatz.n_params > 0:
             theta_plus, theta_minus = propose(opt)

@@ -2,17 +2,18 @@
 
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
 rows of a Subspace with string-driven numpy batches (Knowles & Handy, CPL
-111, 315, 1984) and stores it once, as its upper triangle: each row's pair
+111, 315, 1984) and stores it once, as its lower triangle: each row's pair
 of uint64 strings becomes a pair of indices into the distinct alpha and beta
 strings, excitations of degree 1 and 2 are linked between the strings of each
 spin channel, and partners are found by StringRanks.row. Pairs come in three
 batches: alpha excitations with the beta string unchanged, beta excitations
 with the alpha string unchanged, and one single excitation in each channel.
-Handed an earlier subspace's triangle, it copies the pairs of rows both hold
-and batches only pairs that touch a new row (fast SHCI: Li, Otten, Holmes,
-Sharma & Umrigar, JCP 149, 214110, 2018). The diagonal, always recomputed,
-comes from occupation vectors against J = (pp|qq) and K = (pq|qp).
-slater_condon is the element-by-element oracle.
+Every entry of a row lies in that row, so a subspace that appends rows to an
+earlier one extends its triangle by appending: the earlier rows are copied
+and only the new rows are batched (fast SHCI: Li, Otten, Holmes, Sharma &
+Umrigar, JCP 149, 214110, 2018). The diagonal, always recomputed, comes from
+occupation vectors against J = (pp|qq) and K = (pq|qp). slater_condon is the
+element-by-element oracle.
 
 ground_state() finds the lowest eigenpair alone, directly up to a set
 dimension; above it, a Davidson iteration applies the triangle and its
@@ -185,17 +186,16 @@ def _string_links(n_orb: int, packed: bytes):
 class _StringIndex:
     """A subspace's rows as (alpha string, beta string) index pairs.
 
-    The pair walks yield each pair that touches a row not marked old, once:
-    upward links from those rows to any row, then upward links from old rows
-    into them.
+    The pair walks yield each pair that touches a row at or after n_old, once:
+    upward links from those rows to any row, then upward links from the first
+    n_old rows into them.
     """
 
-    def __init__(self, sub: Subspace, n_orb: int, old: Optional[np.ndarray] = None):
+    def __init__(self, sub: Subspace, n_orb: int, n_old: int = 0):
         r = sub.ranks
         self.alpha, self.ia, self.beta, self.ib, self.find = r.alpha, r.ia, r.beta, r.ib, r.row
-        self.old = np.zeros(len(sub), dtype=bool) if old is None else old
-        self.new = np.flatnonzero(~self.old)
-        self.directions = (False, True) if self.old.any() else (False,)
+        self.n_old, self.new = n_old, np.arange(n_old, len(sub))
+        self.directions = (False, True) if n_old else (False,)
         # (singles, upward singles, doubles) per channel
         self.links = {"alpha": _string_links(n_orb, self.alpha.tobytes()),
                       "beta": _string_links(n_orb, self.beta.tobytes())}
@@ -210,7 +210,7 @@ class _StringIndex:
                 link = order[start[ix[i]] + rank]
                 pair = (far[link], iy[i]) if channel == "alpha" else (iy[i], far[link])
                 j = self.find(*pair)
-                hit = (j >= 0) & self.old[j] if into else j >= 0
+                hit = (j >= 0) & (j < self.n_old) if into else j >= 0
                 yield i[hit], j[hit], link[hit]
 
     def mixed(self):
@@ -227,7 +227,7 @@ class _StringIndex:
                 la = a_order[a_start[self.ia[i]] + rank // n_b[k]]
                 lb = b_order[b_start[self.ib[i]] + rank % n_b[k]]
                 j = self.find(a_far[la], b_far[lb])
-                hit = (j >= 0) & self.old[j] if into else j >= 0
+                hit = (j >= 0) & (j < self.n_old) if into else j >= 0
                 yield i[hit], j[hit], la[hit], lb[hit]
 
 
@@ -270,36 +270,34 @@ def project(sub: Subspace, s: IntegralSet,
             known: Optional[tuple] = None) -> scipy.sparse.csr_matrix:
     """Assemble <d_i|H|d_j> + e_core*I over the rows of sub, in order.
 
-    Only the upper triangle (row <= column) is stored, without entries beyond
-    excitation degree 2 or off-diagonal entries that vanish; every diagonal
-    entry is stored. Given known, an earlier (Subspace, matrix) pair from
-    project or principal_block, entries between rows both subspaces hold are
-    copied and the kernel runs only on pairs that touch a new row; each value
-    is the same formula, so the matrix is bitwise a cold one. The diagonal is
-    always recomputed: its last bits depend on which strings sub holds.
+    Only the lower triangle is stored: row i holds columns <= i and ends with
+    its diagonal entry, always stored; entries beyond excitation degree 2 and
+    off-diagonal entries that vanish are left out. Given known, an earlier
+    (Subspace, matrix) pair from project or principal_block whose rows are
+    sub's first rows (EigensolverError otherwise), those rows are copied and
+    only the rows after them are built; each value is the same formula, so
+    the matrix is bitwise a cold one. The diagonal is always recomputed: its
+    last bits depend on which strings sub holds.
     """
     n = len(sub)
     if n == 0:
         raise EigensolverError("cannot project onto an empty subspace")
-    at = np.full(n, -1) if known is None else known[0].find(sub.alpha, sub.beta)
-    index = _StringIndex(sub, s.n_orb, at >= 0)
+    n_old = 0 if known is None else len(known[0])
+    if n_old and not (np.array_equal(known[0].alpha, sub.alpha[:n_old])
+                      and np.array_equal(known[0].beta, sub.beta[:n_old])):
+        raise EigensolverError("the known rows are not the first rows of the subspace")
+    index = _StringIndex(sub, s.n_orb, n_old)
     eri, ar = s.eri, np.arange(s.n_orb)
     occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
-    diag = np.arange(n, dtype=np.int32)
-    rows, cols, vals = [diag], [diag], [_diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core]
+    diag = _diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core
+    new = np.arange(n_old, n, dtype=np.int32)
+    rows, cols, vals = [new - n_old], [new], [diag[n_old:]]  # rows count from the first new row
 
     def emit(i, j, v):
         keep = v != 0.0
-        rows.append(np.minimum(i, j)[keep].astype(np.int32))
-        cols.append(np.maximum(i, j)[keep].astype(np.int32))
+        rows.append((np.maximum(i, j)[keep] - n_old).astype(np.int32))
+        cols.append(np.minimum(i, j)[keep].astype(np.int32))
         vals.append(v[keep])
-
-    if index.old.any():
-        to = np.full(known[1].shape[0], -1)  # known row -> row of sub
-        to[at[index.old]] = np.flatnonzero(index.old)
-        block = known[1].tocoo()
-        i, j = to[block.row], to[block.col]
-        emit(i, j, np.where((i >= 0) & (j >= 0) & (i != j), block.data, 0.0))  # emit drops 0s
 
     for channel, other in (("alpha", "beta"), ("beta", "alpha")):
         _, up, doubles = index.links[channel]
@@ -325,23 +323,32 @@ def project(sub: Subspace, s: IntegralSet,
         emit(i, j, up_alpha.phase[la] * beta.phase[lb] * eri[
             up_alpha.holes[la], up_alpha.particles[la], beta.holes[lb], beta.particles[lb]])
 
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    added = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n - n_old, n))
+    if not n_old:
+        return added
+    old = known[1]
+    data = old.data.copy()
+    data[old.indptr[1:] - 1] = diag[:n_old]
+    return scipy.sparse.csr_matrix((np.r_[data, added.data], np.r_[old.indices, added.indices],
+                                    np.r_[old.indptr, added.indptr[1:] + old.nnz]), shape=(n, n))
 
 
 def principal_block(sub: Subspace, h: scipy.sparse.csr_matrix, rows) -> tuple:
     """sub.take(rows) and h's block at rows, rows ascending so it stays one triangle."""
     rows = np.sort(rows)
+    if len(rows) == len(sub):  # every row, in order
+        return sub, h
     return sub.take(rows), h[rows][:, rows]
 
 
-def _davidson(upper, tol: float, max_iter: int, guess: Optional[np.ndarray]):
+def _davidson(lower, tol: float, max_iter: int, guess: Optional[np.ndarray]):
     """(theta, x, residual norm, converged) from a Davidson iteration on the
-    triangle upper, whose basis V and products AV are two (n, m) arrays."""
-    n, lower, diag = upper.shape[0], upper.T, upper.diagonal()
+    triangle lower, whose basis V and products AV are two (n, m) arrays."""
+    n, upper, diag = lower.shape[0], lower.T, lower.diagonal()
 
     def apply(v):
-        return upper @ v + lower @ v - diag * v
+        return lower @ v + upper @ v - diag * v
 
     if guess is not None and np.linalg.norm(guess) > 0:
         v0 = guess / np.linalg.norm(guess)
@@ -390,8 +397,8 @@ def ground_state(
     guess: Optional[np.ndarray] = None,
     dense_cutoff: int = DENSE_CUTOFF,
 ) -> CIVector:
-    """Lowest eigenpair of the symmetric matrix whose upper triangle is h, as
-    project() returns it; entries below the diagonal must be absent.
+    """Lowest eigenpair of the symmetric matrix whose lower triangle is h, as
+    project() returns it; entries above the diagonal must be absent.
 
     mode="tight" iterates Davidson to residual 1e-8 and raises on failure;
     mode="loose" stops at residual 1e-3 or 20 iterations, whichever first,
@@ -408,7 +415,7 @@ def ground_state(
     if guess is not None and len(guess) != n:
         raise EigensolverError("guess vector length does not match dimension")
     if n <= dense_cutoff:
-        w, v = scipy.linalg.eigh(h.toarray(), lower=False, subset_by_index=[0, 0])
+        w, v = scipy.linalg.eigh(h.toarray(), lower=True, subset_by_index=[0, 0])
         theta, x = float(w[0]), v[:, 0]
     else:
         if mode == "tight":

@@ -239,21 +239,22 @@ def parse_dipole_file(text: str, n_orb: int) -> DipoleIntegrals:
         if not tokens or tokens[0].startswith("#"):
             continue
         tag = tokens[0].lower()
-        if tag == "nuc":
-            if len(tokens) != 4:
-                raise FcidumpError(f"dipole line {lineno}: expected 'nuc dx dy dz'")
-            nuclear = np.array([float(t) for t in tokens[1:]])
-        elif tag in tables:
-            if len(tokens) != 4:
-                raise FcidumpError(f"dipole line {lineno}: expected 'axis p q value'")
-            p, q = int(tokens[1]) - 1, int(tokens[2]) - 1
-            if not (0 <= p < n_orb and 0 <= q < n_orb):
-                raise FcidumpError(f"dipole line {lineno}: index out of range")
-            v = float(tokens[3])
-            tables[tag][p, q] = v
-            tables[tag][q, p] = v
-        else:
+        if tag != "nuc" and tag not in tables:
             raise FcidumpError(f"dipole line {lineno}: unknown axis token {tokens[0]!r}")
+        if len(tokens) != 4:
+            form = "nuc dx dy dz" if tag == "nuc" else "axis p q value"
+            raise FcidumpError(f"dipole line {lineno}: expected '{form}'")
+        try:
+            if tag == "nuc":
+                nuclear = np.array([float(t) for t in tokens[1:]])
+                continue
+            p, q, v = int(tokens[1]) - 1, int(tokens[2]) - 1, float(tokens[3])
+        except ValueError as exc:
+            raise FcidumpError(f"dipole line {lineno}: {exc}") from None
+        if not (0 <= p < n_orb and 0 <= q < n_orb):
+            raise FcidumpError(f"dipole line {lineno}: index out of range")
+        tables[tag][p, q] = v
+        tables[tag][q, p] = v
     return DipoleIntegrals(tables["x"], tables["y"], tables["z"], nuclear)
 
 

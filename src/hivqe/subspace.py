@@ -137,9 +137,9 @@ class Subspace:
     def find(self, alpha, beta) -> np.ndarray:
         """Row of each (alpha[i], beta[i]) string pair, -1 where absent.
 
-        The one row lookup: union, warm start, the Hartree-Fock pin, the
-        expansion's candidate filter and project's reuse of an earlier matrix
-        all use it. Queries are located among the rows' ranked strings.
+        The one row lookup: union (and through it tensor reconstruction),
+        the Hartree-Fock pin and the expansion's candidate filter use it.
+        Queries are located among the rows' ranked strings.
         """
         alpha, beta = np.asarray(alpha, dtype=np.uint64), np.asarray(beta, dtype=np.uint64)
         if not len(self):
@@ -328,9 +328,10 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = Non
 
     Open shell: {alpha strings} x {beta strings}, each in first-seen order.
     Closed shell: the two string sets are merged first, then squared. Output
-    is a superset of the input; every alpha (beta) string of a sector has one
-    popcount, so the product stays in it. A product larger than cap is
-    refused with ValueError before any of it is built.
+    is the union of sub and the product, so sub's rows come first, then the
+    product's missing pairs in product order; every alpha (beta) string of a
+    sector has one popcount, so the product stays in it. A product larger
+    than cap is refused with ValueError before any of it is built.
     """
     if closed_shell and sub.sector.n_alpha != sub.sector.n_beta:
         raise ValueError("closed-shell reconstruction requires n_alpha == n_beta")
@@ -344,10 +345,8 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = Non
             f"tensor reconstruction would produce {size} determinants, "
             f"beyond the safety cap {cap}"
         )
-    if size == len(sub):
-        return sub
-    return Subspace._of(np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)),
-                        sub.sector, sub.expanded_refs)
+    return union(sub, Subspace._of(np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)),
+                                   sub.sector, sub.expanded_refs))
 
 
 def union(sub: Subspace, other: Subspace) -> Subspace:

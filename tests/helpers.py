@@ -39,11 +39,11 @@ def subspace_of(dets, s: IntegralSet) -> Subspace:
 
 
 def dense_symmetric(h) -> np.ndarray:
-    """The symmetric matrix that project() stores as its upper triangle, as a
-    dense array; nothing may be stored below the diagonal."""
-    upper = h.toarray()
-    assert not np.tril(upper, -1).any(), "an entry is stored below the diagonal"
-    return upper + np.triu(upper, 1).T
+    """The symmetric matrix that project() stores as its lower triangle, as a
+    dense array; nothing may be stored above the diagonal."""
+    lower = h.toarray()
+    assert not np.triu(lower, 1).any(), "an entry is stored above the diagonal"
+    return lower + np.tril(lower, -1).T
 
 
 def det_from_string(text: str) -> Determinant:

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import scipy.sparse
 
 import hivqe
 import hivqe.driver
@@ -17,6 +18,7 @@ import hivqe.eigensolver
 import hivqe.oracle
 import hivqe.subspace
 from hivqe.determinants import Determinant
+from hivqe.eigensolver import project
 from hivqe.optimizer import EnergyHistory
 
 from helpers import load_fixture, load_reference
@@ -59,11 +61,20 @@ def installed_tracer(monkeypatch):
 
 
 def test_the_tracer_measures_a_loop(monkeypatch):
+    matrices = []
+
+    def recording_project(*args, **kwargs):
+        matrices.append(project(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(hivqe.driver, "project", recording_project)  # the tracer wraps this
     tracer = installed_tracer(monkeypatch)
     cfg = hivqe.RunConfig(seed=0, k=10, m=4, max_iterations=2)
     result, run_s = tracer.run(hivqe.run_hivqe, cfg, load_fixture("h4_chain"))
     metrics = tracer.metrics(run_s, 0.0, result.iterations, 1.0)
-    assert metrics["eigensolver.project_calls"] > 0
+    assert metrics["eigensolver.project_calls"] == len(matrices) > 0
+    # the tracer reads this storage: the lower triangle, nothing above the diagonal
+    assert all(scipy.sparse.triu(h, 1).nnz == 0 for h in matrices)
     assert metrics["eigensolver.elements"] > 0
     assert metrics["driver.iterations"] == 2
     # bench/worker.py hashes the masks of RunResult.dets as Python ints

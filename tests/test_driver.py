@@ -12,7 +12,6 @@ from hivqe.determinants import Sector
 from hivqe.driver import (
     RunConfig,
     RunError,
-    _warm_start,
     compute_1rdm,
     dipole_moment,
     run_hivqe,
@@ -30,7 +29,13 @@ from hivqe.sampler import (
     prepare_state,
     sample,
 )
-from hivqe.subspace import Subspace, bitstring_is_valid, filter_symmetry, tensor_reconstruct
+from hivqe.subspace import (
+    Subspace,
+    amplitude_screen,
+    bitstring_is_valid,
+    filter_symmetry,
+    tensor_reconstruct,
+)
 
 from helpers import (
     FIXTURES,
@@ -445,22 +450,43 @@ def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):
     for state in states:
         assert (state.alpha.size, state.beta.size) == (3003, 3003)
 
-def test_warm_start_realigns_a_permuted_subset_with_missing_rows():
-    sector = Sector(4, 2, 2)
-    every = enumerate_sector(4, 2, 2)
-    rng = np.random.default_rng(7)
-    source = Subspace([every[i] for i in rng.permutation(len(every))[:20]], sector)
-    amps = rng.normal(size=len(source))
-    psi = CIVector(amps / np.linalg.norm(amps), -1.0)
-    target = Subspace([every[i] for i in rng.permutation(len(every))[:15]], sector)
-    lookup = dict(zip(source, psi.amplitudes))
-    expected = np.array([lookup.get(d, 0.0) for d in target])
-    assert 0 < np.count_nonzero(expected) < len(target)  # some rows missing
-    guess = _warm_start((source, None, psi), target)
-    assert np.array_equal(guess, expected / np.linalg.norm(expected))
-    assert _warm_start(None, target) is None
-    elsewhere = Subspace([d for d in every if d not in lookup], sector)
-    assert _warm_start((source, None, psi), elsewhere) is None
+def test_each_tight_solve_starts_from_the_rows_the_last_screen_kept(monkeypatch):
+    """After the first, each tight solve starts from the previous iteration's
+    amplitudes on the rows its screen kept and from 0 on every other row,
+    through a cap that reorders rows. A row the cap drops and a tensor
+    reconstruction adds back is a new row and starts at 0 too."""
+    cfg = RunConfig(**dict(LIH_TENSOR, max_iterations=4))
+    screens, guesses, capped = [], [], []
+
+    def recording_screen(sub, amplitudes, threshold):
+        rows = amplitude_screen(sub, amplitudes, threshold)
+        screens.append((sub, amplitudes, rows))
+        return rows
+
+    def recording_solve(h, mode="tight", guess=None):
+        if mode == "tight":
+            guesses.append(guess)
+        return ground_state(h, mode, guess)
+
+    def recording_tensor(sub, closed_shell, cap):
+        capped.append(len(sub))
+        return tensor_reconstruct(sub, closed_shell, cap)
+
+    monkeypatch.setattr("hivqe.driver.amplitude_screen", recording_screen)
+    monkeypatch.setattr("hivqe.driver.ground_state", recording_solve)
+    monkeypatch.setattr("hivqe.driver.tensor_reconstruct", recording_tensor)
+    res = run_hivqe(cfg, load_fixture("lih"))
+    assert any(cfg.k < r.n_dets_union and cfg.k < r.n_dets_cum for r in res.trace)
+    assert len(screens) == len(guesses) == len(capped) == 4  # every solve's subspace is known
+    readded = 0
+    for (earlier, amplitudes, rows), (sub, _, _), guess, n in zip(
+            screens, screens[1:], guesses[1:], capped[1:]):
+        kept = dict(zip(earlier.take(rows), amplitudes[rows]))
+        assert any(d not in kept for d in sub)
+        assert np.array_equal(guess, [kept.get(d, 0.0) if row < n else 0.0
+                                      for row, d in enumerate(sub)])
+        readded += sum(d in kept for d in list(sub)[n:])
+    assert readded  # this run does drop screened rows at the cap and add them back
 
 
 # ---------------------------------------------------------------------------

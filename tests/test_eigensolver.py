@@ -17,19 +17,20 @@ from hivqe.eigensolver import (
 from hivqe.integrals import IntegralSet
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
+from hivqe.subspace import tensor_reconstruct
 
 from helpers import dense_symmetric, load_fixture, load_reference, random_integral_set, subspace_of
 
 
 def test_project_is_symmetric_with_core_on_diagonal():
-    """project stores the symmetric matrix once: its upper triangle and the
-    diagonal, with nothing below it."""
+    """project stores the symmetric matrix once: its lower triangle and the
+    diagonal, with nothing above it."""
     s = random_integral_set(4, 2, 2, seed=1, e_core=1.75)
     dets = enumerate_sector(4, 2, 2)
     h = project(subspace_of(dets, s), s)
     stored = h.toarray()
-    assert not np.tril(stored, -1).any()
-    assert np.count_nonzero(np.triu(stored, 1)) > 0
+    assert not np.triu(stored, 1).any()
+    assert np.count_nonzero(np.tril(stored, -1)) > 0
     mat = dense_symmetric(h)
     assert np.allclose(mat, mat.T, atol=0)
     for i, d in enumerate(dets):
@@ -62,16 +63,16 @@ def test_project_partial_subspace_rows():
 
 
 def assert_matches_oracle(dets, s):
-    """project()'s stored upper triangle agrees element by element with
-    slater_condon (+ e_core on the diagonal), holds nothing below the
+    """project()'s stored lower triangle agrees element by element with
+    slater_condon (+ e_core on the diagonal), holds nothing above the
     diagonal and stores no off-diagonal zeros."""
     h = project(subspace_of(dets, s), s)
     oracle = np.array([[slater_condon(di, dj, s) + (s.e_core if i == j else 0.0)
                         for j, dj in enumerate(dets)] for i, di in enumerate(dets)])
     stored = h.toarray()
-    assert not np.tril(stored, -1).any()
-    assert np.max(np.abs(stored - np.triu(oracle))) < 1e-12
-    assert h.nnz == len(dets) + np.count_nonzero(np.triu(oracle, 1))
+    assert not np.triu(stored, 1).any()
+    assert np.max(np.abs(stored - np.tril(oracle))) < 1e-12
+    assert h.nnz == len(dets) + np.count_nonzero(np.tril(oracle, -1))
 
 
 def walk_strings(n_orb, n_e, count, rng):
@@ -220,40 +221,62 @@ def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_
         assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
 
 
-def extension_cases(n_dets, rng):
-    """(known rows, rows) index pairs into a sector of n_dets determinants."""
-    perm = rng.permutation(n_dets)
-    a, b, c = perm[:90], perm[90:180], perm[180:210]
+def prefix_cases(rng):
+    """(kept, added) position arrays: rows kept, ascending, from an earlier
+    120-row subspace, and the rows appended after them. Positions 120 and
+    up are rows the earlier subspace lacks."""
+    kept = np.sort(rng.permutation(120)[:90])
+    dropped, fresh = np.setdiff1d(np.arange(120), kept), np.arange(120, 150)
     return [
-        (a, rng.permutation(a)),                  # full overlap, reordered
-        (a, a),                                   # full overlap, same order
-        (a, np.r_[a[:60], c]),                    # dropped and added rows
-        (a, np.r_[c[:10], rng.permutation(a)[:60], c[10:]]),  # all three, mixed
-        (np.r_[a, b], rng.permutation(a)[:70]),   # known strings absent from the rows
-        (a, b),                                   # no overlap
-        (a, np.r_[a, c[:1]]),                     # a single new row, last
-        (a, np.r_[c[:1], a]),                     # a single new row, first
-        (a[:1], np.r_[a[:1], b]),                 # one old row
+        (kept, fresh[:0]),                                # no new rows
+        (kept, fresh[:1]),                                # one new row
+        (kept, fresh),                                    # many new rows
+        (kept, rng.permutation(np.r_[dropped, fresh])),   # dropped rows come back as new rows
+        (kept[:1], fresh),                                # one known row
+        (kept[:0], fresh),                                # an empty known block
     ]
 
 
 @pytest.mark.parametrize("name", ["lih", "random"])
 def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
+    """A known matrix, a principal block at ascending rows of an earlier
+    subspace, extended by the rows appended after it, is bitwise the matrix
+    a cold project builds; so is a tensor reconstruction that extends it."""
     s = load_fixture("lih") if name == "lih" else random_integral_set(8, 3, 4, seed=41, e_core=0.2)
     dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
-    assert len(dets) >= 210
     rng = np.random.default_rng(41)
-    for known_rows, rows in extension_cases(len(dets), rng):
-        known_sub = subspace_of([dets[i] for i in known_rows], s)
-        known = (known_sub, project(known_sub, s))
-        sub = subspace_of([dets[i] for i in rows], s)
+    order = rng.permutation(len(dets))
+    earlier = subspace_of([dets[i] for i in order[:120]], s)
+    h_earlier = project(earlier, s)
+    for kept, added in prefix_cases(rng):
+        known = principal_block(earlier, h_earlier, kept)
+        sub = subspace_of([dets[i] for i in order[np.r_[kept, added]]], s)
         cold, warm = project(sub, s), project(sub, s, known)
         assert same_storage(cold, warm)
         assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
-        # a known matrix that is itself a capped slice serves as well, from
-        # rows in any order: principal_block takes them ascending
-        for kept in (np.arange(0, len(known_sub), 2), rng.permutation(len(known_sub))[:60]):
-            assert same_storage(cold, project(sub, s, principal_block(*known, kept)))
+        stale = known[1].copy()
+        stale.setdiag(stale.diagonal() + 1.0)  # the diagonal is recomputed, never copied
+        assert same_storage(cold, project(sub, s, (known[0], stale)))
+        tensored = tensor_reconstruct(sub)
+        assert len(tensored) > len(sub)
+        cold, warm = project(tensored, s), project(tensored, s, (sub, warm))
+        assert same_storage(cold, warm)
+        assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
+
+
+def test_project_refuses_a_known_block_that_is_not_the_first_rows():
+    s = random_integral_set(6, 2, 2, seed=42)
+    dets = enumerate_sector(6, 2, 2)
+    sub = subspace_of(dets[:40], s)
+    h = project(sub, s)
+    rows = np.arange(20)
+    for wrong in (np.r_[1, 0, rows[2:]],   # a swapped pair
+                  rows[1:],                # the first row dropped
+                  np.r_[rows, 30]):        # a row that sub holds later
+        known = (sub.take(wrong), h[wrong][:, wrong])
+        with pytest.raises(EigensolverError, match="first rows"):
+            project(sub, s, known)
+    assert same_storage(project(sub, s, principal_block(sub, h, rows)), h)
 
 
 def test_project_refuses_an_empty_subspace():
@@ -346,7 +369,7 @@ def test_degenerate_ground_state_energy_still_exact():
     mat = (mat + mat.T) / 2
     from scipy.sparse import csr_matrix
 
-    c = ground_state(csr_matrix(np.triu(mat)), "tight", dense_cutoff=1)
+    c = ground_state(csr_matrix(np.tril(mat)), "tight", dense_cutoff=1)
     assert c.energy == pytest.approx(-2.0, abs=1e-9)
 
 

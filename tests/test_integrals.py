@@ -203,3 +203,9 @@ def test_dipole_rejects_out_of_range_orbital():
     text = "z 4 1  1.0E+00\nnuc 0.0 0.0 0.0\n"
     with pytest.raises(ValueError):
         parse_dipole_file(text, 3)
+
+
+@pytest.mark.parametrize("line", ["x 1 a 0.5", "x 1 1 zz", "nuc 1 2 x"])
+def test_dipole_names_the_line_of_a_malformed_number(line):
+    with pytest.raises(FcidumpError, match="dipole line 2: "):
+        parse_dipole_file(f"# a comment\n{line}\n", 3)
