@@ -16,13 +16,19 @@ Every emitted fixture is validated in place:
 
 Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 scripts/make_fixtures.py
+    python3 scripts/make_fixtures.py
 
-The last digits of the LiH FCI energy and dipole depend on the BLAS thread
-count; the committed reference.json was written with one thread.
+The last digits of the LiH FCI energy and dipole can depend on the BLAS
+thread count, so the script pins the BLAS pools to one thread before numpy
+is imported; the committed reference.json was written that way.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import json
 import math

@@ -1,31 +1,21 @@
-"""Command-line entry point: run, fci, sweep and report subcommands.
-
-Heavy imports happen inside main() so that HIVQE_THREADS can cap the BLAS
-thread pools before numpy initializes them.
-"""
+"""Command-line entry point: run, fci, sweep and report subcommands."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
+from .determinants import det_to_string
+from .driver import CONFIG_TYPES, IterationRecord, RunConfig, run_hivqe
+from .integrals import parse_dipole_file, parse_fcidump
+from .oracle import ORACLE_SECTOR_LIMIT, fci_ground
+from .sampler import sector_size
+
 ERROR_FLOOR = 1e-16  # log-scale display floor for exact-method errors
-
-
-def _apply_thread_cap() -> None:
-    threads = os.environ.get("HIVQE_THREADS")
-    if threads:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(field_name: str, raw: str):
-    from .driver import CONFIG_TYPES
-
     kind = CONFIG_TYPES.get(field_name)
     if kind is None:
         raise ValueError(f"unknown config key {field_name!r}")
@@ -79,13 +67,14 @@ def _coerce(field_name: str, raw: str):
         if raw.lower() not in words:
             raise ValueError(f"{field_name} expects a boolean, got {raw!r}")
         return words[raw.lower()]
-    return kind(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{field_name} expects {kind.__name__}, got {raw!r}") from None
 
 
 def _load_config(args):
     """Defaults < config file < --seed < --set, in that order."""
-    from .driver import RunConfig
-
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -104,8 +93,6 @@ def _load_config(args):
 
 
 def _read_integrals(path: str):
-    from .integrals import parse_fcidump
-
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"FCIDUMP file not found: {path}")
@@ -113,8 +100,6 @@ def _read_integrals(path: str):
 
 
 def _fmt(value: float) -> str:
-    import math
-
     return "nan" if not math.isfinite(value) else f"{value:.8f}"
 
 
@@ -124,9 +109,6 @@ def _csv_field(value) -> str:
 
 
 def _write_run_outputs(result, out_dir: Path) -> None:
-    from .determinants import det_to_string
-    from .driver import IterationRecord
-
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.dumps(result.result_dict(), indent=2, sort_keys=True) + "\n"
     (out_dir / "result.json").write_text(doc)
@@ -142,9 +124,6 @@ def _write_run_outputs(result, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    from .driver import run_hivqe
-    from .integrals import parse_dipole_file
-
     cfg = _load_config(args)
     integrals = _read_integrals(args.fcidump)
     dipole = None
@@ -168,9 +147,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fci(args) -> int:
-    from .oracle import ORACLE_SECTOR_LIMIT, fci_ground
-    from .sampler import sector_size
-
     integrals = _read_integrals(args.fcidump)
     size = sector_size(integrals.n_orb, integrals.n_alpha, integrals.n_beta)
     if args.count_only:
@@ -190,14 +166,11 @@ def _cmd_fci(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .driver import run_pes_sweep
-
     cfg = _load_config(args)
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {args.manifest}")
-    entries = []
-    integrals_by_label = {}
+    entries = {}  # label -> (integrals, reference energy or None)
     base = manifest_path.parent
     for number, line in enumerate(manifest_path.read_text().splitlines(), 1):
         tokens = line.split()
@@ -206,27 +179,30 @@ def _cmd_sweep(args) -> int:
         if len(tokens) not in (2, 3):
             raise ValueError(f"manifest line needs 'label path [e_ref]': {line!r}")
         label, rel = tokens[0], tokens[1]
-        if label in integrals_by_label:
+        if label in entries:
             raise ValueError(f"manifest line {number} repeats the label {label!r}")
         e_ref = float(tokens[2]) if len(tokens) == 3 else None
         path = Path(rel)
         if not path.is_absolute():
             path = base / rel
-        integrals_by_label[label] = _read_integrals(str(path))
-        entries.append((label, e_ref))
+        entries[label] = (_read_integrals(str(path)), e_ref)
     if not entries:
         print("manifest lists no geometries", file=sys.stderr)
         return 1
+    sectors = {label: (s.n_orb, s.n_alpha, s.n_beta) for label, (s, _) in entries.items()}
+    if len(set(sectors.values())) > 1:
+        raise ValueError(f"geometries span different sectors: {sectors}")
 
-    rows = run_pes_sweep(entries, cfg, integrals_by_label)
+    lines = ["label,E_hf,E_hivqe,E_ref,abs_error"]
+    for label, (integrals, e_ref) in entries.items():
+        result = run_hivqe(cfg, integrals)
+        error = None if e_ref is None or result.energy is None else abs(result.energy - e_ref)
+        lines.append(",".join([label] + [
+            _csv_field(v) for v in (result.e_hf, result.energy, e_ref, error)]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["label,E_hf,E_hivqe,E_ref,abs_error"]
-    for row in rows:
-        lines.append(",".join([row["label"]] + [
-            _csv_field(row[key]) for key in ("e_hf", "e_hivqe", "e_ref", "abs_error")]))
     (out_dir / "pes.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out_dir / 'pes.csv'} with {len(rows)} points")
+    print(f"wrote {out_dir / 'pes.csv'} with {len(entries)} points")
     return 0
 
 
@@ -279,7 +255,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,

@@ -51,7 +51,6 @@ __all__ = [
     "run_hivqe",
     "compute_1rdm",
     "dipole_moment",
-    "run_pes_sweep",
     "DEBYE_PER_AU",
 ]
 
@@ -363,30 +362,3 @@ def dipole_moment(gamma: np.ndarray, d: DipoleIntegrals) -> np.ndarray:
         electronic = float(np.sum(gamma * d.component(axis)))
         out[idx] = (d.nuclear[idx] - electronic) * DEBYE_PER_AU
     return out
-
-
-def run_pes_sweep(entries, cfg: RunConfig, integrals_by_label: dict) -> list[dict]:
-    """One run per geometry; all entries must share one symmetry sector.
-
-    entries: iterable of (label, reference energy or None). Integral sets are
-    supplied separately keyed by label. Returns one row dict per entry.
-    """
-    sectors = {
-        label: (iset.n_orb, iset.n_alpha, iset.n_beta)
-        for label, iset in integrals_by_label.items()
-    }
-    if len(set(sectors.values())) > 1:
-        raise RunError(f"geometries span different sectors: {sectors}")
-    rows = []
-    for label, e_ref in entries:
-        result = run_hivqe(cfg, integrals_by_label[label])
-        row = {
-            "label": label,
-            "e_hf": result.e_hf,
-            "e_hivqe": result.energy,
-            "e_ref": e_ref,
-            "abs_error": (None if e_ref is None or result.energy is None
-                          else abs(result.energy - e_ref)),
-        }
-        rows.append(row)
-    return rows

@@ -47,6 +47,22 @@ def test_names_the_tracer_reads_exist():
         assert hasattr(hivqe, name), name
 
 
+def test_the_untraced_run_reads_the_history_at_each_convergence_test(monkeypatch):
+    """bench/worker.py times time_to_chem_acc_s by wrapping driver.converged."""
+    seen = []
+    converged = hivqe.driver.converged
+
+    def marked(history, *args, **kwargs):
+        seen.append(list(history.energies))
+        return converged(history, *args, **kwargs)
+
+    monkeypatch.setattr(hivqe.driver, "converged", marked)
+    result = hivqe.run_hivqe(hivqe.RunConfig(seed=0, max_iterations=8), load_fixture("lih"))
+    assert result.converged and 1 < result.iterations < 8  # the last call ended the loop
+    e_cum = [r.e_cum for r in result.trace]
+    assert seen == [e_cum[:i + 1] for i in range(result.iterations)]
+
+
 def installed_tracer(monkeypatch):
     """bench/layers.py's Tracer, wrapped around the package for one test."""
     layers = load_layers()

@@ -7,6 +7,7 @@ straight through the CLI layer.
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -94,12 +95,14 @@ def test_run_override_precedence(tmp_path):
     assert doc["config"]["k"] == 3  # file value survives under other overrides
 
 
-@pytest.mark.parametrize("override", ["shotz=10", "p_flip", "shots=lots", "threshold=nan"])
+@pytest.mark.parametrize("override", ["shotz=10", "p_flip", "shots=lots", "threshold=nan",
+                                      "k=abc", "k=1e3"])
 def test_run_rejects_bad_overrides(tmp_path, capsys, override):
     rc = main(["run", "--fcidump", H2, "--set", override,
                "--out", str(tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    key = override.split("=")[0]
+    assert re.match(rf"error: .*\b{key}\b", capsys.readouterr().err)  # names the key
 
 
 @pytest.mark.parametrize("key,value", [
@@ -252,9 +255,27 @@ def test_sweep_writes_pes_csv(tmp_path, capsys):
     first = lines[1].split(",")
     assert first[0] == "r0.74"
     assert abs(float(first[4])) < 1e-8
+    assert float(first[1]) == pytest.approx(ref["h2_0.74"]["e_hf"], abs=1e-9)
     second = lines[2].split(",")
     assert second[0] == "r1.50" and second[3] == "" and second[4] == ""
     assert float(second[2]) == pytest.approx(ref["h2_1.50"]["e_fci"], abs=1e-8)
+    assert float(second[1]) == pytest.approx(ref["h2_1.50"]["e_hf"], abs=1e-9)
+
+
+def test_sweep_computes_errors_per_label(tmp_path):
+    ref = load_reference()
+    labels = ["h2_0.74", "h2_1.50"]
+    manifest = tmp_path / "curve.txt"
+    manifest.write_text("".join(
+        f"{name} {FIXTURES / (name + '.fcidump')} {ref[name]['e_fci']!r}\n" for name in labels))
+    rc = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in (tmp_path / "pes.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == labels
+    for label, e_hf, e_hivqe, e_ref, abs_error in rows:
+        assert float(e_ref) == ref[label]["e_fci"]
+        assert float(abs_error) == abs(float(e_hivqe) - float(e_ref)) < 1e-6
+        assert float(e_hf) == pytest.approx(ref[label]["e_hf"], abs=1e-9)
 
 
 def test_sweep_without_an_energy_leaves_its_fields_empty(tmp_path):
@@ -282,7 +303,8 @@ def test_sweep_resolves_paths_relative_to_manifest(tmp_path):
     try:
         rc = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / "pes.csv").exists()
+        row = (tmp_path / "pes.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "eq" and row[2] != "" and row[3:] == ["", ""]
     finally:
         manifest.unlink()
 
@@ -298,6 +320,20 @@ def test_sweep_refuses_a_repeated_label(tmp_path, capsys):
     rc = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
     assert rc == 1
     assert "manifest line 3 repeats the label 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "pes.csv").exists()
+
+
+def test_sweep_refuses_mixed_sectors(tmp_path, capsys):
+    manifest = tmp_path / "curve.txt"
+    manifest.write_text(
+        f"h2 {FIXTURES / 'h2_0.74.fcidump'}\n"
+        f"h4 {FIXTURES / 'h4_chain.fcidump'}\n"
+    )
+    rc = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: geometries span different sectors")
+    assert "'h2': (2, 1, 1)" in err and "'h4': (4, 2, 2)" in err
     assert not (tmp_path / "pes.csv").exists()
 
 

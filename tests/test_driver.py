@@ -1,4 +1,4 @@
-"""End-to-end iteration loop, density matrices, dipoles, and PES sweeps."""
+"""End-to-end iteration loop, density matrices and dipoles."""
 
 import dataclasses
 import inspect
@@ -15,7 +15,6 @@ from hivqe.driver import (
     compute_1rdm,
     dipole_moment,
     run_hivqe,
-    run_pes_sweep,
 )
 from hivqe.eigensolver import CIVector, EigensolverError, ground_state, project
 from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
@@ -553,38 +552,3 @@ def test_dipole_moment_shape_mismatch_raises():
     with pytest.raises(ValueError):
         dipole_moment(gamma, d)
 
-
-# ---------------------------------------------------------------------------
-# PES sweeps
-# ---------------------------------------------------------------------------
-
-def test_pes_sweep_computes_errors_per_label():
-    labels = ["h2_0.74", "h2_1.50"]
-    integrals = {name: load_fixture(name) for name in labels}
-    ref = load_reference()
-    entries = [(name, ref[name]["e_fci"]) for name in labels]
-    rows = run_pes_sweep(entries, RunConfig(seed=0), integrals)
-    assert [r["label"] for r in rows] == labels
-    for row in rows:
-        assert row["abs_error"] < 1e-6
-        assert row["e_hf"] == pytest.approx(ref[row["label"]]["e_hf"], abs=1e-9)
-
-
-def test_pes_sweep_without_reference_leaves_error_empty():
-    rows = run_pes_sweep([("eq", None)], RunConfig(seed=0),
-                         {"eq": load_fixture("h2_0.74")})
-    assert rows[0]["e_ref"] is None and rows[0]["abs_error"] is None
-
-
-def test_pes_sweep_without_an_energy_leaves_error_empty():
-    ref = load_reference()["h2_0.74"]["e_fci"]
-    rows = run_pes_sweep([("eq", ref)], RunConfig(max_iterations=0),
-                         {"eq": load_fixture("h2_0.74")})
-    assert rows[0]["e_hivqe"] is None and rows[0]["abs_error"] is None
-    assert rows[0]["e_ref"] == ref
-
-
-def test_pes_sweep_rejects_mixed_sectors():
-    integrals = {"a": load_fixture("h2_0.74"), "b": load_fixture("h4_chain")}
-    with pytest.raises(RunError):
-        run_pes_sweep([("a", None), ("b", None)], RunConfig(seed=0), integrals)
