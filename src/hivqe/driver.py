@@ -17,6 +17,10 @@ convergence, amplitude-screens, classically expands, and lets the optimizer
 update theta from the probe pair. The lowest eigenpair (of equal energies,
 the one on fewer rows) is returned; a run of zero iterations returns no
 energy and no determinant.
+
+A sampled set among the last LOOSE_CACHE used is not solved again: the run
+keeps their loose energies, which the deterministic solve would reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 DEBYE_PER_AU = 2.541746
+LOOSE_CACHE = 4  # sampled sets whose loose energy a run keeps
 
 
 class RunError(RuntimeError):
@@ -216,13 +221,16 @@ def run_hivqe(
     best_energy_seen = math.inf
     stall_count = 0
     status = "max_iterations"
+    loose = {}  # (alpha bytes, beta bytes) in row order -> loose energy, oldest first
 
     def sample_and_solve(theta, iteration, role):
         """(batch, the subspace of its sector-valid determinants, its loose energy).
 
         Role 0 is the iteration at the current angles, roles 1 and 2 the SPSA
         probes; each draws from its own seed stream. The energy is nan when
-        filtering leaves no determinant.
+        filtering leaves no determinant. The solve is deterministic, so the
+        energies of the LOOSE_CACHE most recently used sets are kept and a
+        repeated set is not solved again.
         """
         state = prepare_state(ansatz, theta, sector)
         batch = sample(state, cfg.shots, noise, _stream(cfg.seed, iteration, role))
@@ -230,7 +238,14 @@ def run_hivqe(
         dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
         if not dets:
             return batch, dets, math.nan
-        return batch, dets, ground_state(project(dets, s), "loose").energy
+        key = (dets.alpha.tobytes(), dets.beta.tobytes())
+        energy = loose.pop(key, None)
+        if energy is None:
+            energy = ground_state(project(dets, s), "loose").energy
+            if len(loose) == LOOSE_CACHE:
+                del loose[next(iter(loose))]
+        loose[key] = energy  # now the most recent
+        return batch, dets, energy
 
     for i in range(cfg.max_iterations):
         t0 = time.perf_counter()

@@ -15,16 +15,19 @@ Umrigar, JCP 149, 214110, 2018). The diagonal, always recomputed, comes from
 occupation vectors against J = (pp|qq) and K = (pq|qp). slater_condon is the
 element-by-element oracle.
 
-ground_state() finds the lowest eigenpair alone, directly up to a set
-dimension; above it, a Davidson iteration applies the triangle and its
-transpose, keeps its basis V and the products AV as (n, m) arrays and
-restarts once m reaches MAX_SUBSPACE (Davidson, J. Comput. Phys. 17, 87, 1975).
+ground_state() finds the lowest eigenpair alone: directly up to
+DENSE_CUTOFF rows, about where a Davidson iteration overtakes the direct
+solve, and by Davidson above it (Davidson, J. Comput. Phys. 17, 87, 1975).
+The iteration applies the triangle and its transpose, keeps its basis and
+their products as rows of two arrays preallocated to MAX_SUBSPACE rows,
+grows its Rayleigh matrix by one row per step and restarts from the Ritz
+vector once the basis is full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -43,7 +46,7 @@ __all__ = [
     "ground_state",
 ]
 
-DENSE_CUTOFF = 512
+DENSE_CUTOFF = 200
 TIGHT_RESIDUAL = 1e-8
 LOOSE_RESIDUAL = 1e-3
 LOOSE_MAX_ITER = 20
@@ -137,8 +140,15 @@ class _Links:
         for string far[link], or, when into, reach string k from far[link]."""
         if not into:
             return self.start, np.arange(len(self.src)), self.dst
+        return self._by_dst
+
+    @cached_property
+    def _by_dst(self):
+        """grouping(into=True), sorted once per table."""
         order = np.argsort(self.dst, kind="stable")
-        return np.searchsorted(self.dst[order], np.arange(len(self.start))), order, self.src
+        start = np.searchsorted(self.dst[order], np.arange(len(self.start)))
+        order.flags.writeable = start.flags.writeable = False
+        return start, order, self.src
 
     def upward(self) -> "_Links":
         """Only the links whose target string index exceeds the source's."""
@@ -318,10 +328,13 @@ def project(sub: Subspace, s: IntegralSet,
         for i, j, link in index.same_spin(channel, doubles):
             emit(i, j, value[link])
 
+    # (h_a p_a|h_b p_b) is one gather from the flat eri, at an offset per link of each table
     up_alpha, beta = index.links["alpha"][1], index.links["beta"][0]
+    offset_a = (up_alpha.holes * s.n_orb + up_alpha.particles) * s.n_orb ** 2
+    offset_b = beta.holes * s.n_orb + beta.particles
+    flat = eri.ravel()
     for i, j, la, lb in index.mixed():
-        emit(i, j, up_alpha.phase[la] * beta.phase[lb] * eri[
-            up_alpha.holes[la], up_alpha.particles[la], beta.holes[lb], beta.particles[lb]])
+        emit(i, j, up_alpha.phase[la] * beta.phase[lb] * flat[offset_a[la] + offset_b[lb]])
 
     added = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n - n_old, n))
@@ -344,50 +357,57 @@ def principal_block(sub: Subspace, h: scipy.sparse.csr_matrix, rows) -> tuple:
 
 def _davidson(lower, tol: float, max_iter: int, guess: Optional[np.ndarray]):
     """(theta, x, residual norm, converged) from a Davidson iteration on the
-    triangle lower, whose basis V and products AV are two (n, m) arrays."""
+    triangle lower. The basis vectors V_i and their products AV_i are the
+    first m rows of two preallocated (MAX_SUBSPACE, n) arrays, and row i of
+    the Rayleigh matrix T holds V_i . AV_j for j <= i, added once per step."""
     n, upper, diag = lower.shape[0], lower.T, lower.diagonal()
+    V, AV = np.empty((MAX_SUBSPACE, n)), np.empty((MAX_SUBSPACE, n))
+    T = np.empty((MAX_SUBSPACE, MAX_SUBSPACE))
 
-    def apply(v):
-        return lower @ v + upper @ v - diag * v
+    def append(m, v):
+        """Make v basis row m and add its row of T."""
+        V[m] = v
+        AV[m] = lower @ v + upper @ v - diag * v
+        T[m, :m + 1] = AV[:m + 1] @ v
 
     if guess is not None and np.linalg.norm(guess) > 0:
         v0 = guess / np.linalg.norm(guess)
     else:
         v0 = np.zeros(n)
         v0[int(np.argmin(diag))] = 1.0
-    V = v0[:, None]
-    AV = apply(v0)[:, None]
+    append(0, v0)
+    m = 1
     for _ in range(max_iter):
-        # eigh reads the lower triangle, V_i . AV_j for j <= i
-        w, vecs = scipy.linalg.eigh(V.T @ AV)
+        w, vecs = np.linalg.eigh(T[:m, :m], "L")
         theta, y = float(w[0]), vecs[:, 0]
-        x, ax = V @ y, AV @ y
+        x, ax = y @ V[:m], y @ AV[:m]
         residual = ax - theta * x
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= tol:
             return theta, x, residual_norm, True
-        if V.shape[1] >= MAX_SUBSPACE:
+        if m >= MAX_SUBSPACE:  # restart from the Ritz vector alone
             norm = np.linalg.norm(x)
-            V, AV = (x / norm)[:, None], (ax / norm)[:, None]
+            V[0], AV[0] = x / norm, ax / norm
+            T[0, 0] = AV[0] @ V[0]
+            m = 1
             continue
         denom = diag - theta
         denom = np.where(np.abs(denom) < 1e-8, np.copysign(1e-8, denom + 1e-300), denom)
-        # When the preconditioned residual lies in the span, escape along the
-        # largest-residual coordinate.
-        probe = np.zeros(n)
-        probe[int(np.argmax(np.abs(residual)))] = 1.0
-        for t in (residual / denom, probe):
+        t = residual / denom
+        for escape in (False, True):
+            if escape:  # the preconditioned residual lies in the span:
+                t = np.zeros(n)  # escape along the largest-residual coordinate
+                t[int(np.argmax(np.abs(residual)))] = 1.0
             # two Gram-Schmidt passes keep V orthonormal to working precision
             for _ in range(2):
-                t -= V @ (V.T @ t)
+                t -= (V[:m] @ t) @ V[:m]
             norm = np.linalg.norm(t)
             if norm >= 1e-12:
                 break
         else:
             return theta, x, residual_norm, False
-        t /= norm
-        V = np.column_stack((V, t))
-        AV = np.column_stack((AV, apply(t)))
+        append(m, t / norm)
+        m += 1
     return theta, x, residual_norm, False
 
 

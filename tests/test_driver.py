@@ -389,6 +389,19 @@ def test_seed_changes_the_trajectory():
 
 
 
+def fresh_sample_and_solve(cfg, s, theta, iteration, role):
+    """(batch, loose energy) of one sample-and-solve step rebuilt from public
+    calls: the state at theta sampled from the stream of (iteration, role),
+    filtered (repaired in recover mode), projected and loosely solved."""
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    state = prepare_state(brick_wall_ansatz(s.n_orb, cfg.ansatz_layers), theta, sector)
+    batch = sample(state, cfg.shots, NoiseModel(cfg.p_flip),
+                   np.random.SeedSequence([cfg.seed, iteration, role]))
+    hint = mean_occupations(state) if cfg.recovery_mode == "recover" else None
+    dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
+    return batch, ground_state(project(dets, s), "loose").energy
+
+
 def test_iteration_and_probes_share_one_sample_and_solve_step():
     """Iteration 0's e_iter, e_plus and e_minus rebuilt from public calls:
     roles 0, 1 and 2 of the iteration's seed stream, each sampled, repaired,
@@ -398,29 +411,77 @@ def test_iteration_and_probes_share_one_sample_and_solve_step():
     cfg = RunConfig(seed=3, shots=100, k=10, m=4, p_flip=0.2,
                     recovery_mode="recover", max_iterations=2)
     record = run_hivqe(cfg, s).trace[0]
-    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
     ansatz = brick_wall_ansatz(s.n_orb, cfg.ansatz_layers)
     opt = make_optimizer(np.zeros(ansatz.n_params),
                          seed=np.random.SeedSequence([cfg.seed, 3]), a=0.1, c=0.1)
 
-    batches = []
-
-    def loose_energy(theta, role):
-        state = prepare_state(ansatz, theta, sector)
-        batch = sample(state, cfg.shots, NoiseModel(cfg.p_flip),
-                       np.random.SeedSequence([cfg.seed, 0, role]))
-        batches.append(batch)
-        dets = filter_symmetry(batch, sector, "recover", mean_occupations(state))
-        return ground_state(project(dets, s), "loose").energy
-
-    e_iter = loose_energy(opt.theta, 0)
+    batch, e_iter = fresh_sample_and_solve(cfg, s, opt.theta, 0, 0)
     theta_plus, theta_minus = propose(opt)
-    e_plus, e_minus = loose_energy(theta_plus, 1), loose_energy(theta_minus, 2)
+    e_plus = fresh_sample_and_solve(cfg, s, theta_plus, 0, 1)[1]
+    e_minus = fresh_sample_and_solve(cfg, s, theta_minus, 0, 2)[1]
     assert (record.e_iter, record.e_plus, record.e_minus) == (e_iter, e_plus, e_minus)
     assert len({e_iter, e_plus, e_minus}) == 3  # three distinct draws
-    invalid = sum(c for bs, c in batches[0].counts.items()
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    invalid = sum(c for bs, c in batch.counts.items()
                   if not bitstring_is_valid(bs, sector))
     assert record.shots_invalid == invalid > 0
+
+
+def lru_misses(keys, size):
+    """Misses of a least-recently-used cache of size entries over keys."""
+    held, misses = [], 0
+    for key in keys:
+        if key in held:
+            held.remove(key)
+        else:
+            misses += 1
+            if len(held) == size:
+                held.pop(0)
+        held.append(key)
+    return misses
+
+
+@pytest.mark.parametrize("cache", [None, 2, 1])
+def test_a_repeated_sampled_set_is_solved_once(monkeypatch, cache):
+    """Noiseless h4_chain samples 16 sets in 6 iterations, 3 of them distinct.
+    sample_and_solve projects a set only when the 4 most recently used sets
+    (or a smaller cache, set here) miss it, and every e_iter, e_plus and
+    e_minus is bit for bit a fresh solve of the set sampled at that step."""
+    if cache is not None:
+        monkeypatch.setattr("hivqe.driver.LOOSE_CACHE", cache)
+    s = load_fixture("h4_chain")
+    cfg = RunConfig(seed=0, k=10, m=4, max_iterations=6)
+    thetas, sampled, solved = [], [], []
+
+    def recording_prepare_state(ansatz, theta, sector):
+        thetas.append(theta.copy())
+        return prepare_state(ansatz, theta, sector)
+
+    def recording_filter_symmetry(*args):
+        dets = filter_symmetry(*args)
+        sampled.append((dets.alpha.tobytes(), dets.beta.tobytes()))
+        return dets
+
+    def recording_project(sub, *args):
+        if inspect.currentframe().f_back.f_code.co_name == "sample_and_solve":
+            solved.append((sub.alpha.tobytes(), sub.beta.tobytes()))
+        return project(sub, *args)
+
+    monkeypatch.setattr("hivqe.driver.prepare_state", recording_prepare_state)
+    monkeypatch.setattr("hivqe.driver.filter_symmetry", recording_filter_symmetry)
+    monkeypatch.setattr("hivqe.driver.project", recording_project)
+    trace = run_hivqe(cfg, s).trace
+
+    assert len(trace) == 6 and len(sampled) == len(thetas) == 16
+    assert len(set(sampled)) == 3
+    if cache is None:
+        assert len(solved) == len(set(solved)) == 3
+    assert len(solved) == lru_misses(sampled, cache or 4)
+    assert set(solved) == set(sampled)
+    steps = [(r.iteration, role) for r in trace for role in (0, 1, 2)]
+    energies = [e for r in trace for e in (r.e_iter, r.e_plus, r.e_minus)]
+    for theta, (i, role), energy in zip(thetas, steps, energies):
+        assert fresh_sample_and_solve(cfg, s, theta, i, role)[1] == energy
 
 
 def test_paper_scale_sector_is_sampled_from_string_vectors(monkeypatch):
