@@ -24,15 +24,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Selected CI driven by a simulated symmetry-sector sampler",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = argparse.ArgumentParser(add_help=False)  # run's and sweep's
+    options.add_argument("--config", help="flat JSON file with run options")
+    options.add_argument("--out", default=".", help="output directory")
+    options.add_argument("--seed", type=int, help="master seed override")
+    options.add_argument("--set", dest="overrides", action="append", default=[],
+                         metavar="KEY=VALUE", help="config override (repeatable)")
 
-    run = sub.add_parser("run", help="run the full iteration loop")
+    run = sub.add_parser("run", parents=[options], help="run the full iteration loop")
     run.add_argument("--fcidump", required=True, help="FCIDUMP integral file")
-    run.add_argument("--config", help="flat JSON file with run options")
     run.add_argument("--dipole", help="dipole-integral sidecar file")
-    run.add_argument("--out", default=".", help="output directory")
-    run.add_argument("--seed", type=int, help="master seed override")
-    run.add_argument("--set", dest="overrides", action="append", default=[],
-                     metavar="KEY=VALUE", help="config override (repeatable)")
 
     fci = sub.add_parser("fci", help="exact full-sector diagonalization")
     fci.add_argument("--fcidump", required=True)
@@ -41,14 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fci.add_argument("--limit", type=int, default=None,
                      help="largest sector the oracle will solve")
 
-    sweep = sub.add_parser("sweep", help="run one geometry per manifest line")
+    sweep = sub.add_parser("sweep", parents=[options],
+                           help="run one geometry per manifest line")
     sweep.add_argument("--manifest", required=True,
                        help="text file: label fcidump_path [reference_energy]")
-    sweep.add_argument("--config", help="flat JSON file with run options")
-    sweep.add_argument("--out", default=".", help="output directory")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE")
 
     report = sub.add_parser("report", help="aggregate result.json files")
     report.add_argument("results", nargs="+", help="result.json paths")
@@ -92,11 +89,15 @@ def _load_config(args):
     return RunConfig.from_dict(data)
 
 
-def _read_integrals(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"FCIDUMP file not found: {path}")
-    return parse_fcidump(p.read_text())
+def _read(path, what: str) -> str:
+    """The text of the file at path; what names it when the file is missing."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return Path(path).read_text()
+
+
+def _read_integrals(path):
+    return parse_fcidump(_read(path, "FCIDUMP file"))
 
 
 def _fmt(value: float) -> str:
@@ -128,10 +129,7 @@ def _cmd_run(args) -> int:
     integrals = _read_integrals(args.fcidump)
     dipole = None
     if args.dipole:
-        p = Path(args.dipole)
-        if not p.exists():
-            raise FileNotFoundError(f"dipole file not found: {args.dipole}")
-        dipole = parse_dipole_file(p.read_text(), integrals.n_orb)
+        dipole = parse_dipole_file(_read(args.dipole, "dipole file"), integrals.n_orb)
 
     result = run_hivqe(cfg, integrals, dipole)
     _write_run_outputs(result, Path(args.out))
@@ -167,12 +165,10 @@ def _cmd_fci(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"manifest not found: {args.manifest}")
+    text = _read(args.manifest, "manifest")
     entries = {}  # label -> (integrals, reference energy or None)
-    base = manifest_path.parent
-    for number, line in enumerate(manifest_path.read_text().splitlines(), 1):
+    base = Path(args.manifest).parent
+    for number, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -185,7 +181,7 @@ def _cmd_sweep(args) -> int:
         path = Path(rel)
         if not path.is_absolute():
             path = base / rel
-        entries[label] = (_read_integrals(str(path)), e_ref)
+        entries[label] = (_read_integrals(path), e_ref)
     if not entries:
         print("manifest lists no geometries", file=sys.stderr)
         return 1
@@ -210,9 +206,7 @@ def _cmd_report(args) -> int:
     rows = []
     for path in args.results:
         p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"result file not found: {path}")
-        doc = json.loads(p.read_text())
+        doc = json.loads(_read(path, "result file"))
         sector = doc.get("sector", {})
         n_orb = sector.get("n_orb")
         rows.append(

@@ -7,14 +7,15 @@ convention that spin orbitals are ordered by ascending spatial index with the
 whole alpha string before the beta string; crossings are therefore counted
 within each spin channel independently and the channel signs multiply.
 
-slater_condon's element helpers also take arrays of moves out of one
+slater_condon reads each channel's holes, particles and sign from
+_channel_excitation. Its element helpers also take arrays of moves out of one
 determinant; with _excitations, the strings one or two moves from one string,
-they score classical expansion's candidates as string arrays, bit for bit.
+they score classical expansion's candidates as string arrays, bit for bit,
+with sign 1, as only the couplings' magnitudes rank them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -25,9 +26,7 @@ from .integrals import IntegralSet, get_eri
 __all__ = [
     "Determinant",
     "Sector",
-    "ExcitationInfo",
     "hartree_fock_det",
-    "excitation_info",
     "slater_condon",
     "det_to_string",
     "occupied_orbitals",
@@ -55,23 +54,6 @@ class Sector(NamedTuple):
             and det.alpha_mask.bit_count() == self.n_alpha
             and det.beta_mask.bit_count() == self.n_beta
         )
-
-
-@dataclass(frozen=True)
-class ExcitationInfo:
-    """Excitation structure linking two determinants.
-
-    degree counts differing occupied orbitals summed over both spins; the
-    hole/particle tuples are ascending orbital indices per spin; phase is the
-    fermionic sign picked up when aligning the first determinant to the second.
-    """
-
-    degree: int
-    alpha_holes: tuple
-    alpha_particles: tuple
-    beta_holes: tuple
-    beta_particles: tuple
-    phase: int
 
 
 def occupied_orbitals(mask: int) -> list[int]:
@@ -126,36 +108,15 @@ def _phase(strings: np.ndarray, holes, particles) -> np.ndarray:
 
 
 def _channel_excitation(m1: int, m2: int):
-    """Holes, particles and phase for one spin channel; phase for degree > 2 is 1."""
+    """Ascending holes and particles of one spin channel, and the sign of
+    moving holes[i] -> particles[i] one at a time, each on the mask it moves in."""
     diff = m1 ^ m2
-    holes = occupied_orbitals(m1 & diff)
-    particles = occupied_orbitals(m2 & diff)
-    degree = len(holes)
-    if degree == 1:
-        phase = _single_phase(m1, holes[0], particles[0])
-    elif degree == 2:
-        # Sequential singles: pair sorted holes with sorted particles and
-        # track the intermediate occupation.
-        phase = _single_phase(m1, holes[0], particles[0])
-        mid = m1 ^ (1 << holes[0]) ^ (1 << particles[0])
-        phase *= _single_phase(mid, holes[1], particles[1])
-    else:
-        phase = 1
+    holes, particles = occupied_orbitals(m1 & diff), occupied_orbitals(m2 & diff)
+    phase = 1
+    for h, p in zip(holes, particles):
+        phase *= _single_phase(m1, h, p)
+        m1 ^= (1 << h) | (1 << p)
     return holes, particles, phase
-
-
-def excitation_info(d1: Determinant, d2: Determinant) -> ExcitationInfo:
-    """Classify the excitation carrying d1 into d2, with fermionic phase."""
-    ah, ap, aph = _channel_excitation(d1.alpha_mask, d2.alpha_mask)
-    bh, bp, bph = _channel_excitation(d1.beta_mask, d2.beta_mask)
-    return ExcitationInfo(
-        degree=len(ah) + len(bh),
-        alpha_holes=tuple(ah),
-        alpha_particles=tuple(ap),
-        beta_holes=tuple(bh),
-        beta_particles=tuple(bp),
-        phase=aph * bph,
-    )
 
 
 def _diagonal_element(d: Determinant, s: IntegralSet) -> float:
@@ -217,32 +178,29 @@ def slater_condon(d1: Determinant, d2: Determinant, s: IntegralSet) -> float:
     if degree == 0:
         return _diagonal_element(d1, s)
 
-    info = excitation_info(d1, d2)
-    holes = info.alpha_holes + info.beta_holes
-    particles = info.alpha_particles + info.beta_particles
+    ah, ap, a_phase = _channel_excitation(d1.alpha_mask, d2.alpha_mask)
+    bh, bp, b_phase = _channel_excitation(d1.beta_mask, d2.beta_mask)
+    holes, particles, phase = ah + bh, ap + bp, a_phase * b_phase
     if degree == 2:
-        return _double_element(holes, particles, info.phase, s, exchange=deg_a != 1)
+        return _double_element(holes, particles, phase, s, exchange=deg_a != 1)
     occ = occupied_orbitals(d1.alpha_mask), occupied_orbitals(d1.beta_mask)
     same, other = occ if deg_a else occ[::-1]
-    return _single_element(holes[0], particles[0], info.phase, same, other, s)
+    return _single_element(holes[0], particles[0], phase, same, other, s)
 
 
 def _excitations(string, n_orb: int, degree: int) -> tuple:
     """Every string that moves degree (1 or 2) electrons of one uint64 string.
 
-    Returns (strings, holes, particles, phase): holes and particles are
+    Returns (strings, holes, particles): holes and particles are
     (len(strings), degree) ascending orbitals, paired in that order as
-    excitation_info pairs them, and phase is the sign of those moves.
+    _channel_excitation pairs them. No move is signed.
     """
     bits = _occupations(np.array([string], dtype=np.uint64), n_orb)[0]
     holes, particles = (np.array(list(combinations(np.flatnonzero(bits == v), degree)),
                                  dtype=np.intp).reshape(-1, degree) for v in (1, 0))
     holes, particles = np.repeat(holes, len(particles), axis=0), np.tile(particles, (len(holes), 1))
-    strings, phase = np.uint64(string), np.ones(len(holes))
-    for k in range(degree):  # one move at a time, each signed on the string it moves in
-        phase *= _phase(strings, holes[:, k], particles[:, k])
-        strings = strings ^ _BIT[holes[:, k]] ^ _BIT[particles[:, k]]
-    return strings, holes, particles, phase
+    moved = np.bitwise_or.reduce(_BIT[holes] | _BIT[particles], axis=1)
+    return np.uint64(string) ^ moved, holes, particles
 
 
 def det_to_string(d: Determinant, n_orb: int) -> str:

@@ -44,6 +44,10 @@ __all__ = [
     "bitstring_is_valid",
 ]
 
+# Fresh |amplitudes| this close to the largest tie for expansion's reference,
+# so spin mirrors, equal in exact arithmetic, are picked by (alpha, beta).
+AMPLITUDE_TIE = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
@@ -281,12 +285,14 @@ def amplitude_screen(sub: Subspace, amplitudes: np.ndarray, threshold: float) ->
 def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralSet) -> Subspace:
     """Expand around the largest-amplitude not-yet-expanded determinant.
 
-    amplitudes is a wavefunction over sub. That reference's singles and
-    doubles are built as string arrays and scored by slater_condon's own
-    element helpers; candidates absent from the subspace are ranked by
-    |<ref|H|cand>| descending, the top m appended, and the reference marked
-    as expanded. When every determinant has already served as a reference
-    the subspace is returned unchanged.
+    amplitudes is a wavefunction over sub; fresh |amplitudes| within
+    AMPLITUDE_TIE of the largest tie, and the least (alpha, beta) among them
+    is the reference. Its singles and doubles are built as string arrays and
+    scored, unsigned, by slater_condon's own element helpers; candidates
+    absent from the subspace are ranked by |<ref|H|cand>| descending, the
+    top m appended, and the reference marked as expanded. When every
+    determinant has already served as a reference the subspace is returned
+    unchanged.
     """
     if len(amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
@@ -295,26 +301,26 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
     size = np.abs(amplitudes)
     done = sub.find(*_strings(sub.expanded_refs))
     size[done[done >= 0]] = -1.0  # each determinant serves as a reference once
-    tied = np.flatnonzero(size == size.max(initial=0.0))  # the largest fresh |amplitude|
+    tied = np.flatnonzero(size >= size.max(initial=0.0) - AMPLITUDE_TIE)
     if not len(tied):
         return sub
     ref_a, ref_b = min(zip(sub.alpha[tied], sub.beta[tied]))  # ties by (alpha, beta)
     n = sub.sector.n_orb
     occ_a, occ_b = occupied_orbitals(int(ref_a)), occupied_orbitals(int(ref_b))
-    a1, ha1, pa1, sa1 = _excitations(ref_a, n, 1)
-    b1, hb1, pb1, sb1 = _excitations(ref_b, n, 1)
-    a2, ha2, pa2, sa2 = _excitations(ref_a, n, 2)
-    b2, hb2, pb2, sb2 = _excitations(ref_b, n, 2)
+    a1, ha1, pa1 = _excitations(ref_a, n, 1)
+    b1, hb1, pb1 = _excitations(ref_b, n, 1)
+    a2, ha2, pa2 = _excitations(ref_a, n, 2)
+    b2, hb2, pb2 = _excitations(ref_b, n, 2)
     ia, ib = np.divmod(np.arange(len(a1) * len(b1)), len(b1))
     # alpha singles, beta singles, alpha doubles, beta doubles, alpha single x beta single
     alpha = np.concatenate((a1, np.full(len(b1), ref_a), a2, np.full(len(b2), ref_a), a1[ia]))
     beta = np.concatenate((np.full(len(a1), ref_b), b1, np.full(len(a2), ref_b), b2, b1[ib]))
     coupling = np.abs(np.concatenate((
-        _single_element(ha1[:, 0], pa1[:, 0], sa1, occ_a, occ_b, s),
-        _single_element(hb1[:, 0], pb1[:, 0], sb1, occ_b, occ_a, s),
-        _double_element(ha2.T, pa2.T, sa2, s),
-        _double_element(hb2.T, pb2.T, sb2, s),
-        _double_element((ha1[ia, 0], hb1[ib, 0]), (pa1[ia, 0], pb1[ib, 0]), sa1[ia] * sb1[ib], s,
+        _single_element(ha1[:, 0], pa1[:, 0], 1.0, occ_a, occ_b, s),
+        _single_element(hb1[:, 0], pb1[:, 0], 1.0, occ_b, occ_a, s),
+        _double_element(ha2.T, pa2.T, 1.0, s),
+        _double_element(hb2.T, pb2.T, 1.0, s),
+        _double_element((ha1[ia, 0], hb1[ib, 0]), (pa1[ia, 0], pb1[ib, 0]), 1.0, s,
                         exchange=False))))
     absent = np.flatnonzero(sub.find(alpha, beta) < 0)
     added = absent[np.lexsort((beta[absent], alpha[absent], -coupling[absent]))[:m]]

@@ -130,11 +130,17 @@ def test_run_accepts_an_int_for_a_float_key_unconverted(tmp_path):
     assert '"p_flip": 0,' in (tmp_path / "result.json").read_text()
 
 
-def test_run_missing_fcidump_exits_one(tmp_path, capsys):
-    rc = main(["run", "--fcidump", str(tmp_path / "nope.fcidump"),
-               "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv, what", [
+    (["run", "--fcidump", "MISSING"], "FCIDUMP file"),
+    (["run", "--fcidump", H2, "--dipole", "MISSING"], "dipole file"),
+    (["sweep", "--manifest", "MISSING"], "manifest"),
+    (["report", "MISSING"], "result file"),
+], ids=["fcidump", "dipole", "manifest", "result"])
+def test_missing_input_file_exits_one(tmp_path, capsys, argv, what):
+    missing = str(tmp_path / "nope")
+    rc = main([missing if a == "MISSING" else a for a in argv] + ["--out", str(tmp_path)])
     assert rc == 1
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {what} not found: {missing}\n"
 
 
 def test_run_with_dipole_sidecar(tmp_path):
@@ -387,12 +393,6 @@ def test_report_floors_exact_errors_for_log_plots(tmp_path):
     assert float(csv_err) == 0.0  # raw value untouched
     dat_err = (tmp_path / "report.dat").read_text().splitlines()[1].split()[3]
     assert float(dat_err) == 1e-16
-
-
-def test_report_missing_result_exits_one(tmp_path, capsys):
-    rc = main(["report", str(tmp_path / "ghost.json"), "--out", str(tmp_path)])
-    assert rc == 1
-    assert "not found" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hivqe.determinants import (
     Determinant,
     Sector,
+    _channel_excitation,
     det_to_string,
-    excitation_info,
     hartree_fock_det,
     occupied_orbitals,
     slater_condon,
@@ -62,27 +62,30 @@ def test_det_string_roundtrip():
         det_from_string("10x|001")
 
 
-def test_excitation_info_degrees():
+def test_channel_excitation_degrees():
     ref = Determinant(0b0011, 0b0011)
-    assert excitation_info(ref, ref).degree == 0
+
+    def channels(d):  # (holes, particles, phase) of alpha, then of beta
+        return [_channel_excitation(m1, m2) for m1, m2 in zip(ref, d)]
+
+    def degree(d):
+        return sum(len(holes) for holes, _, _ in channels(d))
+
+    assert degree(ref) == 0
     single = Determinant(0b0101, 0b0011)
-    info = excitation_info(ref, single)
-    assert info.degree == 1
-    assert info.alpha_holes == (1,) and info.alpha_particles == (2,)
+    assert degree(single) == 1
+    assert channels(single)[0][:2] == ([1], [2])
     mixed = Determinant(0b0101, 0b1001)
-    info = excitation_info(ref, mixed)
-    assert info.degree == 2
-    assert info.beta_holes == (1,) and info.beta_particles == (3,)
+    assert degree(mixed) == 2
+    assert channels(mixed)[1][:2] == ([1], [3])
 
 
 def test_single_phase_counts_occupied_between():
     # alpha 0b01011 -> 0b11010: hole 0, particle 4, orbitals 1 and 3 occupied
     # in between, so the crossing parity is even.
-    info = excitation_info(Determinant(0b01011, 0), Determinant(0b11010, 0))
-    assert info.phase == 1
+    assert _channel_excitation(0b01011, 0b11010)[2] == 1
     # one occupied orbital in between flips the sign
-    info = excitation_info(Determinant(0b0011, 0), Determinant(0b0110, 0))
-    assert info.phase == -1
+    assert _channel_excitation(0b0011, 0b0110)[2] == -1
 
 
 def test_phases_match_operator_algebra():

@@ -15,6 +15,7 @@ from hivqe.integrals import IntegralSet
 from hivqe.eigensolver import ground_state, project
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import (
+    AMPLITUDE_TIE,
     SampleBatch,
     Subspace,
     amplitude_screen,
@@ -470,7 +471,8 @@ def reference_expand(dets, amps, refs, m, s, every):
     fresh = [(i, d) for i, d in enumerate(dets) if d not in refs]
     if not fresh:
         return None, dets
-    _, ref = min(fresh, key=lambda pair: (-abs(amps[pair[0]]), pair[1]))
+    largest = max(abs(amps[i]) for i, _ in fresh)
+    ref = min(d for i, d in fresh if abs(amps[i]) >= largest - AMPLITUDE_TIE)
     present = set(dets)
     ranked = reference_ranking(
         ref, [d for d in every if 1 <= excitation_degree(d, ref) <= 2 and d not in present], s)
@@ -566,6 +568,16 @@ def test_a_dropped_and_readded_reference_is_not_expanded_twice():
     assert list(readded) == [other, ref] and ref in readded.expanded_refs
     again = classical_expand(readded, np.array([0.1, 0.9]), 0, s)
     assert again.expanded_refs == {ref, other}  # the larger amplitude was skipped
+
+
+def test_spin_mirrors_one_ulp_apart_tie_for_the_reference():
+    """Mirrored determinants have equal amplitudes in exact arithmetic, so a
+    last-bit difference must not pick the reference: (alpha, beta) does."""
+    s = load_fixture("h4_chain")
+    later, earlier = Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0101)
+    sub = Subspace([later, earlier], Sector(4, 2, 2))
+    amps = np.array([np.nextafter(0.5, 1.0), 0.5])  # the later row is one ulp larger
+    assert classical_expand(sub, amps, 0, s).expanded_refs == {earlier}
 
 
 def test_an_expanded_reference_no_row_holds_blocks_no_row():
