@@ -36,7 +36,7 @@ from .determinants import Sector, _occupations, hartree_fock_det, slater_condon
 from .eigensolver import CIVector, ground_state, principal_block, project, single_excitation_pairs
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
-from .sampler import NoiseModel, brick_wall_ansatz, mean_occupations, prepare_state, sample
+from .sampler import brick_wall_ansatz, mean_occupations, prepare_state, sample
 from .subspace import (
     Subspace,
     amplitude_screen,
@@ -209,10 +209,7 @@ def run_hivqe(
     hf = hartree_fock_det(s)
     e_hf = float(slater_condon(hf, hf, s) + s.e_core)
     ansatz = brick_wall_ansatz(s.n_orb, cfg.ansatz_layers)
-    opt = make_optimizer(
-        np.zeros(ansatz.n_params), seed=_stream(cfg.seed, 3), a=0.1, c=0.1
-    )
-    noise = NoiseModel(cfg.p_flip)
+    opt = make_optimizer(np.zeros(ansatz.n_params), _stream(cfg.seed, 3))
     history = EnergyHistory()
     carried, amplitudes = Subspace([], sector), np.zeros(0)  # amplitudes over carried
     known: Optional[tuple] = None  # (subspace, matrix) of carried's first rows
@@ -233,7 +230,7 @@ def run_hivqe(
         repeated set is not solved again.
         """
         state = prepare_state(ansatz, theta, sector)
-        batch = sample(state, cfg.shots, noise, _stream(cfg.seed, iteration, role))
+        batch = sample(state, cfg.shots, cfg.p_flip, _stream(cfg.seed, iteration, role))
         hint = mean_occupations(state) if cfg.recovery_mode == "recover" else None
         dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
         if not dets:

@@ -415,16 +415,16 @@ def ground_state(
     h: scipy.sparse.csr_matrix,
     mode: str = "tight",
     guess: Optional[np.ndarray] = None,
-    dense_cutoff: int = DENSE_CUTOFF,
 ) -> CIVector:
     """Lowest eigenpair of the symmetric matrix whose lower triangle is h, as
     project() returns it; entries above the diagonal must be absent.
 
     mode="tight" iterates Davidson to residual 1e-8 and raises on failure;
     mode="loose" stops at residual 1e-3 or 20 iterations, whichever first,
-    and returns the best estimate. Dimensions <= dense_cutoff solve directly
-    for the lowest pair alone. guess, an amplitude array over h's rows, is
-    where Davidson starts when its norm is nonzero; a direct solve ignores it.
+    and returns the best estimate. Dimensions up to DENSE_CUTOFF, read at
+    each call, solve directly for the lowest pair alone. guess, an amplitude
+    array over h's rows, is where Davidson starts when its norm is nonzero; a
+    direct solve ignores it.
     The returned vector is normalized, its largest-magnitude amplitude positive.
     """
     if mode not in ("tight", "loose"):
@@ -434,7 +434,7 @@ def ground_state(
         raise EigensolverError("empty Hamiltonian")
     if guess is not None and len(guess) != n:
         raise EigensolverError("guess vector length does not match dimension")
-    if n <= dense_cutoff:
+    if n <= DENSE_CUTOFF:
         w, v = scipy.linalg.eigh(h.toarray(), lower=True, subset_by_index=[0, 0])
         theta, x = float(w[0]), v[:, 0]
     else:

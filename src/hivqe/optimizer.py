@@ -4,7 +4,8 @@ Simultaneous-perturbation stochastic approximation: each step probes the
 energy at theta +/- c_k*Delta for a random sign vector Delta and moves theta
 against the resulting two-point gradient estimate. Two energy evaluations per
 step regardless of the parameter count, which matters when every evaluation
-costs a sampling round plus a diagonalization.
+costs a sampling round plus a diagonalization. The gains are fixed, as
+GAIN_A = GAIN_C = 0.1 and STABILITY = 10 (Spall, IEEE TAC 37, 332, 1992).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ __all__ = [
     "converged",
 ]
 
+GAIN_A = 0.1
+GAIN_C = 0.1
+STABILITY = 10.0
 ALPHA_EXPONENT = 0.602
 GAMMA_EXPONENT = 0.101
 
@@ -34,33 +38,22 @@ class OptimizerState:
 
     theta: np.ndarray
     step: int
-    a: float
-    c: float
-    stability: float
     rng: np.random.Generator
     pending: Optional[tuple] = field(default=None, repr=False)
 
 
-def make_optimizer(theta0, seed=0, a: float = 0.1, c: float = 0.1,
-                   stability: float = 10.0) -> OptimizerState:
-    theta0 = np.asarray(theta0, dtype=float).copy()
-    return OptimizerState(
-        theta=theta0,
-        step=0,
-        a=a,
-        c=c,
-        stability=stability,
-        rng=np.random.default_rng(seed),
-    )
+def make_optimizer(theta0, seed) -> OptimizerState:
+    """SPSA at step 0 from a copy of theta0, its sign draws seeded by seed."""
+    return OptimizerState(np.array(theta0, dtype=float), 0, np.random.default_rng(seed))
 
 
 def propose(state: OptimizerState):
     """Probe pair (theta + c_k*Delta, theta - c_k*Delta), Delta in {-1,+1}^n.
 
-    c_k = c / (k+1)^0.101. Deterministic given the state's seed and step; a
-    repeated call before update() simply redraws the pending perturbation.
+    c_k = GAIN_C / (k+1)^0.101. Deterministic given the state's seed and step;
+    a repeated call before update() simply redraws the pending perturbation.
     """
-    c_k = state.c / (state.step + 1) ** GAMMA_EXPONENT
+    c_k = GAIN_C / (state.step + 1) ** GAMMA_EXPONENT
     delta = state.rng.integers(0, 2, size=state.theta.shape[0]) * 2.0 - 1.0
     state.pending = (delta, c_k)
     return state.theta + c_k * delta, state.theta - c_k * delta
@@ -69,12 +62,12 @@ def propose(state: OptimizerState):
 def update(state: OptimizerState, e_plus: float, e_minus: float) -> OptimizerState:
     """Consume probe energies: theta -= a_k * (e+ - e-) / (2 c_k) * Delta.
 
-    a_k = a / (k+1+stability)^0.602.
+    a_k = GAIN_A / (k+1+STABILITY)^0.602.
     """
     if state.pending is None:
         raise RuntimeError("update called without a pending probe pair")
     delta, c_k = state.pending
-    a_k = state.a / (state.step + 1 + state.stability) ** ALPHA_EXPONENT
+    a_k = GAIN_A / (state.step + 1 + STABILITY) ** ALPHA_EXPONENT
     gradient = (e_plus - e_minus) / (2.0 * c_k) * delta
     state.theta = state.theta - a_k * gradient
     state.step += 1
@@ -95,7 +88,7 @@ class EnergyHistory:
         return len(self.energies)
 
 
-def converged(history, eps: float = 1e-5, window: int = 3) -> bool:
+def converged(history: EnergyHistory, eps: float = 1e-5, window: int = 3) -> bool:
     """Has the energy settled? True iff at least window+1 energies exist and
     the last `window` of them are finite with a max-min spread below eps.
 
@@ -103,7 +96,7 @@ def converged(history, eps: float = 1e-5, window: int = 3) -> bool:
     genuine steps from an earlier iterate, not just the initial point. A nan
     (an iteration whose shots all filtered out) keeps its window unsettled.
     """
-    energies = history.energies if isinstance(history, EnergyHistory) else list(history)
+    energies = history.energies
     if len(energies) < window + 1:
         return False
     tail = energies[-window:]

@@ -8,10 +8,10 @@ over the spin strings of each channel, C(n_orb, n_alpha) + C(n_orb, n_beta)
 amplitudes, and the joint sector is never enumerated: that is left to
 :func:`enumerate_sector` for the exact-diagonalization oracle. Sampling draws
 each channel's string on its own and builds no joint vector either.
-Measurement noise is modeled as independent classical bit flips applied to
-the sampled strings, which is the only noise effect the downstream filtering
-consumes. A batch of shots stays in uint64 strings from the draw to the
-filter.
+Measurement noise is modeled as independent classical bit flips, each bit
+flipped with one probability p_flip, applied to the sampled strings; that is
+the only noise effect the downstream filtering consumes. A batch of shots
+stays in uint64 strings from the draw to the filter.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .subspace import SampleBatch
 __all__ = [
     "AnsatzSpec",
     "SectorState",
-    "NoiseModel",
     "SectorTooLargeError",
     "sector_size",
     "enumerate_sector",
@@ -88,7 +87,6 @@ class AnsatzSpec:
     """Ordered Givens-rotation plan; one parameter per rotation."""
 
     n_orb: int
-    n_layers: int
     rotations: tuple  # of (channel, p, q) with channel in {"alpha", "beta"}, p < q
 
     def __post_init__(self):
@@ -103,14 +101,14 @@ class AnsatzSpec:
         return len(self.rotations)
 
 
-def brick_wall_ansatz(n_orb: int, n_layers: int = 2) -> AnsatzSpec:
+def brick_wall_ansatz(n_orb: int, n_layers: int) -> AnsatzSpec:
     """Alternating even/odd adjacent-pair layers, both spin channels."""
     plan = []
     for layer in range(n_layers):
         for p in range(layer % 2, n_orb - 1, 2):
             plan.append(("alpha", p, p + 1))
             plan.append(("beta", p, p + 1))
-    return AnsatzSpec(n_orb, n_layers, tuple(plan))
+    return AnsatzSpec(n_orb, tuple(plan))
 
 
 @dataclass(frozen=True)
@@ -134,17 +132,6 @@ class SectorState:
             norm_sq = float(np.sum(getattr(self, channel) ** 2))
             if abs(norm_sq - 1.0) > 1e-12:
                 raise ValueError(f"{channel} state norm^2 {norm_sq} deviates from 1")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Independent per-bit readout flip probability."""
-
-    p_flip: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_flip <= 1.0:
-            raise ValueError("p_flip must lie in [0, 1]")
 
 
 @lru_cache(maxsize=8)
@@ -225,8 +212,9 @@ def mean_occupations(state: SectorState):
     return tuple(out)
 
 
-def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBatch:
-    """Draw shots i.i.d. from |amplitude|^2 and apply readout flips.
+def sample(state: SectorState, shots: int, p_flip: float, seed) -> SampleBatch:
+    """Draw shots i.i.d. from |amplitude|^2 and flip each read-out bit with
+    probability p_flip, in [0, 1].
 
     The state is a product, so each shot's alpha string is drawn from
     |alpha|^2 and its beta string from |beta|^2, with the same joint law in
@@ -241,18 +229,20 @@ def sample(state: SectorState, shots: int, noise: NoiseModel, seed) -> SampleBat
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if not 0.0 <= p_flip <= 1.0:
+        raise ValueError("p_flip must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n, n_alpha, n_beta = state.sector
     ia, ib = (rng.choice(len(amps), size=shots, p=amps**2 / np.sum(amps**2))
               for amps in (state.alpha, state.beta))
     alpha, beta = _channel(n, n_alpha), _channel(n, n_beta)
-    if noise.p_flip == 0.0:
+    if p_flip == 0.0:
         # The channel strings ascend with their index, so the pair index does too.
         _, first, counts = np.unique(ia * len(beta) + ib, return_index=True, return_counts=True)
-        return SampleBatch(alpha[ia[first]], beta[ib[first]], counts, shots, n)
-    flips = rng.random((shots, 2 * n)) < noise.p_flip
+        return SampleBatch(alpha[ia[first]], beta[ib[first]], counts, n)
+    flips = rng.random((shots, 2 * n)) < p_flip
     # A boolean row times _BIT is the string with those bits set.
     alpha, beta = alpha[ia] ^ (flips[:, :n] @ _BIT[:n]), beta[ib] ^ (flips[:, n:] @ _BIT[:n])
     first, counts = _distinct_rows(alpha, beta)
     seen = np.argsort(first)  # first-appearance order
-    return SampleBatch(alpha[first[seen]], beta[first[seen]], counts[seen], shots, n)
+    return SampleBatch(alpha[first[seen]], beta[first[seen]], counts[seen], n)

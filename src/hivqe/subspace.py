@@ -61,7 +61,6 @@ class SampleBatch:
     alpha: np.ndarray
     beta: np.ndarray
     shots: np.ndarray
-    total_shots: int
     n_orb: int
 
     def __post_init__(self):
@@ -69,13 +68,17 @@ class SampleBatch:
             raise ValueError("alpha, beta and shots differ in length")
         if len(self) and int(np.max(self.alpha | self.beta)) >> self.n_orb:
             raise ValueError(f"a string sets a bit at or above orbital {self.n_orb}")
-        if np.any(self.shots < 1) or int(np.sum(self.shots)) != self.total_shots:
-            raise ValueError("every row needs a shot, and the shots must sum to total_shots")
+        if np.any(self.shots < 1):
+            raise ValueError("every row needs a shot")
         for array in (self.alpha, self.beta, self.shots):
             array.flags.writeable = False
 
     def __len__(self):
         return len(self.alpha)
+
+    @property
+    def total_shots(self) -> int:
+        return int(np.sum(self.shots))
 
     def in_sector(self, sector: Sector) -> np.ndarray:
         """Mask of the rows whose popcounts already match the sector."""
@@ -329,15 +332,16 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
                         sub.sector, sub.expanded_refs | {Determinant(int(ref_a), int(ref_b))})
 
 
-def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = None) -> Subspace:
+def tensor_reconstruct(sub: Subspace, closed_shell: bool, cap: int) -> Subspace:
     """Rebuild the subspace as a tensor product of its spin strings.
 
     Open shell: {alpha strings} x {beta strings}, each in first-seen order.
     Closed shell: the two string sets are merged first, then squared. Output
     is the union of sub and the product, so sub's rows come first, then the
     product's missing pairs in product order; every alpha (beta) string of a
-    sector has one popcount, so the product stays in it. A product larger
-    than cap is refused with ValueError before any of it is built.
+    sector has one popcount, so the product stays in it. A product of more
+    than cap determinants (the driver passes 10*k) is refused with
+    ValueError before any of it is built.
     """
     if closed_shell and sub.sector.n_alpha != sub.sector.n_beta:
         raise ValueError("closed-shell reconstruction requires n_alpha == n_beta")
@@ -346,7 +350,7 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool = False, cap: int = Non
         channels = (np.concatenate(channels),) * 2
     alphas, betas = (s[np.sort(np.unique(s, return_index=True)[1])] for s in channels)
     size = len(alphas) * len(betas)
-    if cap is not None and size > cap:
+    if size > cap:
         raise ValueError(
             f"tensor reconstruction would produce {size} determinants, "
             f"beyond the safety cap {cap}"

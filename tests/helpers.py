@@ -65,7 +65,7 @@ def batch_of(text_counts: dict, n_orb: int) -> SampleBatch:
     shots = np.array(list(text_counts.values()), dtype=np.int64)
     return SampleBatch(np.array([d.alpha_mask for d in dets], dtype=np.uint64),
                        np.array([d.beta_mask for d in dets], dtype=np.uint64),
-                       shots, int(shots.sum()), n_orb)
+                       shots, n_orb)
 
 
 def _repair_channel(bits: list[int], target: int, occupancy) -> None:

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import hivqe.eigensolver
 from hivqe.cli import main
 from hivqe.determinants import Sector
 from hivqe.driver import RunConfig, run_hivqe
@@ -19,7 +20,6 @@ from hivqe.eigensolver import ground_state, project
 from hivqe.integrals import parse_fcidump
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index, fci_ground
 from hivqe.sampler import (
-    NoiseModel,
     brick_wall_ansatz,
     enumerate_sector,
     mean_occupations,
@@ -33,7 +33,7 @@ from helpers import (FIXTURES, dense_symmetric, load_fixture, load_reference, ra
                      subspace_of)
 
 
-def test_01_projected_hamiltonian_matches_operator_algebra():
+def test_01_projected_hamiltonian_matches_operator_algebra(monkeypatch):
     """Slater-Condon projection equals the brute-force second-quantized matrix
     entrywise (1e-12), and Davidson equals dense diagonalization (1e-9), on
     six systems of at most eight spin orbitals."""
@@ -54,7 +54,8 @@ def test_01_projected_hamiltonian_matches_operator_algebra():
         idx = [det_to_fock_index(d, s.n_orb) for d in dets]
         assert np.max(np.abs(dense - full[np.ix_(idx, idx)])) < 1e-12
 
-        davidson = ground_state(h, "tight", dense_cutoff=1).energy
+        monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)  # force the iterative path
+        davidson = ground_state(h, "tight").energy
         exact = np.linalg.eigvalsh(dense)[0]
         assert abs(davidson - exact) < 1e-9
 
@@ -150,7 +151,7 @@ def test_06_noisy_samples_filter_to_valid_configurations():
     hint = mean_occupations(state)
     shots = 100_000
     for p_flip in (0.01, 0.05):
-        batch = sample(state, shots, NoiseModel(p_flip), seed=42)
+        batch = sample(state, shots, p_flip, seed=42)
         assert batch.total_shots == shots
 
         for mode in ("discard", "recover"):

@@ -18,7 +18,7 @@ import hivqe.eigensolver
 import hivqe.oracle
 import hivqe.subspace
 from hivqe.determinants import Determinant
-from hivqe.eigensolver import project
+from hivqe.eigensolver import ground_state, project
 from hivqe.optimizer import EnergyHistory
 
 from helpers import load_fixture, load_reference
@@ -77,13 +77,21 @@ def installed_tracer(monkeypatch):
 
 
 def test_the_tracer_measures_a_loop(monkeypatch):
-    matrices = []
+    matrices, solved = [], []
 
     def recording_project(*args, **kwargs):
         matrices.append(project(*args, **kwargs))
         return matrices[-1]
 
+    def recording_solve(h, *args, **kwargs):
+        solved.append(h.shape[0])
+        return ground_state(h, *args, **kwargs)
+
     monkeypatch.setattr(hivqe.driver, "project", recording_project)  # the tracer wraps this
+    for module in (hivqe.driver, hivqe.eigensolver):
+        monkeypatch.setattr(module, "ground_state", recording_solve)
+    # a cutoff inside this run's range of dimensions, so both solve paths run
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 4)
     tracer = installed_tracer(monkeypatch)
     cfg = hivqe.RunConfig(seed=0, k=10, m=4, max_iterations=2)
     result, run_s = tracer.run(hivqe.run_hivqe, cfg, load_fixture("h4_chain"))
@@ -93,6 +101,11 @@ def test_the_tracer_measures_a_loop(monkeypatch):
     assert all(scipy.sparse.triu(h, 1).nnz == 0 for h in matrices)
     assert metrics["eigensolver.elements"] > 0
     assert metrics["driver.iterations"] == 2
+    # the tracer splits solves by the cutoff that ground_state reads
+    dense = sum(n <= hivqe.eigensolver.DENSE_CUTOFF for n in solved)
+    assert 0 < dense < len(solved)
+    assert metrics["eigensolver.dense_solves"] == dense
+    assert metrics["eigensolver.davidson_solves"] == len(solved) - dense
     # bench/worker.py hashes the masks of RunResult.dets as Python ints
     assert isinstance(result.dets, list) and result.dets
     assert all(type(d) is Determinant and type(d.alpha_mask) is int

@@ -21,7 +21,6 @@ from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
 from hivqe.optimizer import make_optimizer, propose
 from hivqe.oracle import fci_ground
 from hivqe.sampler import (
-    NoiseModel,
     brick_wall_ansatz,
     enumerate_sector,
     mean_occupations,
@@ -395,7 +394,7 @@ def fresh_sample_and_solve(cfg, s, theta, iteration, role):
     filtered (repaired in recover mode), projected and loosely solved."""
     sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
     state = prepare_state(brick_wall_ansatz(s.n_orb, cfg.ansatz_layers), theta, sector)
-    batch = sample(state, cfg.shots, NoiseModel(cfg.p_flip),
+    batch = sample(state, cfg.shots, cfg.p_flip,
                    np.random.SeedSequence([cfg.seed, iteration, role]))
     hint = mean_occupations(state) if cfg.recovery_mode == "recover" else None
     dets = filter_symmetry(batch, sector, cfg.recovery_mode, hint)
@@ -412,8 +411,7 @@ def test_iteration_and_probes_share_one_sample_and_solve_step():
                     recovery_mode="recover", max_iterations=2)
     record = run_hivqe(cfg, s).trace[0]
     ansatz = brick_wall_ansatz(s.n_orb, cfg.ansatz_layers)
-    opt = make_optimizer(np.zeros(ansatz.n_params),
-                         seed=np.random.SeedSequence([cfg.seed, 3]), a=0.1, c=0.1)
+    opt = make_optimizer(np.zeros(ansatz.n_params), np.random.SeedSequence([cfg.seed, 3]))
 
     batch, e_iter = fresh_sample_and_solve(cfg, s, opt.theta, 0, 0)
     theta_plus, theta_minus = propose(opt)

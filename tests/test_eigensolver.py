@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import hivqe.eigensolver
 from hivqe.determinants import Determinant, slater_condon
 from hivqe.eigensolver import (
     DENSE_CUTOFF,
@@ -257,7 +258,7 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
         stale = known[1].copy()
         stale.setdiag(stale.diagonal() + 1.0)  # the diagonal is recomputed, never copied
         assert same_storage(cold, project(sub, s, (known[0], stale)))
-        tensored = tensor_reconstruct(sub)
+        tensored = tensor_reconstruct(sub, False, len(dets))  # no product exceeds the sector
         assert len(tensored) > len(sub)
         cold, warm = project(tensored, s), project(tensored, s, (sub, warm))
         assert same_storage(cold, warm)
@@ -285,19 +286,21 @@ def test_project_refuses_an_empty_subspace():
         project(subspace_of([], s), s)
 
 
-def test_davidson_tight_matches_dense():
+def test_davidson_tight_matches_dense(monkeypatch):
     s = random_integral_set(4, 2, 2, seed=17, e_core=0.3)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
     dense_energy = float(np.linalg.eigvalsh(dense_symmetric(h))[0])
-    c = ground_state(h, "tight", dense_cutoff=1)  # force the iterative path
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)  # force the iterative path
+    c = ground_state(h, "tight")
     assert c.energy == pytest.approx(dense_energy, abs=1e-9)
     # and the dense path agrees with itself
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", DENSE_CUTOFF)
     c2 = ground_state(h, "tight")
     assert c2.energy == pytest.approx(dense_energy, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["lih", "h4_chain", "random"])
-def test_both_ground_state_paths_equal_a_full_dense_eigh(name):
+def test_both_ground_state_paths_equal_a_full_dense_eigh(monkeypatch, name):
     """The dense path reads the stored triangle and Davidson applies it and
     its transpose; both find the lowest eigenpair of the full symmetric matrix."""
     s = load_fixture(name) if name != "random" else random_integral_set(7, 3, 3, seed=8, e_core=0.4)
@@ -306,61 +309,68 @@ def test_both_ground_state_paths_equal_a_full_dense_eigh(name):
     h = project(subspace_of([dets[i] for i in rng.permutation(len(dets))], s), s)
     w, v = np.linalg.eigh(dense_symmetric(h))
     for cutoff in (h.shape[0], 1):
-        c = ground_state(h, "tight", dense_cutoff=cutoff)
+        monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", cutoff)
+        c = ground_state(h, "tight")
         assert abs(c.energy - w[0]) < 1e-12
         assert abs(c.amplitudes @ v[:, 0]) > 1 - 1e-12
 
 
-def test_davidson_on_fixture_sectors():
+def test_davidson_on_fixture_sectors(monkeypatch):
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
     ref = load_reference()
     for name in ("h4_chain", "lih"):
         s = load_fixture(name)
         h = project(subspace_of(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta), s), s)
-        c = ground_state(h, "tight", dense_cutoff=1)
+        c = ground_state(h, "tight")
         assert c.energy == pytest.approx(ref[name]["e_fci"], abs=1e-9)
 
 
-def test_loose_mode_is_variational_upper_bound():
+def test_loose_mode_is_variational_upper_bound(monkeypatch):
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
     s = random_integral_set(4, 2, 2, seed=23)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
-    tight = ground_state(h, "tight", dense_cutoff=1)
-    loose = ground_state(h, "loose", dense_cutoff=1)
+    tight = ground_state(h, "tight")
+    loose = ground_state(h, "loose")
     assert loose.energy >= tight.energy - 1e-10
 
 
-def test_sign_convention_largest_amplitude_positive():
+def test_sign_convention_largest_amplitude_positive(monkeypatch):
     for seed in range(4):
         s = random_integral_set(4, 2, 1, seed=40 + seed)
         h = project(subspace_of(enumerate_sector(4, 2, 1), s), s)
-        for kwargs in ({"dense_cutoff": 1}, {}):
-            c = ground_state(h, "tight", **kwargs)
+        for cutoff in (1, DENSE_CUTOFF):
+            monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", cutoff)
+            c = ground_state(h, "tight")
             assert c.amplitudes[np.argmax(np.abs(c.amplitudes))] > 0
 
 
-def test_warm_start_accepts_previous_vector():
+def test_warm_start_accepts_previous_vector(monkeypatch):
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
     s = random_integral_set(4, 2, 2, seed=2)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
-    first = ground_state(h, "tight", dense_cutoff=1)
-    again = ground_state(h, "tight", guess=first.amplitudes, dense_cutoff=1)
+    first = ground_state(h, "tight")
+    again = ground_state(h, "tight", guess=first.amplitudes)
     assert again.energy == pytest.approx(first.energy, abs=1e-10)
     assert np.allclose(np.abs(again.amplitudes), np.abs(first.amplitudes),
                        atol=1e-6)
 
 
-def test_guess_is_an_amplitude_array_of_the_matrix_dimension():
+def test_guess_is_an_amplitude_array_of_the_matrix_dimension(monkeypatch):
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
     s = random_integral_set(4, 2, 2, seed=2)
     h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
-    cold = ground_state(h, "tight", dense_cutoff=1)
+    cold = ground_state(h, "tight")
     rng = np.random.default_rng(3)
     guess = cold.amplitudes + 0.01 * rng.normal(size=h.shape[0])  # unnormalized
-    warm = ground_state(h, "tight", guess=guess, dense_cutoff=1)
+    warm = ground_state(h, "tight", guess=guess)
     assert warm.energy == pytest.approx(cold.energy, abs=1e-10)
     for cutoff in (1, h.shape[0]):  # Davidson and the direct solve
+        monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", cutoff)
         with pytest.raises(EigensolverError, match="guess vector length"):
-            ground_state(h, "tight", guess=guess[:-1], dense_cutoff=cutoff)
+            ground_state(h, "tight", guess=guess[:-1])
 
 
-def test_degenerate_ground_state_energy_still_exact():
+def test_degenerate_ground_state_energy_still_exact(monkeypatch):
     """A doubly degenerate minimum must not trap the deflated solver."""
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
@@ -369,17 +379,19 @@ def test_degenerate_ground_state_energy_still_exact():
     mat = (mat + mat.T) / 2
     from scipy.sparse import csr_matrix
 
-    c = ground_state(csr_matrix(np.tril(mat)), "tight", dense_cutoff=1)
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
+    c = ground_state(csr_matrix(np.tril(mat)), "tight")
     assert c.energy == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_davidson_escapes_when_the_correction_lies_in_the_span():
+def test_davidson_escapes_when_the_correction_lies_in_the_span(monkeypatch):
     """On a diagonal matrix the preconditioned residual equals the Ritz
     vector, so every correction must come from the coordinate escape."""
     from scipy.sparse import csr_matrix
 
     h = csr_matrix(np.diag([3, 1, 4, 1.5, 9, 2.6]))
-    c = ground_state(h, "tight", guess=np.ones(6) / np.sqrt(6), dense_cutoff=1)
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 1)
+    c = ground_state(h, "tight", guess=np.ones(6) / np.sqrt(6))
     assert c.energy == pytest.approx(1.0, abs=1e-12)
     assert abs(c.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
 

@@ -18,7 +18,6 @@ from hivqe.determinants import Determinant, Sector, _occupations
 from hivqe.oracle import det_to_fock_index
 from hivqe.sampler import (
     AnsatzSpec,
-    NoiseModel,
     SectorState,
     SectorTooLargeError,
     brick_wall_ansatz,
@@ -89,11 +88,11 @@ def test_brick_wall_layout():
 
 def test_ansatz_spec_validation():
     with pytest.raises(ValueError):
-        AnsatzSpec(3, 1, (("gamma", 0, 1),))
+        AnsatzSpec(3, (("gamma", 0, 1),))
     with pytest.raises(ValueError):
-        AnsatzSpec(3, 1, (("alpha", 1, 1),))
+        AnsatzSpec(3, (("alpha", 1, 1),))
     with pytest.raises(ValueError):
-        AnsatzSpec(3, 1, (("alpha", 0, 3),))
+        AnsatzSpec(3, (("alpha", 0, 3),))
 
 
 def test_zero_angles_give_hartree_fock():
@@ -110,7 +109,7 @@ def test_zero_angles_give_hartree_fock():
 def test_pi_rotation_moves_the_electron_completely():
     # one alpha electron in two orbitals: |sin(pi/2)| = 1 under half angles
     sec = Sector(2, 1, 0)
-    spec = AnsatzSpec(2, 1, (("alpha", 0, 1),))
+    spec = AnsatzSpec(2, (("alpha", 0, 1),))
     state = prepare_state(spec, np.array([math.pi]), sec)
     dets = enumerate_sector(2, 1, 0)
     amp = dict(zip(dets, joint_amplitudes(state)))
@@ -153,7 +152,7 @@ def test_prepare_state_matches_statevector_oracle(n_orb, n_alpha, n_beta, layers
 def test_non_adjacent_rotation_crossing_sign():
     """A (0,2) rotation crosses orbital 1; the sign must track its occupancy."""
     sec = Sector(3, 2, 0)
-    spec = AnsatzSpec(3, 1, (("alpha", 0, 2),))
+    spec = AnsatzSpec(3, (("alpha", 0, 2),))
     theta = np.array([0.9])
     state = prepare_state(spec, theta, sec)
     oracle = statevector_oracle(spec, theta, sec, Determinant(0b011, 0))
@@ -219,18 +218,17 @@ def prepared_example():
 
 def test_sampling_is_deterministic_per_seed():
     state, _ = prepared_example()
-    quiet = NoiseModel(0.0)
-    b1 = sample(state, 500, quiet, seed=123)
-    b2 = sample(state, 500, quiet, seed=123)
+    b1 = sample(state, 500, 0.0, seed=123)
+    b2 = sample(state, 500, 0.0, seed=123)
     assert b1.counts == b2.counts
     assert list(b1.counts) == list(b2.counts)  # insertion order too
-    b3 = sample(state, 500, quiet, seed=124)
+    b3 = sample(state, 500, 0.0, seed=124)
     assert b3.counts != b1.counts
 
 
 def test_sample_counts_and_support():
     state, sec = prepared_example()
-    batch = sample(state, 4000, NoiseModel(0.0), seed=5)
+    batch = sample(state, 4000, 0.0, seed=5)
     assert batch.total_shots == 4000
     assert sum(batch.counts.values()) == 4000
     dets = enumerate_sector(3, 2, 1)
@@ -247,7 +245,7 @@ def test_sample_counts_and_support():
 def test_sample_frequencies_track_probabilities():
     state, _ = prepared_example()
     shots = 200_000
-    batch = sample(state, shots, NoiseModel(0.0), seed=77)
+    batch = sample(state, shots, 0.0, seed=77)
     dets = enumerate_sector(3, 2, 1)
     probs = dict(zip(dets, joint_amplitudes(state)**2))
     for bits, count in batch.counts.items():
@@ -261,7 +259,7 @@ def test_full_noise_complements_every_bit():
     sec = Sector(3, 2, 1)
     spec = brick_wall_ansatz(3, 2)
     state = prepare_state(spec, np.zeros(spec.n_params), sec)
-    batch = sample(state, 50, NoiseModel(1.0), seed=0)
+    batch = sample(state, 50, 1.0, seed=0)
     assert set(batch.counts) == {"001011"}  # complement of HF "110100"
     assert batch.counts["001011"] == 50
 
@@ -271,7 +269,7 @@ def test_noise_rate_statistics():
     spec = brick_wall_ansatz(3, 2)
     state = prepare_state(spec, np.zeros(spec.n_params), sec)
     shots = 50_000
-    batch = sample(state, shots, NoiseModel(0.05), seed=3)
+    batch = sample(state, shots, 0.05, seed=3)
     hf_bits = "110100"
     flipped = sum(
         count * sum(1 for a, b in zip(bits, hf_bits) if a != b)
@@ -294,7 +292,7 @@ def test_sampling_memory_scales_with_the_channels_not_the_sector(p_flip):
     state = prepare_state(spec, theta, sec)
     tracemalloc.start()
     try:
-        batch = sample(state, 4000, NoiseModel(p_flip), seed=1)
+        batch = sample(state, 4000, p_flip, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +311,7 @@ def test_noisy_batch_over_40_orbitals_keeps_every_distinct_pair():
     spec = brick_wall_ansatz(40, 2)
     state = prepare_state(spec, np.random.default_rng(40).normal(size=spec.n_params), sec)
     shots, p_flip = 3000, 0.05
-    batch = sample(state, shots, NoiseModel(p_flip), seed=9)
+    batch = sample(state, shots, p_flip, seed=9)
 
     # sample's documented stream: alpha strings, beta strings, then the flips.
     # With one electron, string i of a channel is 1 << i.
@@ -340,11 +338,11 @@ def test_noisy_batch_over_40_orbitals_keeps_every_distinct_pair():
 def test_sample_rejects_nonpositive_shots():
     state, _ = prepared_example()
     with pytest.raises(ValueError):
-        sample(state, 0, NoiseModel(0.0), seed=1)
+        sample(state, 0, 0.0, seed=1)
 
 
-def test_noise_model_validates_probability():
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(1.5)
+def test_sample_refuses_a_flip_probability_outside_0_1():
+    state, _ = prepared_example()
+    for p_flip in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="p_flip"):
+            sample(state, 10, p_flip, seed=1)

@@ -43,19 +43,18 @@ def strings(*values):
 
 
 def test_sample_batch_refuses_inconsistent_arrays():
-    SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([3, 1]), 4, 4)
+    batch = SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([3, 1]), 4)
+    assert batch.total_shots == 4
     with pytest.raises(ValueError, match="length"):
-        SampleBatch(strings(0b0011, 0b1100), strings(0b0011), np.array([3, 1]), 4, 4)
+        SampleBatch(strings(0b0011, 0b1100), strings(0b0011), np.array([3, 1]), 4)
     with pytest.raises(ValueError, match="length"):
-        SampleBatch(strings(0b0011), strings(0b0011), np.array([3, 1]), 4, 4)
+        SampleBatch(strings(0b0011), strings(0b0011), np.array([3, 1]), 4)
     with pytest.raises(ValueError, match="orbital 4"):
-        SampleBatch(strings(0b0011, 0b10001), strings(0b0011, 0b0101), np.array([3, 1]), 4, 4)
+        SampleBatch(strings(0b0011, 0b10001), strings(0b0011, 0b0101), np.array([3, 1]), 4)
     with pytest.raises(ValueError, match="orbital 4"):
-        SampleBatch(strings(0b0011), strings(0b10000), np.array([4]), 4, 4)
+        SampleBatch(strings(0b0011), strings(0b10000), np.array([4]), 4)
     with pytest.raises(ValueError, match="needs a shot"):
-        SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([4, 0]), 4, 4)
-    with pytest.raises(ValueError, match="sum"):
-        SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([3, 2]), 4, 4)
+        SampleBatch(strings(0b0011, 0b1100), strings(0b0011, 0b0101), np.array([4, 0]), 4)
     with pytest.raises(ValueError):
         batch_of({"110011": 3}, 4)  # width != 2 * n_orb
 
@@ -274,27 +273,27 @@ def test_classical_expand_m_zero_still_marks_reference():
 def test_tensor_open_shell_products():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], sector)
-    full = tensor_reconstruct(sub)
+    full = tensor_reconstruct(sub, False, 4)
     assert list(full) == [  # sub's rows, then the missing pairs in product order
         Determinant(0b01, 0b01), Determinant(0b10, 0b10),
         Determinant(0b01, 0b10), Determinant(0b10, 0b01),
     ]
-    assert tensor_reconstruct(full) is full  # already a complete product
+    assert tensor_reconstruct(full, False, 4) is full  # already a complete product
 
 
 def test_tensor_closed_shell_merges_channels():
     sector = Sector(2, 1, 1)
     sub = Subspace([Determinant(0b01, 0b10)], sector)
-    merged = tensor_reconstruct(sub, closed_shell=True)
+    merged = tensor_reconstruct(sub, True, 4)
     assert len(merged) == 4
-    open_shell = tensor_reconstruct(sub)
+    open_shell = tensor_reconstruct(sub, False, 4)
     assert open_shell is sub  # 1 alpha string x 1 beta string is no growth
 
 
 def test_tensor_closed_shell_requires_balanced_sector():
     sub = Subspace([Determinant(0b011, 0b001)], Sector(3, 2, 1))
     with pytest.raises(ValueError):
-        tensor_reconstruct(sub, closed_shell=True)
+        tensor_reconstruct(sub, True, 9)
 
 
 def test_tensor_refuses_a_product_beyond_the_cap_before_building_it(monkeypatch):
@@ -305,16 +304,16 @@ def test_tensor_refuses_a_product_beyond_the_cap_before_building_it(monkeypatch)
                     zip(strings, rng.permutation(len(strings)))], Sector(n_orb, 7, 7))
     assert len(sub) == 3432  # 3,432 x 3,432 strings: an 11.8M-determinant product
     small = Subspace([Determinant(0b01, 0b01), Determinant(0b10, 0b10)], Sector(2, 1, 1))
-    assert len(tensor_reconstruct(small, cap=4)) == 4  # a product at the cap is built
+    assert len(tensor_reconstruct(small, False, 4)) == 4  # a product at the cap is built
 
     def refuse(*args):
         raise AssertionError("a product determinant was built")
 
     monkeypatch.setattr("hivqe.subspace.Determinant", refuse)
     with pytest.raises(ValueError, match="safety cap"):
-        tensor_reconstruct(sub, cap=10 * len(sub))
+        tensor_reconstruct(sub, False, 10 * len(sub))
     with pytest.raises(ValueError, match="safety cap"):
-        tensor_reconstruct(small, cap=3)
+        tensor_reconstruct(small, False, 3)
 
 
 def test_union_appends_in_first_seen_order():
@@ -514,7 +513,8 @@ def test_array_screens_match_the_tuple_sort_references(seed):
         assert list(union(sub, Subspace(other, sector))) == list(dict.fromkeys(dets + other))
 
         for closed_shell in (False, True):
-            assert list(tensor_reconstruct(sub, closed_shell)) == reference_tensor(dets, closed_shell)
+            tensored = tensor_reconstruct(sub, closed_shell, len(every))
+            assert list(tensored) == reference_tensor(dets, closed_shell)
 
 
 def _top_orbital_case():
