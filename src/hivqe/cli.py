@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fci.add_argument("--fcidump", required=True)
     fci.add_argument("--count-only", action="store_true",
                      help="print the sector size without solving")
-    fci.add_argument("--limit", type=int, default=None,
-                     help="largest sector the oracle will solve")
 
     sweep = sub.add_parser("sweep", parents=[options],
                            help="run one geometry per manifest line")
@@ -150,15 +148,11 @@ def _cmd_fci(args) -> int:
     if args.count_only:
         print(json.dumps({"sector_size": size}))
         return 0
-    limit = args.limit if args.limit is not None else ORACLE_SECTOR_LIMIT
-    if size > limit:
-        print(
-            f"sector of {size} determinants exceeds the solver limit {limit}; "
-            f"use --count-only or raise --limit",
-            file=sys.stderr,
-        )
+    if size > ORACLE_SECTOR_LIMIT:
+        print(f"sector of {size} determinants exceeds the solver limit "
+              f"{ORACLE_SECTOR_LIMIT}; use --count-only", file=sys.stderr)
         return 1
-    res = fci_ground(integrals, limit)
+    res = fci_ground(integrals)
     print(json.dumps({"sector_size": size, "energy": res.energy}))
     return 0
 

@@ -13,10 +13,11 @@ the cap, a loose solve ranks the rows, and the tight solve (the reported
 energy) runs on the kept block of the same matrix, in subspace order, from
 the same rows of its starting vector; a tensor reconstruction that adds
 determinants appends them to the kept matrix. The loop then tests
-convergence, amplitude-screens, classically expands, and lets the optimizer
-update theta from the probe pair. The lowest eigenpair (of equal energies,
-the one on fewer rows) is returned; a run of zero iterations returns no
-energy and no determinant.
+convergence on that tight energy alone (e_iter is only traced),
+amplitude-screens, classically expands, and lets the optimizer update theta
+from the probe pair. The lowest eigenpair (of equal energies, the one on
+fewer rows) is returned; a run of zero iterations returns no energy and no
+determinant.
 
 A sampled set among the last LOOSE_CACHE used is not solved again: the run
 keeps their loose energies, which the deterministic solve would reproduce
@@ -60,6 +61,7 @@ __all__ = [
 
 DEBYE_PER_AU = 2.541746
 LOOSE_CACHE = 4  # sampled sets whose loose energy a run keeps
+STALL_WINDOW = 10  # iterations without a lower energy before a run stops as stalled
 
 
 class RunError(RuntimeError):
@@ -77,7 +79,6 @@ class RunConfig:
     m: int = 100
     threshold: float = 1e-6
     eps: float = 1e-5
-    window: int = 3
     max_iterations: int = 50
     tensor_reconstruct: bool = False
     closed_shell: bool = False
@@ -85,9 +86,7 @@ class RunConfig:
     recovery_mode: str = "discard"
     seed: int = 0
     ansatz_layers: int = 2
-    convergence_source: str = "cumulative"
     expansion_repeats: int = 1
-    stall_window: int = 10
 
     def validate(self, s: IntegralSet) -> None:
         for name, kind in CONFIG_TYPES.items():
@@ -100,8 +99,8 @@ class RunConfig:
         if s.n_orb > 64:
             raise RunError(f"{s.n_orb} orbitals exceed the 64-orbital limit of the spin strings")
         for name, floor in (("shots", 1), ("k", 1), ("m", 0), ("max_iterations", 0),
-                            ("window", 1), ("threshold", 0), ("seed", 0), ("ansatz_layers", 0),
-                            ("expansion_repeats", 1), ("stall_window", 1)):
+                            ("threshold", 0), ("seed", 0), ("ansatz_layers", 0),
+                            ("expansion_repeats", 1)):
             if getattr(self, name) < floor:
                 raise RunError(f"{name} must be at least {floor}")
         if self.eps <= 0:
@@ -110,8 +109,6 @@ class RunConfig:
             raise RunError("p_flip must lie in [0, 1]")
         if self.recovery_mode not in ("discard", "recover"):
             raise RunError(f"unknown recovery mode {self.recovery_mode!r}")
-        if self.convergence_source not in ("cumulative", "iteration"):
-            raise RunError(f"unknown convergence source {self.convergence_source!r}")
         if self.closed_shell and s.n_alpha != s.n_beta:
             raise RunError("closed-shell reconstruction requires n_alpha == n_beta")
 
@@ -151,16 +148,25 @@ class IterationRecord:
 class RunResult:
     energy: Optional[float]
     e_hf: float
-    e_corr: Optional[float]
     dets: list
     amplitudes: Optional[np.ndarray]
     trace: list
     dipole: Optional[np.ndarray]
     status: str
-    iterations: int
     sector: Sector
     config: dict
-    seed: int
+
+    @property
+    def e_corr(self) -> Optional[float]:
+        return None if self.energy is None else self.energy - self.e_hf
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def seed(self) -> int:
+        return self.config["seed"]
 
     @property
     def converged(self) -> bool:
@@ -286,7 +292,7 @@ def run_hivqe(
         else:
             stall_count += 1
 
-        history.append(e_cum if cfg.convergence_source == "cumulative" else e_iter)
+        history.append(e_cum)
         record = IterationRecord(
             iteration=i,
             e_cum=e_cum,
@@ -306,10 +312,10 @@ def run_hivqe(
         )
         trace.append(record)  # the steps below fill in its last fields
 
-        if converged(history, cfg.eps, cfg.window):
+        if converged(history, cfg.eps):
             status = "converged"
             break
-        if stall_count >= cfg.stall_window:
+        if stall_count >= STALL_WINDOW:
             status = "stalled"
             break
 
@@ -332,18 +338,16 @@ def run_hivqe(
             if math.isfinite(e_plus) and math.isfinite(e_minus):
                 update(opt, e_plus, e_minus)
 
-    energy = e_corr = amplitudes = dipole = None
+    energy = amplitudes = dipole = None
     dets = []
     if best is not None:  # at least one iteration ran
         psi, sub = best
         energy, amplitudes, dets = psi.energy, psi.amplitudes, list(sub)
-        e_corr = energy - e_hf
         if dipole_integrals is not None:
             dipole = dipole_moment(compute_1rdm(psi, sub), dipole_integrals)
     return RunResult(
-        energy=energy, e_hf=e_hf, e_corr=e_corr, dets=dets, amplitudes=amplitudes,
-        trace=trace, dipole=dipole, status=status, iterations=len(trace),
-        sector=sector, config=asdict(cfg), seed=cfg.seed,
+        energy=energy, e_hf=e_hf, dets=dets, amplitudes=amplitudes, trace=trace,
+        dipole=dipole, status=status, sector=sector, config=asdict(cfg),
     )
 
 

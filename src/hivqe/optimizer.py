@@ -30,6 +30,7 @@ GAIN_C = 0.1
 STABILITY = 10.0
 ALPHA_EXPONENT = 0.602
 GAMMA_EXPONENT = 0.101
+WINDOW = 3  # energies that must agree within eps for convergence
 
 
 @dataclass
@@ -88,16 +89,16 @@ class EnergyHistory:
         return len(self.energies)
 
 
-def converged(history: EnergyHistory, eps: float = 1e-5, window: int = 3) -> bool:
-    """Has the energy settled? True iff at least window+1 energies exist and
-    the last `window` of them are finite with a max-min spread below eps.
+def converged(history: EnergyHistory, eps: float = 1e-5) -> bool:
+    """Has the energy settled? True iff at least WINDOW+1 energies exist and
+    the last WINDOW of them are finite with a max-min spread below eps.
 
     Requiring one extra entry beyond the window means the examined values are
     genuine steps from an earlier iterate, not just the initial point. A nan
-    (an iteration whose shots all filtered out) keeps its window unsettled.
+    (only from a caller: the driver appends tight energies) keeps it unsettled.
     """
     energies = history.energies
-    if len(energies) < window + 1:
+    if len(energies) < WINDOW + 1:
         return False
-    tail = energies[-window:]
+    tail = energies[-WINDOW:]
     return all(map(math.isfinite, tail)) and (max(tail) - min(tail)) < eps

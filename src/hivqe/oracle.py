@@ -44,13 +44,13 @@ class FciResult:
     sector_size: int
 
 
-def fci_ground(s: IntegralSet, limit: int = ORACLE_SECTOR_LIMIT) -> FciResult:
-    """Exact ground state over the full symmetry sector."""
-    count = sector_size(s.n_orb, s.n_alpha, s.n_beta)
-    if count > limit:
-        raise ValueError(f"sector of {count} determinants exceeds oracle limit {limit}")
-    sub = Subspace(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta, max_states=limit),
-                   Sector(s.n_orb, s.n_alpha, s.n_beta))
+def fci_ground(s: IntegralSet) -> FciResult:
+    """Exact ground state over the full sector, of at most ORACLE_SECTOR_LIMIT determinants."""
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    count = sector_size(*sector)
+    if count > ORACLE_SECTOR_LIMIT:
+        raise ValueError(f"sector of {count} determinants exceeds limit {ORACLE_SECTOR_LIMIT}")
+    sub = Subspace(enumerate_sector(*sector, max_states=ORACLE_SECTOR_LIMIT), sector)
     c = ground_state(project(sub, s), mode="tight")
     return FciResult(c.energy, c, count)
 

@@ -98,14 +98,14 @@ class Subspace:
     """Row i is the determinant (alpha[i], beta[i]); expanded_refs is the history.
 
     Built from Determinants, a Subspace checks them against its sector and
-    keeps the first-seen row of each; iterating it yields Determinants.
+    keeps the first-seen row of each, with no history; iterating yields Determinants.
     ranks places the rows among their sorted distinct strings, once, for
     find and project.
     """
 
     __slots__ = ("alpha", "beta", "sector", "expanded_refs", "ranks")
 
-    def __init__(self, dets=(), sector: Sector = None, expanded_refs=frozenset()):
+    def __init__(self, dets=(), sector: Sector = None):
         if sector is None:
             raise ValueError("a Subspace needs its symmetry sector")
         n = sector.n_orb
@@ -121,7 +121,7 @@ class Subspace:
             valid = np.array([sector.contains(d) for d in dets])
         if not valid.all():
             raise ValueError(f"{dets[int(np.argmin(valid))]} violates {sector}")
-        self._assign(alpha, beta, sector, expanded_refs)
+        self._assign(alpha, beta, sector, frozenset())
 
     @classmethod
     def _of(cls, alpha, beta, sector, expanded_refs) -> "Subspace":

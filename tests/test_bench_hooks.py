@@ -26,11 +26,26 @@ from helpers import load_fixture, load_reference
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return load_bench_module("layers")
+
+
+def test_every_loop_workload_sets_only_valid_config_keys():
+    """bench/worker.py builds RunConfig(seed=..., **config) for each loop
+    workload; a key removed from RunConfig would break the benchmark."""
+    loops = [wl for wl in load_bench_module("workloads").WORKLOADS.values()
+             if wl["entry"] == "run_hivqe"]
+    assert loops
+    for wl in loops:
+        s = hivqe.parse_fcidump((BENCH / "inputs" / f"{wl['input']}.fcidump").read_text())
+        hivqe.RunConfig.from_dict({"seed": 0, **wl["config"]}).validate(s)
 
 
 def test_every_wrapped_name_resolves():

@@ -1,22 +1,30 @@
 """Command-line interface: subcommands, outputs on disk, and exit codes.
 
-Every test drives main() in process so coverage tooling and debuggers see
-straight through the CLI layer.
+Every test but one drives main() in process so coverage tooling and
+debuggers see straight through the CLI layer. The exception runs
+``python -m hivqe.cli`` in subprocesses, because a BLAS thread count is
+read when numpy loads.
 """
 
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hivqe
 from hivqe.cli import main
 from hivqe.driver import IterationRecord, RunConfig, run_hivqe
 
 from helpers import FIXTURES, det_from_string, load_fixture, load_reference
 
 H2 = str(FIXTURES / "h2_0.74.fcidump")
+H8 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "h8.fcidump"  # read only
 LIH = str(FIXTURES / "lih.fcidump")
 
 RESULT_KEYS = {
@@ -95,8 +103,13 @@ def test_run_override_precedence(tmp_path):
     assert doc["config"]["k"] == 3  # file value survives under other overrides
 
 
+# convergence settings the loop fixes; --set refuses them as unknown keys
+REMOVED_KEYS = {"window": 3, "convergence_source": "cumulative", "stall_window": 10}
+
+
 @pytest.mark.parametrize("override", ["shotz=10", "p_flip", "shots=lots", "threshold=nan",
-                                      "k=abc", "k=1e3"])
+                                      "k=abc", "k=1e3",
+                                      *(f"{key}={value}" for key, value in REMOVED_KEYS.items())])
 def test_run_rejects_bad_overrides(tmp_path, capsys, override):
     rc = main(["run", "--fcidump", H2, "--set", override,
                "--out", str(tmp_path)])
@@ -195,6 +208,26 @@ def test_run_results_are_byte_identical_across_repeats(tmp_path):
     assert masked(tmp_path / "a") == masked(tmp_path / "b")
 
 
+def test_run_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """README's Determinism claim at one and two BLAS threads, on H8 blocks
+    large enough (over 200 rows) for the Davidson path."""
+    src = str(Path(hivqe.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "hivqe.cli", "run", "--fcidump", str(H8),
+             "--set", "k=1000", "--set", "m=100", "--set", "max_iterations=20",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode in (0, 2), done.stderr
+        assert json.loads((out / "result.json").read_text())["n_dets"] > 200
+        outputs.append([(out / name).read_bytes() for name in ("result.json", "subspace.txt")])
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # fci
 # ---------------------------------------------------------------------------
@@ -238,7 +271,14 @@ def test_fci_count_only_handles_huge_sectors(tmp_path, capsys):
 def test_fci_refuses_huge_sector_without_count_only(tmp_path, capsys):
     rc = main(["fci", "--fcidump", big_sector_fcidump(tmp_path)])
     assert rc == 1
-    assert "--count-only" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--count-only" in err and "--limit" not in err
+
+
+def test_fci_has_no_limit_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["fci", "--fcidump", H2, "--limit", "10"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

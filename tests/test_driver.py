@@ -10,6 +10,7 @@ import pytest
 from hivqe import sampler
 from hivqe.determinants import Sector
 from hivqe.driver import (
+    STALL_WINDOW,
     RunConfig,
     RunError,
     compute_1rdm,
@@ -54,12 +55,22 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"k": 10, "shotz": 100})
 
 
+@pytest.mark.parametrize("key,value", [("window", 3), ("convergence_source", "cumulative"),
+                                       ("stall_window", 10)])
+def test_config_refuses_the_removed_convergence_keys(key, value):
+    """The loop converges on the tight energy over a fixed window and stall
+    limit; a config that still sets one of the old keys is refused by name."""
+    assert key not in dataclasses.asdict(RunConfig())
+    with pytest.raises(RunError, match=repr(key)):
+        RunConfig.from_dict({"k": 10, key: value})
+
+
 def test_config_validation_catches_bad_values():
     s = load_fixture("h2_0.74")
     bad = [
         {"shots": 0}, {"k": 0}, {"m": -1}, {"eps": 0.0}, {"p_flip": 1.5},
-        {"recovery_mode": "fix"}, {"convergence_source": "both"},
-        {"seed": -1}, {"expansion_repeats": 0}, {"window": 0},
+        {"recovery_mode": "fix"}, {"seed": -1}, {"expansion_repeats": 0},
+        {"ansatz_layers": -1}, {"threshold": -1e-6},
     ]
     for kwargs in bad:
         with pytest.raises(RunError):
@@ -218,19 +229,6 @@ def test_run_error_holds_only_completed_iterations(monkeypatch, failing):
     assert timeless(info.value.trace) == timeless(full.trace[:3])
 
 
-def test_a_nan_in_the_window_keeps_the_loop_running():
-    """Iteration energies are nan when every shot filters out; a window
-    holding one has not converged, wherever the nan sits."""
-    cfg = RunConfig(seed=0, shots=4, p_flip=0.3, recovery_mode="discard",
-                    convergence_source="iteration", eps=1e-3, k=6, m=2, max_iterations=30)
-    res = run_hivqe(cfg, load_fixture("h4_chain"))
-    e_iter = [r.e_iter for r in res.trace]
-    assert any(math.isnan(e) for e in e_iter[:14])  # this seed does draw empty batches
-    if res.status == "converged":
-        assert all(math.isfinite(e) for e in e_iter[-cfg.window:])
-    assert res.iterations > 14  # the nan window at iteration 14 no longer stops it
-
-
 def test_max_iterations_exhaustion_reports_status():
     s = load_fixture("lih")
     res = run_hivqe(RunConfig(seed=0, max_iterations=2, k=40), s)
@@ -267,17 +265,17 @@ def test_noisy_run_still_reaches_fci_on_h2():
     assert res.energy == pytest.approx(ref["e_fci"], abs=1e-7)
 
 
-def test_stall_detection_breaks_the_loop():
-    # eps far below shot noise makes the spread test unreachable, and the
-    # iteration-only energy keeps jittering under 20% bit flips, so the
-    # stall counter must end the run before max_iterations
-    s = load_fixture("h4_chain")
-    cfg = RunConfig(seed=5, k=6, m=2, eps=1e-300, p_flip=0.2, shots=100,
-                    recovery_mode="recover", max_iterations=40,
-                    stall_window=6, convergence_source="iteration")
-    res = run_hivqe(cfg, s)
+def test_stall_detection_breaks_the_loop(monkeypatch):
+    """With the window test switched off, the run stops as stalled exactly
+    STALL_WINDOW iterations after its last lower cumulative energy. The
+    patch keeps the test off the few noisy, tightly capped runs that stall
+    on their own, whose energy cycles among a handful of values."""
+    monkeypatch.setattr("hivqe.driver.converged", lambda history, eps: False)
+    res = run_hivqe(RunConfig(seed=0, max_iterations=40), load_fixture("h2_0.74"))
+    e_cum = [r.e_cum for r in res.trace]
+    last_drop = max(i for i, e in enumerate(e_cum) if i == 0 or min(e_cum[:i]) - e > 1e-10)
     assert res.status == "stalled"
-    assert res.iterations < 40
+    assert res.iterations == last_drop + 1 + STALL_WINDOW < 40
 
 
 def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
@@ -348,15 +346,6 @@ def test_tensor_reconstruction_closed_shell_runs():
     assert res.status == "converged"
     assert res.energy == pytest.approx(
         load_reference()["h2_0.74"]["e_fci"], abs=1e-8)
-
-
-def test_iteration_convergence_source_runs():
-    s = load_fixture("h2_0.74")
-    cfg = RunConfig(seed=0, convergence_source="iteration", eps=1e-4,
-                    max_iterations=10)
-    res = run_hivqe(cfg, s)
-    # iteration-only subspaces at theta=0 stay {HF}: flat history converges
-    assert res.status == "converged"
 
 
 def test_determinism_across_identical_runs():

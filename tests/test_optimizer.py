@@ -122,24 +122,24 @@ def test_energy_history_counts_entries():
 
 
 def test_converged_needs_window_plus_one_entries():
-    assert not converged(EnergyHistory([-1.0, -1.0, -1.0]), eps=1e-5, window=3)
-    assert converged(EnergyHistory([-0.9, -1.0, -1.0, -1.0]), eps=1e-5, window=3)
+    assert not converged(EnergyHistory([-1.0, -1.0, -1.0]), eps=1e-5)
+    assert converged(EnergyHistory([-0.9, -1.0, -1.0, -1.0]), eps=1e-5)
 
 
 def test_converged_checks_spread_of_last_window():
     values = EnergyHistory([-0.5, -1.0, -1.000004, -1.000002])
-    assert converged(values, eps=1e-5, window=3)
-    assert not converged(values, eps=1e-6, window=3)
+    assert converged(values, eps=1e-5)
+    assert not converged(values, eps=1e-6)
     # a jump inside the window blocks convergence even after many entries
     jump = EnergyHistory([-1.0] * 5 + [-1.1, -1.0, -1.0])
-    assert not converged(jump, eps=1e-5, window=3)
+    assert not converged(jump, eps=1e-5)
 
 
 def test_converged_accepts_history_object():
     h = EnergyHistory()
     for e in (-1.0, -2.0, -2.0, -2.0):
         h.append(e)
-    assert converged(h, eps=1e-5, window=3)
+    assert converged(h, eps=1e-5)
 
 
 @pytest.mark.parametrize("values", [
@@ -149,6 +149,6 @@ def test_converged_accepts_history_object():
     [-0.5, -1.0, math.inf, -1.0],
 ])
 def test_converged_refuses_a_window_with_a_nonfinite_energy(values):
-    assert not converged(EnergyHistory(values), eps=1e-5, window=3)
+    assert not converged(EnergyHistory(values), eps=1e-5)
     # once it leaves the window
-    assert converged(EnergyHistory(values + [-1.0] * 3), eps=1e-5, window=3)
+    assert converged(EnergyHistory(values + [-1.0] * 3), eps=1e-5)

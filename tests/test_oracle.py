@@ -87,8 +87,11 @@ def test_fci_ground_vector_is_true_eigenvector():
     assert np.max(np.abs(residual)) < 1e-8
 
 
-def test_fci_ground_enforces_sector_limit():
+def test_fci_ground_enforces_sector_limit(monkeypatch):
     s = random_integral_set(6, 3, 3, seed=2)
     assert math.comb(6, 3) ** 2 == 400
-    with pytest.raises(ValueError):
-        fci_ground(s, limit=100)
+    monkeypatch.setattr("hivqe.oracle.ORACLE_SECTOR_LIMIT", 100)  # read at call time
+    with pytest.raises(ValueError, match="400 determinants exceeds limit 100"):
+        fci_ground(s)
+    monkeypatch.setattr("hivqe.oracle.ORACLE_SECTOR_LIMIT", 400)
+    assert fci_ground(s).sector_size == 400

@@ -228,9 +228,20 @@ def test_amplitude_screen_mismatched_vector_raises():
         amplitude_screen(sub, np.array([1.0]), 1e-6)
 
 
+def with_references(sub, refs, s):
+    """sub with each of refs, rows of sub, marked expanded: an expansion
+    around it that adds nothing (m=0)."""
+    rows = list(sub)
+    for ref in refs:
+        sub = classical_expand(sub, np.eye(len(rows))[rows.index(ref)], 0, s)
+    return sub
+
+
 def test_take_selects_rows_in_order_and_keeps_history():
-    sector = Sector(2, 1, 1)
-    sub = Subspace(enumerate_sector(2, 1, 1), sector, {Determinant(0b01, 0b01)})
+    ref = Determinant(0b01, 0b01)
+    sub = with_references(Subspace(enumerate_sector(2, 1, 1), Sector(2, 1, 1)), [ref],
+                          load_fixture("h2_0.74"))
+    assert list(sub) == enumerate_sector(2, 1, 1) and sub.expanded_refs == {ref}
     part = sub.take(np.array([3, 0]))
     assert list(part) == [list(sub)[3], list(sub)[0]]
     assert part.expanded_refs == sub.expanded_refs
@@ -498,7 +509,8 @@ def test_array_screens_match_the_tuple_sort_references(seed):
         pick = rng.permutation(len(every))[: int(rng.integers(1, min(len(every), 60)))]
         dets = [every[i] for i in pick]
         refs = {dets[i] for i in rng.permutation(len(dets))[: int(rng.integers(0, 4))]}
-        sub = Subspace(dets, sector, refs)
+        sub = with_references(Subspace(dets, sector), refs, s)
+        assert list(sub) == dets and sub.expanded_refs == refs
         amps = rng.choice([0.0, 0.2, -0.2, 0.5, -0.5, 1.0], size=len(dets))  # many ties
         for k in (1, 2, len(dets) // 2 + 1, len(dets)):
             assert cap_screen(sub, amps, k).tolist() == reference_cap(dets, amps, k, sector)
@@ -584,7 +596,8 @@ def test_an_expanded_reference_no_row_holds_blocks_no_row():
     s = load_fixture("h4_chain")
     sector = Sector(4, 2, 2)
     gone, only = Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0011)
-    sub = Subspace([only], sector, {gone})
+    sub = classical_expand(Subspace([gone, only], sector), np.array([1.0, 0.0]), 0, s).take([1])
+    assert list(sub) == [only] and sub.expanded_refs == {gone}
     assert classical_expand(sub, np.array([0.5]), 0, s).expanded_refs == {gone, only}
 
 
