@@ -11,7 +11,8 @@ slater_condon reads each channel's holes, particles and sign from
 _channel_excitation. Its element helpers also take arrays of moves out of one
 determinant; with _excitations, the strings one or two moves from one string,
 they score classical expansion's candidates as string arrays, bit for bit,
-with sign 1, as only the couplings' magnitudes rank them.
+with sign 1, as only the couplings' magnitudes rank them. _double_element
+also gives project its same-spin double excitations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrals import IntegralSet, get_eri
+from .integrals import IntegralSet
 
 __all__ = [
     "Determinant",
@@ -129,13 +130,13 @@ def _diagonal_element(d: Determinant, s: IntegralSet) -> float:
         e += s.one_body[p, p]
     for i, p in enumerate(occ_a):
         for q in occ_a[i + 1:]:
-            e += get_eri(s, p, p, q, q) - get_eri(s, p, q, q, p)
+            e += s.eri[p, p, q, q] - s.eri[p, q, q, p]
     for i, p in enumerate(occ_b):
         for q in occ_b[i + 1:]:
-            e += get_eri(s, p, p, q, q) - get_eri(s, p, q, q, p)
+            e += s.eri[p, p, q, q] - s.eri[p, q, q, p]
     for p in occ_a:
         for q in occ_b:
-            e += get_eri(s, p, p, q, q)
+            e += s.eri[p, p, q, q]
     return e
 
 

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import _BIT, _occupations, _phase
+from .determinants import _BIT, _double_element, _occupations, _phase
 from .integrals import IntegralSet
 from .subspace import Subspace
 
@@ -323,8 +323,7 @@ def project(sub: Subspace, s: IntegralSet,
         iy = index.ib if channel == "alpha" else index.ia
         for i, j, link in index.same_spin(channel, up):
             emit(i, j, base[link] + np.einsum("kq,kq->k", coulomb[link], occ[other][iy[i]]))
-        (h1, h2), (p1, p2) = doubles.holes.T, doubles.particles.T
-        value = doubles.phase * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1])
+        value = _double_element(doubles.holes.T, doubles.particles.T, doubles.phase, s)
         for i, j, link in index.same_spin(channel, doubles):
             emit(i, j, value[link])
 

@@ -20,7 +20,6 @@ __all__ = [
     "FcidumpError",
     "parse_fcidump",
     "write_fcidump",
-    "get_eri",
     "parse_dipole_file",
     "write_dipole_file",
 ]
@@ -94,14 +93,6 @@ class IntegralSet:
         for key, v in two_body_terms.items():
             _set_eri(eri, *key, v)
         return cls(n_orb, n_alpha, n_beta, e_core, h, eri)
-
-
-def get_eri(s: IntegralSet, p: int, q: int, r: int, s_: int) -> float:
-    """Return (pq|rs) in chemist notation; unset entries are 0."""
-    for idx in (p, q, r, s_):
-        if not 0 <= idx < s.n_orb:
-            raise IndexError(f"orbital index {idx} out of range for n_orb={s.n_orb}")
-    return float(s.eri[p, q, r, s_])
 
 
 _HEADER_INT = {

@@ -20,7 +20,7 @@ import numpy as np
 
 from .determinants import Determinant, Sector
 from .eigensolver import CIVector, ground_state, project
-from .integrals import IntegralSet, get_eri
+from .integrals import IntegralSet
 from .sampler import enumerate_sector, sector_size
 from .subspace import Subspace
 
@@ -50,7 +50,7 @@ def fci_ground(s: IntegralSet) -> FciResult:
     count = sector_size(*sector)
     if count > ORACLE_SECTOR_LIMIT:
         raise ValueError(f"sector of {count} determinants exceeds limit {ORACLE_SECTOR_LIMIT}")
-    sub = Subspace(enumerate_sector(*sector, max_states=ORACLE_SECTOR_LIMIT), sector)
+    sub = Subspace(enumerate_sector(*sector), sector)
     c = ground_state(project(sub, s), mode="tight")
     return FciResult(c.energy, c, count)
 
@@ -118,7 +118,7 @@ def brute_force_hamiltonian(s: IntegralSet) -> np.ndarray:
         for q in range(n_orb):
             for r in range(n_orb):
                 for t in range(n_orb):
-                    v = get_eri(s, p, q, r, t)
+                    v = s.eri[p, q, r, t]
                     if v != 0.0:
                         two_body_terms.append((p, q, r, t, 0.5 * v))
 

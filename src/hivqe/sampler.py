@@ -51,35 +51,17 @@ def sector_size(n_orb: int, n_alpha: int, n_beta: int) -> int:
     return math.comb(n_orb, n_alpha) * math.comb(n_orb, n_beta)
 
 
-def _masks_with_popcount(n_orb: int, k: int) -> list[int]:
-    # Gosper's hack walks all k-bit masks in ascending numeric order.
-    if k == 0:
-        return [0]
-    masks = []
-    m = (1 << k) - 1
-    limit = 1 << n_orb
-    while m < limit:
-        masks.append(m)
-        low = m & -m
-        ripple = m + low
-        m = ripple | (((m ^ ripple) >> 2) // low)
-    return masks
-
-
-def enumerate_sector(
-    n_orb: int, n_alpha: int, n_beta: int, max_states: int = MAX_ENUMERATED
-) -> list[Determinant]:
+def enumerate_sector(n_orb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
     """All sector determinants, lexicographic by (alpha_mask, beta_mask)."""
     if not (0 <= n_alpha <= n_orb and 0 <= n_beta <= n_orb):
         raise ValueError(
             f"cannot place ({n_alpha}a,{n_beta}b) electrons in {n_orb} orbitals"
         )
     count = sector_size(n_orb, n_alpha, n_beta)
-    if count > max_states:
-        raise SectorTooLargeError(count, max_states)
-    alphas = _masks_with_popcount(n_orb, n_alpha)
-    betas = _masks_with_popcount(n_orb, n_beta)
-    return [Determinant(a, b) for a in alphas for b in betas]
+    if count > MAX_ENUMERATED:
+        raise SectorTooLargeError(count, MAX_ENUMERATED)
+    betas = _channel(n_orb, n_beta).tolist()
+    return [Determinant(a, b) for a in _channel(n_orb, n_alpha).tolist() for b in betas]
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,16 @@ class SectorState:
 
 @lru_cache(maxsize=8)
 def _channel(n_orb: int, n_e: int) -> np.ndarray:
-    """Ascending uint64 strings with n_e of n_orb bits set."""
-    strings = np.array(_masks_with_popcount(n_orb, n_e), dtype=np.uint64)
+    """Ascending uint64 strings with n_e of n_orb bits set, by Gosper's walk."""
+    masks, m = [], (1 << n_e) - 1
+    while m < 1 << n_orb:
+        masks.append(m)
+        if m == 0:  # no electrons: the empty string is the only one
+            break
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
+    strings = np.array(masks, dtype=np.uint64)
     strings.flags.writeable = False  # shared through the cache
     return strings
 

@@ -161,13 +161,11 @@ def jw_number_conserving_hamiltonian(s: IntegralSet) -> np.ndarray:
                 continue
             for off in (0, n):
                 h += s.one_body[p, q] * cre[p + off] @ ann[q + off]
-    from hivqe.integrals import get_eri
-
     for p in range(n):
         for q in range(n):
             for r in range(n):
                 for t in range(n):
-                    v = get_eri(s, p, q, r, t)
+                    v = s.eri[p, q, r, t]
                     if v == 0.0:
                         continue
                     for off1 in (0, n):

@@ -134,3 +134,18 @@ def test_the_tracer_measures_an_fci_solve(monkeypatch):
     assert metrics["eigensolver.project_calls"] == 1
     assert metrics["eigensolver.elements"] > 0
     assert result.energy == pytest.approx(load_reference()["h2_0.74"]["e_fci"], abs=1e-9)
+
+
+def test_fci_ground_enumerates_its_sector_once_through_the_oracle_module(monkeypatch):
+    """bench/layers.py times oracle.enumerate_s by wrapping
+    hivqe.oracle.enumerate_sector, so fci_ground must call it by that name."""
+    calls = []
+    enumerate_sector = hivqe.oracle.enumerate_sector
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_sector(*args)
+
+    monkeypatch.setattr(hivqe.oracle, "enumerate_sector", counted)
+    result = hivqe.fci_ground(load_fixture("h2_0.74"))
+    assert calls == [(2, 1, 1)] and result.sector_size == 4

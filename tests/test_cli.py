@@ -135,6 +135,23 @@ def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()  # refused before the run started
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--fcidump", H2, "--set", "tensor_reconstruct=maybe"],
+     "tensor_reconstruct expects a boolean, got 'maybe'"),
+    (["run", "--fcidump", H2, "--config", "CONFIG"], "config file must hold a JSON object"),
+    (["sweep", "--manifest", "MANIFEST"],
+     f"manifest line needs 'label path [e_ref]': 'a {H2} -1.1 extra'"),
+], ids=["boolean", "config_list", "manifest_tokens"])
+def test_refusals_name_what_is_wrong(tmp_path, capsys, argv, message):
+    files = {"CONFIG": tmp_path / "cfg.json", "MANIFEST": tmp_path / "curve.txt"}
+    files["CONFIG"].write_text("[1, 2]")
+    files["MANIFEST"].write_text(f"a {H2} -1.1 extra\n")
+    argv = [str(files.get(a, a)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_accepts_an_int_for_a_float_key_unconverted(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"p_flip": 0, "threshold": 1e-6, "max_iterations": 1}))

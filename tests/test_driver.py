@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hivqe import sampler
-from hivqe.determinants import Sector
+from hivqe.determinants import Sector, hartree_fock_det
 from hivqe.driver import (
     STALL_WINDOW,
     RunConfig,
@@ -276,6 +276,20 @@ def test_stall_detection_breaks_the_loop(monkeypatch):
     last_drop = max(i for i, e in enumerate(e_cum) if i == 0 or min(e_cum[:i]) - e > 1e-10)
     assert res.status == "stalled"
     assert res.iterations == last_drop + 1 + STALL_WINDOW < 40
+
+
+@pytest.mark.parametrize("seed, iterations", [(0, 14), (1, 13)])
+def test_a_noisy_tightly_capped_run_stalls_on_its_own(seed, iterations):
+    """Heavy readout noise and a cap of 6 keep LiH's cumulative energy
+    cycling among a few values, so the unpatched loop stops as stalled
+    exactly STALL_WINDOW iterations after its last lower energy."""
+    cfg = RunConfig(seed=seed, k=6, m=2, p_flip=0.2, shots=200,
+                    recovery_mode="recover", max_iterations=40)
+    res = run_hivqe(cfg, load_fixture("lih"))
+    e_cum = [r.e_cum for r in res.trace]
+    last_drop = max(i for i, e in enumerate(e_cum) if i == 0 or min(e_cum[:i]) - e > 1e-10)
+    assert res.status == "stalled"
+    assert res.iterations == iterations == last_drop + 1 + STALL_WINDOW
 
 
 def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
@@ -574,6 +588,21 @@ def test_compute_1rdm_on_partial_subspace():
     gamma = compute_1rdm(c, sub)
     expected = rdm_from_fock_space(dets, c.amplitudes, 4)
     assert np.max(np.abs(gamma - expected)) < 1e-12
+
+
+def test_compute_1rdm_of_one_determinant_is_its_occupation():
+    """No two rows lie one electron apart, so the density is diagonal."""
+    s = load_fixture("lih")
+    sub = Subspace([hartree_fock_det(s)], Sector(s.n_orb, s.n_alpha, s.n_beta))
+    gamma = compute_1rdm(CIVector(np.array([1.0]), 0.0), sub)
+    assert np.array_equal(gamma, np.diag([2.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
+    assert np.trace(gamma) == 4
+
+
+def test_compute_1rdm_refuses_a_vector_of_the_wrong_length():
+    sub = Subspace(enumerate_sector(2, 1, 1), Sector(2, 1, 1))
+    with pytest.raises(ValueError, match="^amplitude vector does not match subspace length$"):
+        compute_1rdm(CIVector(np.array([1.0]), 0.0), sub)
 
 
 def test_h2_dipole_vanishes_by_symmetry():

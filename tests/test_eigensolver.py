@@ -334,6 +334,32 @@ def test_loose_mode_is_variational_upper_bound(monkeypatch):
     assert loose.energy >= tight.energy - 1e-10
 
 
+def lih_full_sector():
+    s = load_fixture("lih")
+    return project(subspace_of(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta), s), s)
+
+
+def test_a_loose_solve_cut_short_is_still_an_upper_bound(monkeypatch):
+    """Davidson stopped by its iteration limit before the loose residual
+    returns its last Rayleigh quotient, at or above the lowest eigenvalue."""
+    h = lih_full_sector()
+    exact = np.linalg.eigvalsh(dense_symmetric(h))[0]
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(hivqe.eigensolver, "LOOSE_MAX_ITER", 2)
+    c = ground_state(h, "loose")
+    assert h.shape[0] == 225 and c.energy >= exact
+    assert c.energy - exact > 1e-4  # two steps stop well short of the eigenvalue
+
+
+def test_a_tight_solve_out_of_iterations_names_its_final_residual(monkeypatch):
+    h = lih_full_sector()
+    monkeypatch.setattr(hivqe.eigensolver, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(hivqe.eigensolver, "TIGHT_MAX_ITER", 2)
+    with pytest.raises(EigensolverError, match=r"^Davidson failed to reach residual 1e-08 in 2 "
+                                               r"iterations \(final residual \d\.\d{3}e-\d\d\)$"):
+        ground_state(h, "tight")
+
+
 def test_sign_convention_largest_amplitude_positive(monkeypatch):
     for seed in range(4):
         s = random_integral_set(4, 2, 1, seed=40 + seed)

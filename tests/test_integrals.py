@@ -11,7 +11,6 @@ from hivqe.integrals import (
     DipoleIntegrals,
     FcidumpError,
     IntegralSet,
-    get_eri,
     parse_dipole_file,
     parse_fcidump,
     write_dipole_file,
@@ -43,13 +42,13 @@ def eight_images(p, q, r, s):
             (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)]
 
 
-def test_get_eri_is_one_float_over_all_eight_permutations():
+def test_eri_is_one_float_over_all_eight_permutations():
     s = random_integral_set(6, 3, 3, seed=4)
+    assert s.eri.dtype == np.float64
     rng = np.random.default_rng(4)
     for _ in range(50):
         p, q, r, t = (int(i) for i in rng.integers(0, 6, size=4))
-        values = [get_eri(s, *e) for e in eight_images(p, q, r, t)]
-        assert all(type(v) is float for v in values)
+        values = [s.eri[e] for e in eight_images(p, q, r, t)]
         assert len(set(values)) == 1
 
 
@@ -59,10 +58,10 @@ def test_parse_minimal_header_and_records():
     assert s.e_core == 0.71
     assert s.one_body[0, 0] == -1.2
     assert s.one_body[1, 0] == s.one_body[0, 1] == 0.05
-    assert get_eri(s, 0, 0, 0, 0) == 0.5
+    assert s.eri[0, 0, 0, 0] == 0.5
     # chemist-notation symmetry: (21|21) fills (12|21), (21|12), ...
-    assert get_eri(s, 0, 1, 1, 0) == 0.125
-    assert get_eri(s, 1, 1, 0, 0) == get_eri(s, 0, 0, 1, 1) == 0.25
+    assert s.eri[0, 1, 1, 0] == 0.125
+    assert s.eri[1, 1, 0, 0] == s.eri[0, 0, 1, 1] == 0.25
 
 
 def test_parse_slash_terminator_and_d_exponents():
@@ -73,7 +72,7 @@ def test_parse_slash_terminator_and_d_exponents():
         "-0.25D-01 1 1 0 0\n"
     )
     s = parse_fcidump(text)
-    assert get_eri(s, 0, 0, 0, 0) == 1.5
+    assert s.eri[0, 0, 0, 0] == 1.5
     assert s.one_body[0, 0] == -0.025
 
 
@@ -150,6 +149,19 @@ def test_integral_set_refuses_a_misshapen_eri():
         IntegralSet(2, 1, 1, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 3)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntegralSet(2, 3, 1, 0.0, np.zeros((2, 2)), np.zeros((2,) * 4)),
+     r"electron counts \(3a,1b\) do not fit in 2 orbitals"),
+    (lambda: parse_fcidump(MINIMAL.replace("MS2=0", "MS2=4")), "MS2=4 incompatible with NELEC=2"),
+    (lambda: parse_dipole_file("# axes\nw 1 1 0.5\n", 2), "dipole line 2: unknown axis token 'w'"),
+    (lambda: parse_dipole_file("x 1 1\n", 2), "dipole line 1: expected 'axis p q value'"),
+    (lambda: parse_dipole_file("nuc 0.0 0.0\n", 2), "dipole line 1: expected 'nuc dx dy dz'"),
+], ids=["electron_counts", "ms2", "dipole_axis", "dipole_tokens", "dipole_nuclear_tokens"])
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(FcidumpError, match=f"^{message}$"):
+        call()
+
+
 def test_integral_and_dipole_sets_compare_and_stay_read_only():
     first, second = load_fixture("h2_0.74"), load_fixture("h2_0.74")
     assert first == first and first != second  # by identity, without raising
@@ -173,14 +185,6 @@ def test_make_fixtures_reproduces_the_committed_files():
         ints, dipole, _ = fixtures.make_integral_set(atoms, nelec)
         assert write_fcidump(ints) == (FIXTURES / f"{name}.fcidump").read_text(), name
         assert write_dipole_file(dipole) == (FIXTURES / f"{name}.dipole").read_text(), name
-
-
-def test_get_eri_checks_range():
-    s = parse_fcidump(MINIMAL)
-    with pytest.raises(IndexError):
-        get_eri(s, 0, 0, 0, 2)
-    with pytest.raises(IndexError):
-        get_eri(s, -1, 0, 0, 0)
 
 
 def test_dipole_roundtrip_and_comments():

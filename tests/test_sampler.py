@@ -86,6 +86,19 @@ def test_brick_wall_layout():
     assert brick_wall_ansatz(3, 0).n_params == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: prepare_state(brick_wall_ansatz(4, 1), np.zeros(3), Sector(4, 2, 2)),
+     r"expected 4 parameters, got shape \(3,\)"),
+    (lambda: prepare_state(brick_wall_ansatz(3, 1), np.zeros(2), Sector(4, 2, 2)),
+     "ansatz and sector orbital counts differ"),
+    (lambda: SectorState(np.ones(2), np.ones(1), Sector(2, 1, 1)),
+     r"alpha state norm\^2 2\.0 deviates from 1"),
+], ids=["theta_shape", "orbital_count", "norm"])
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_ansatz_spec_validation():
     with pytest.raises(ValueError):
         AnsatzSpec(3, (("gamma", 0, 1),))

@@ -125,6 +125,25 @@ def test_filter_rejects_unknown_mode():
         filter_symmetry(batch_of({"11001100": 1}, 4), SEC22, "patch")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sub, s: cap_screen(sub, np.ones(len(sub)), 0), "cap must be at least 1"),
+    (lambda sub, s: cap_screen(sub, np.ones(len(sub) + 1), 2),
+     "amplitude vector does not match subspace length"),
+    (lambda sub, s: amplitude_screen(sub, np.ones(len(sub)), -1e-6),
+     "threshold must be nonnegative"),
+    (lambda sub, s: classical_expand(sub, np.ones(len(sub)), -1, s), "m must be nonnegative"),
+    (lambda sub, s: classical_expand(sub, np.ones(len(sub) - 1), 2, s),
+     "amplitude vector does not match subspace length"),
+    (lambda sub, s: filter_symmetry(batch_of({"11001100": 1}, 4), SEC22, "recover"),
+     "recover mode needs an occupancy hint"),
+], ids=["cap_k0", "cap_length", "screen_threshold", "expand_m", "expand_length",
+        "recover_hint"])
+def test_refusals_name_what_is_wrong(call, message):
+    sub = Subspace(enumerate_sector(4, 2, 2)[:5], SEC22)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(sub, load_fixture("h4_chain"))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_filter_matches_the_bitstring_reference(seed):
     """filter_symmetry against the one-key-at-a-time filter of tests/helpers.py.
