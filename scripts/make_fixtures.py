@@ -435,13 +435,10 @@ def emit(name, atoms, nelec, fixtures_dir, reference, note, with_dipole=False):
     }
     if with_dipole:
         (fixtures_dir / f"{name}.dipole").write_text(write_dipole_file(dip))
-        from hivqe.determinants import Sector
         from hivqe.driver import compute_1rdm, dipole_moment
-        from hivqe.subspace import Subspace
 
-        sector = Sector(reread.n_orb, reread.n_alpha, reread.n_beta)
-        sub = Subspace(enumerate_sector(*sector), sector=sector)
-        gamma = compute_1rdm(res.vector, sub)
+        full = enumerate_sector(reread.n_orb, reread.n_alpha, reread.n_beta)
+        gamma = compute_1rdm(res.vector, full)
         entry["fci_dipole_debye"] = [float(v) for v in dipole_moment(gamma, dip)]
     reference[name] = entry
     print(f"  {name:10s}  HF {e_hf: .10f}   FCI {res.energy: .10f}   "

@@ -130,10 +130,10 @@ class IterationRecord:
     iteration: int
     e_cum: float
     e_iter: float
-    n_dets_sampled: int
-    n_dets_valid: int
-    n_dets_cum: int
-    n_dets_post_screen: int
+    n_dets_sampled: int  # the batch's distinct raw (alpha, beta) pairs
+    n_dets_valid: int  # determinants left after the symmetry filter
+    n_dets_cum: int  # rows of the tight solve
+    n_dets_post_screen: int  # rows carried on after screen and expansion; n_dets_cum on a stop
     wall_ms_sample: float
     wall_ms_diag: float
     theta_norm: float
@@ -141,7 +141,7 @@ class IterationRecord:
     e_minus: float
     shots_valid: int
     shots_invalid: int  # outside the sector: dropped, or repaired in recover mode
-    n_dets_union: int
+    n_dets_union: int  # carried rows plus the sampled ones, before the cap
 
 
 @dataclass

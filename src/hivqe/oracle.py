@@ -4,7 +4,8 @@ brute_force_hamiltonian builds the Hamiltonian over the full occupation-number
 basis by applying second-quantized operator strings with explicit sign
 tracking: no Slater-Condon shortcuts, no shared code with the fast path, so
 agreement between the two is meaningful. fci_ground solves the full symmetry
-sector exactly with the production assembly and eigensolver.
+sector, as enumerate_sector's Subspace, exactly with the production assembly
+and eigensolver.
 
 Spin-orbital convention: index p in [0, n_orb) is alpha orbital p, index
 n_orb + p is beta orbital p (alpha block first, matching the determinant
@@ -22,7 +23,6 @@ from .determinants import Determinant, Sector
 from .eigensolver import CIVector, ground_state, project
 from .integrals import IntegralSet
 from .sampler import enumerate_sector, sector_size
-from .subspace import Subspace
 
 __all__ = [
     "FciResult",
@@ -50,8 +50,7 @@ def fci_ground(s: IntegralSet) -> FciResult:
     count = sector_size(*sector)
     if count > ORACLE_SECTOR_LIMIT:
         raise ValueError(f"sector of {count} determinants exceeds limit {ORACLE_SECTOR_LIMIT}")
-    sub = Subspace(enumerate_sector(*sector), sector)
-    c = ground_state(project(sub, s), mode="tight")
+    c = ground_state(project(enumerate_sector(*sector), s), mode="tight")
     return FciResult(c.energy, c, count)
 
 

@@ -3,11 +3,12 @@
 The ansatz is a layered brick-wall of real Givens rotations on adjacent
 orbital pairs within each spin channel. Every rotation conserves particle
 number per spin and touches one channel only, so from the Hartree-Fock start
-the state stays a product psi_alpha x psi_beta. It is held as two vectors
-over the spin strings of each channel, C(n_orb, n_alpha) + C(n_orb, n_beta)
-amplitudes, and the joint sector is never enumerated: that is left to
-:func:`enumerate_sector` for the exact-diagonalization oracle. Sampling draws
-each channel's string on its own and builds no joint vector either.
+the state stays a product psi_alpha x psi_beta. It is held as two vectors over
+the spin strings of each channel, C(n_orb, n_alpha) + C(n_orb, n_beta)
+amplitudes. Only :func:`enumerate_sector` builds the joint sector, for the
+exact-diagonalization oracle, as the Subspace product of the two cached
+channel tables. Sampling draws each channel's string on its own and builds no
+joint vector either.
 Measurement noise is modeled as independent classical bit flips, each bit
 flipped with one probability p_flip, applied to the sampled strings; that is
 the only noise effect the downstream filtering consumes. A batch of shots
@@ -22,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .determinants import _BIT, Determinant, Sector, _distinct_rows, _occupations, _phase
-from .subspace import SampleBatch
+from .determinants import _BIT, Sector, _distinct_rows, _occupations, _phase
+from .subspace import SampleBatch, Subspace, _product
 
 __all__ = [
     "AnsatzSpec",
@@ -51,17 +52,15 @@ def sector_size(n_orb: int, n_alpha: int, n_beta: int) -> int:
     return math.comb(n_orb, n_alpha) * math.comb(n_orb, n_beta)
 
 
-def enumerate_sector(n_orb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """All sector determinants, lexicographic by (alpha_mask, beta_mask)."""
+def enumerate_sector(n_orb: int, n_alpha: int, n_beta: int) -> Subspace:
+    """The full sector as a Subspace, lexicographic by (alpha_mask, beta_mask)."""
     if not (0 <= n_alpha <= n_orb and 0 <= n_beta <= n_orb):
-        raise ValueError(
-            f"cannot place ({n_alpha}a,{n_beta}b) electrons in {n_orb} orbitals"
-        )
+        raise ValueError(f"cannot place ({n_alpha}a,{n_beta}b) electrons in {n_orb} orbitals")
     count = sector_size(n_orb, n_alpha, n_beta)
     if count > MAX_ENUMERATED:
         raise SectorTooLargeError(count, MAX_ENUMERATED)
-    betas = _channel(n_orb, n_beta).tolist()
-    return [Determinant(a, b) for a in _channel(n_orb, n_alpha).tolist() for b in betas]
+    return _product(_channel(n_orb, n_alpha), _channel(n_orb, n_beta),
+                    Sector(n_orb, n_alpha, n_beta))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ other operations return a new Subspace (or the input itself when nothing
 changed). Nothing here assembles or solves a Hamiltonian. Every ranking is
 a lexsort with the (alpha, beta) string pair as its final keys. A
 SampleBatch holds the sampler's shots as string arrays too; text appears
-only in a batch's counts view.
+only in a batch's counts view. _product builds every spin-string product.
 """
 
 from __future__ import annotations
@@ -105,9 +105,7 @@ class Subspace:
 
     __slots__ = ("alpha", "beta", "sector", "expanded_refs", "ranks")
 
-    def __init__(self, dets=(), sector: Sector = None):
-        if sector is None:
-            raise ValueError("a Subspace needs its symmetry sector")
+    def __init__(self, dets, sector: Sector):
         n = sector.n_orb
         if n > 64:
             raise ValueError(f"spin strings are packed into 64 bits; n_orb={n} does not fit")
@@ -159,6 +157,11 @@ class Subspace:
     def take(self, rows) -> "Subspace":
         """The determinants at distinct rows, in that order; history carries over."""
         return Subspace._of(self.alpha[rows], self.beta[rows], self.sector, self.expanded_refs)
+
+
+def _product(alpha: np.ndarray, beta: np.ndarray, sector: Sector) -> Subspace:
+    """Each (alpha[i], beta[j]) by i, then j; distinct strings of the sector, no history."""
+    return Subspace._of(np.repeat(alpha, len(beta)), np.tile(beta, len(alpha)), sector, ())
 
 
 class StringRanks:
@@ -355,8 +358,7 @@ def tensor_reconstruct(sub: Subspace, closed_shell: bool, cap: int) -> Subspace:
             f"tensor reconstruction would produce {size} determinants, "
             f"beyond the safety cap {cap}"
         )
-    return union(sub, Subspace._of(np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)),
-                                   sub.sector, sub.expanded_refs))
+    return union(sub, _product(alphas, betas, sub.sector))
 
 
 def union(sub: Subspace, other: Subspace) -> Subspace:

@@ -115,7 +115,7 @@ def test_05_variational_bounds_hold_under_subspace_growth():
     below the exact sector ground energy."""
     rng = np.random.default_rng(2024)
     sets = [random_integral_set(4, 2, 2, seed=t, e_core=0.1 * t) for t in range(4)]
-    all_dets = enumerate_sector(4, 2, 2)
+    all_dets = list(enumerate_sector(4, 2, 2))
     for trial in range(1000):
         s = sets[trial % len(sets)]
         n2 = int(rng.integers(2, len(all_dets) + 1))

@@ -103,7 +103,7 @@ def test_phases_match_operator_algebra():
 
 def test_slater_condon_is_symmetric():
     s = random_integral_set(4, 2, 1, seed=3)
-    dets = enumerate_sector(4, 2, 1)
+    dets = list(enumerate_sector(4, 2, 1))
     rng = np.random.default_rng(5)
     for _ in range(60):
         i, j = rng.integers(0, len(dets), size=2)

@@ -582,7 +582,7 @@ def test_compute_1rdm_matches_fock_space_contraction(shape, seed):
 
 def test_compute_1rdm_on_partial_subspace():
     s = load_fixture("h4_chain")
-    dets = enumerate_sector(4, 2, 2)[:11]
+    dets = list(enumerate_sector(4, 2, 2))[:11]
     sub = Subspace(dets, Sector(4, 2, 2))
     c = ground_state(project(sub, s), "tight")
     gamma = compute_1rdm(c, sub)

@@ -52,7 +52,7 @@ def test_project_partial_subspace_rows():
     """Off-diagonal coupling buckets must find every pair even in a sparse,
     arbitrarily ordered subset of the sector."""
     s = random_integral_set(5, 2, 2, seed=30)
-    dets = enumerate_sector(5, 2, 2)
+    dets = list(enumerate_sector(5, 2, 2))
     rng = np.random.default_rng(6)
     pick = [dets[i] for i in rng.permutation(len(dets))[:37]]
     mat = dense_symmetric(project(subspace_of(pick, s), s))
@@ -125,7 +125,7 @@ def test_project_matches_slater_condon_on_shuffled_subsets(n_orb, n_alpha, n_bet
 
 def test_project_matches_slater_condon_without_beta_electrons():
     s = random_integral_set(10, 3, 0, seed=105, e_core=-0.2)
-    dets = enumerate_sector(10, 3, 0)
+    dets = list(enumerate_sector(10, 3, 0))
     rng = np.random.default_rng(105)
     assert_matches_oracle([dets[i] for i in rng.permutation(len(dets))[:60]], s)
 
@@ -176,7 +176,7 @@ def test_principal_slice_equals_a_fresh_projection():
     see the next test for a slice that loses strings."""
     s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
     rng = np.random.default_rng(109)
-    dets = enumerate_sector(8, 3, 3)
+    dets = list(enumerate_sector(8, 3, 3))
     union = subspace_of([dets[i] for i in rng.permutation(len(dets))[:1500]], s)
     assert len(union) > DENSE_CUTOFF
     h = project(union, s)
@@ -244,7 +244,7 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
     subspace, extended by the rows appended after it, is bitwise the matrix
     a cold project builds; so is a tensor reconstruction that extends it."""
     s = load_fixture("lih") if name == "lih" else random_integral_set(8, 3, 4, seed=41, e_core=0.2)
-    dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
     rng = np.random.default_rng(41)
     order = rng.permutation(len(dets))
     earlier = subspace_of([dets[i] for i in order[:120]], s)
@@ -267,7 +267,7 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
 
 def test_project_refuses_a_known_block_that_is_not_the_first_rows():
     s = random_integral_set(6, 2, 2, seed=42)
-    dets = enumerate_sector(6, 2, 2)
+    dets = list(enumerate_sector(6, 2, 2))
     sub = subspace_of(dets[:40], s)
     h = project(sub, s)
     rows = np.arange(20)
@@ -304,7 +304,7 @@ def test_both_ground_state_paths_equal_a_full_dense_eigh(monkeypatch, name):
     """The dense path reads the stored triangle and Davidson applies it and
     its transpose; both find the lowest eigenpair of the full symmetric matrix."""
     s = load_fixture(name) if name != "random" else random_integral_set(7, 3, 3, seed=8, e_core=0.4)
-    dets = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
     rng = np.random.default_rng(8)
     h = project(subspace_of([dets[i] for i in rng.permutation(len(dets))], s), s)
     w, v = np.linalg.eigh(dense_symmetric(h))
@@ -430,7 +430,7 @@ def test_civector_requires_unit_norm():
 
 def test_interlacing_under_subspace_growth():
     s = random_integral_set(4, 2, 2, seed=77)
-    dets = enumerate_sector(4, 2, 2)
+    dets = list(enumerate_sector(4, 2, 2))
     rng = np.random.default_rng(3)
     order = list(rng.permutation(len(dets)))
     energies = []

@@ -1,7 +1,10 @@
 """Operator-algebra reference implementations, checked against a second,
 kron-built Jordan-Wigner construction that shares no code with them."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from helpers import (
     load_reference,
     random_integral_set,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_det_to_fock_index_packs_alpha_low():
@@ -95,3 +100,20 @@ def test_fci_ground_enforces_sector_limit(monkeypatch):
         fci_ground(s)
     monkeypatch.setattr("hivqe.oracle.ORACLE_SECTOR_LIMIT", 400)
     assert fci_ground(s).sector_size == 400
+
+
+def test_the_fixture_script_cross_checks_hold_on_the_committed_fixtures(monkeypatch):
+    """scripts/make_fixtures.py's own checks hold on the committed fixtures:
+    its operator-algebra ground energy equals fci_ground's, and the
+    Hartree-Fock energy it reads back from each file equals the stored e_hf."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script sets these on import; undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it also puts src on the path
+    spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPTS / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for name in ("h2_0.74", "h4_chain"):
+        s = load_fixture(name)
+        assert script.brute_force_ground(s) == pytest.approx(fci_ground(s).energy, abs=1e-9)
+    for name, entry in load_reference().items():
+        assert script.hf_energy_from_file(load_fixture(name)) == pytest.approx(entry["e_hf"], abs=1e-9)

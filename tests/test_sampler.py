@@ -21,6 +21,7 @@ from hivqe.sampler import (
     SectorState,
     SectorTooLargeError,
     brick_wall_ansatz,
+    _channel,
     enumerate_sector,
     mean_occupations,
     prepare_state,
@@ -32,8 +33,20 @@ from hivqe.subspace import bitstring_is_valid, filter_symmetry
 from helpers import det_from_string, filter_reference, joint_amplitudes, jw_annihilator
 
 
+def assert_is_the_string_product(n_orb, n_alpha, n_beta):
+    """The sector is the product of the two channel tables, in (alpha, beta)
+    order, as a read-only Subspace with no history and a position table."""
+    sub = enumerate_sector(n_orb, n_alpha, n_beta)
+    pairs = itertools.product(_channel(n_orb, n_alpha).tolist(), _channel(n_orb, n_beta).tolist())
+    assert list(sub) == [Determinant(a, b) for a, b in pairs]
+    assert not sub.alpha.flags.writeable and not sub.beta.flags.writeable
+    assert sub.expanded_refs == frozenset()
+    assert sub.ranks._table is not None
+
+
 def test_enumeration_is_lexicographic_and_complete():
-    dets = enumerate_sector(5, 2, 1)
+    assert_is_the_string_product(5, 2, 1)
+    dets = list(enumerate_sector(5, 2, 1))
     assert len(dets) == math.comb(5, 2) * math.comb(5, 1)
     assert len(set(dets)) == len(dets)
     assert dets == sorted(dets)
@@ -47,8 +60,11 @@ def test_enumeration_is_lexicographic_and_complete():
 
 
 def test_enumeration_edge_sectors():
-    assert enumerate_sector(3, 0, 0) == [Determinant(0, 0)]
-    assert enumerate_sector(2, 2, 2) == [Determinant(0b11, 0b11)]
+    assert list(enumerate_sector(3, 0, 0)) == [Determinant(0, 0)]
+    assert list(enumerate_sector(2, 2, 2)) == [Determinant(0b11, 0b11)]
+    assert list(enumerate_sector(4, 0, 3)) == [Determinant(0, b) for b in (7, 11, 13, 14)]
+    for sector in ((3, 0, 0), (2, 2, 2), (4, 0, 3)):
+        assert_is_the_string_product(*sector)
     with pytest.raises(ValueError):
         enumerate_sector(2, 3, 0)
 
@@ -112,7 +128,7 @@ def test_zero_angles_give_hartree_fock():
     sec = Sector(4, 2, 2)
     spec = brick_wall_ansatz(4, 2)
     state = prepare_state(spec, np.zeros(spec.n_params), sec)
-    dets = enumerate_sector(4, 2, 2)
+    dets = list(enumerate_sector(4, 2, 2))
     hf = dets.index(Determinant(0b0011, 0b0011))
     expected = np.zeros(len(dets))
     expected[hf] = 1.0
