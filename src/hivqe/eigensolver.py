@@ -1,13 +1,21 @@
 """Subspace Hamiltonian assembly and ground-eigenpair solves.
 
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
-rows of a Subspace with string-driven numpy batches (Knowles & Handy, CPL
-111, 315, 1984) and stores it once, as its lower triangle: each row's pair
-of uint64 strings becomes a pair of indices into the distinct alpha and beta
-strings, excitations of degree 1 and 2 are linked between the strings of each
-spin channel, and partners are found by StringRanks.row. Pairs come in three
-batches: alpha excitations with the beta string unchanged, beta excitations
-with the alpha string unchanged, and one single excitation in each channel.
+rows of a Subspace in numpy batches and stores it once, as its lower
+triangle. Off-diagonal pairs come from one of two generators, picked by how
+many row pairs the call builds. Below PAIRWISE_CUTOFF pairs, as in a
+sampled set, the strings of each pair of rows are XORed and the popcounts
+class the pair as a single or double in one spin channel or a single in
+each; holes and particles are the XOR's bits (Scemama & Giner,
+arXiv:1311.6244). At or above it, each row's pair of uint64 strings becomes
+a pair of indices into the distinct alpha and beta strings, excitations of
+degree 1 and 2 are linked between the strings of each spin channel, and
+partners are found by StringRanks.row (Knowles & Handy, CPL 111, 315,
+1984), in three batches: alpha excitations with the beta string unchanged,
+beta excitations with the alpha string unchanged, and one single excitation
+in each channel. Both read a pair from its source row, the one with the
+lower string in the moving channel (alpha for a single in each), and
+evaluate it with the same helpers, so they store the same bits.
 Every entry of a row lies in that row, so a subspace that appends rows to an
 earlier one extends its triangle by appending: the earlier rows are copied
 and only the new rows are batched (fast SHCI: Li, Otten, Holmes, Sharma &
@@ -34,9 +42,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import _BIT, _double_element, _occupations, _phase
+from .determinants import _BIT, _ONE, _double_element, _occupations, _phase
 from .integrals import IntegralSet
-from .subspace import Subspace
+from .subspace import StringRanks, Subspace
 
 __all__ = [
     "CIVector",
@@ -47,6 +55,10 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 200
+# Row pairs below which project compares strings rather than walking links.
+# On H8 the two cost about the same near 9e4 pairs, in its loop and cold;
+# on H12 subsets, which share fewer strings, comparing stays ahead past 3e5.
+PAIRWISE_CUTOFF = 1 << 16
 TIGHT_RESIDUAL = 1e-8
 LOOSE_RESIDUAL = 1e-3
 LOOSE_MAX_ITER = 20
@@ -137,9 +149,10 @@ class _Links:
 
     def grouping(self, into: bool):
         """(start, order, far): links order[start[k]:start[k+1]] leave string k
-        for string far[link], or, when into, reach string k from far[link]."""
+        for string far[link], or, when into, reach string k from far[link].
+        order is None where it would be the identity."""
         if not into:
-            return self.start, np.arange(len(self.src)), self.dst
+            return self.start, None, self.dst
         return self._by_dst
 
     @cached_property
@@ -150,11 +163,11 @@ class _Links:
         order.flags.writeable = start.flags.writeable = False
         return start, order, self.src
 
-    def upward(self) -> "_Links":
-        """Only the links whose target string index exceeds the source's."""
-        keep = self.dst > self.src
-        return _Links.grouped(len(self.start) - 1, self.src[keep], self.dst[keep],
-                              self.holes[keep], self.particles[keep], self.phase[keep])
+    def where(self, keep: np.ndarray) -> "_Links":
+        """Only the links where keep is true, in the same order."""
+        before = np.r_[0, np.cumsum(keep)]  # kept links ahead of each link
+        return _Links(before[self.start], self.src[keep], self.dst[keep],
+                      self.holes[keep], self.particles[keep], self.phase[keep])
 
 
 @lru_cache(maxsize=4)
@@ -186,11 +199,8 @@ def _string_links(n_orb: int, packed: bytes):
     src, dst = ea // len(i1), eb // len(i1)
     keep = np.bitwise_count(strings[src] ^ strings[dst]) == 4
     src, dst, holes, particles = src[keep], dst[keep], removed[ea[keep]], removed[eb[keep]]
-    mid = strings[src] ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
-    phase = (_phase(strings[src], holes[:, 0], particles[:, 0])
-             * _phase(mid, holes[:, 1], particles[:, 1]))
-    doubles = _Links.grouped(n_s, src, dst, holes, particles, phase)
-    return singles, singles.upward(), doubles
+    doubles = _Links.grouped(n_s, src, dst, holes, particles, _move_phase(strings[src], holes, particles))
+    return singles, singles.where(singles.dst > singles.src), doubles
 
 
 class _StringIndex:
@@ -217,7 +227,9 @@ class _StringIndex:
             start, order, far = links.grouping(into)
             for k, rank in _expand(np.diff(start)[ix[self.new]]):
                 i = self.new[k]
-                link = order[start[ix[i]] + rank]
+                link = start[ix[i]] + rank
+                if into:
+                    link = order[link]
                 pair = (far[link], iy[i]) if channel == "alpha" else (iy[i], far[link])
                 j = self.find(*pair)
                 hit = (j >= 0) & (j < self.n_old) if into else j >= 0
@@ -234,8 +246,10 @@ class _StringIndex:
             n_b = np.diff(b_start)[self.ib[self.new]]
             for k, rank in _expand(np.diff(a_start)[self.ia[self.new]] * n_b):
                 i = self.new[k]
-                la = a_order[a_start[self.ia[i]] + rank // n_b[k]]
-                lb = b_order[b_start[self.ib[i]] + rank % n_b[k]]
+                step_a, step_b = np.divmod(rank, n_b[k])
+                la, lb = a_start[self.ia[i]] + step_a, b_start[self.ib[i]] + step_b
+                if into:
+                    la, lb = a_order[la], b_order[lb]
                 j = self.find(a_far[la], b_far[lb])
                 hit = (j >= 0) & (j < self.n_old) if into else j >= 0
                 yield i[hit], j[hit], la[hit], lb[hit]
@@ -260,7 +274,7 @@ def single_excitation_pairs(sub: Subspace, n_orb: int):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
+def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
     """<d|H|d> for every determinant, without e_core, from string occupations."""
     ar = np.arange(s.n_orb)
     j = s.eri[ar[:, None], ar[:, None], ar, ar]
@@ -269,11 +283,125 @@ def _diagonal(index: _StringIndex, occ_a: np.ndarray, occ_b: np.ndarray, s: Inte
     e_a = occ_a @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_a, jk, occ_a)
     e_b = occ_b @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_b, jk, occ_b)
     coulomb_a = occ_a @ j
-    diag = e_a[index.ia] + e_b[index.ib]
+    diag = e_a[r.ia] + e_b[r.ib]
     for lo in range(0, len(diag), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        diag[sl] += np.einsum("kp,kp->k", coulomb_a[index.ia[sl]], occ_b[index.ib[sl]])
+        diag[sl] += np.einsum("kp,kp->k", coulomb_a[r.ia[sl]], occ_b[r.ib[sl]])
     return diag
+
+
+def _single_terms(holes, particles, phase, occ_src, s: IntegralSet):
+    """(base, coulomb) for single moves holes -> particles of sign phase out
+    of strings whose occupations are the rows of occ_src.
+
+    A single h -> p moves against every other electron: the same-spin part
+    of the sum is fixed by the source string and is in base; the
+    opposite-spin part (hp|qq) over the other channel's occupation is added
+    per pair by _single_value from the phased coulomb rows.
+    """
+    ar = np.arange(s.n_orb)
+    h, p = holes[:, None], particles[:, None]
+    coulomb = s.eri[h, p, ar, ar]
+    exchange = s.eri[h, ar, ar, p]
+    base = phase * (s.one_body[holes, particles] + np.einsum("lq,lq->l", occ_src, coulomb - exchange))
+    coulomb *= phase[:, None]
+    return base, coulomb
+
+
+def _single_value(base, coulomb, occ_other):
+    """Single elements from _single_terms and the other channel's occupations."""
+    return base + np.einsum("kq,kq->k", coulomb, occ_other)
+
+
+def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
+    """Yield (i, j, value) batches for the pairs of rows at most two electrons
+    apart that touch a row at or after n_old, along the string links."""
+    index = _StringIndex(sub, s.n_orb, n_old)
+    for channel, other in (("alpha", "beta"), ("beta", "alpha")):
+        _, up, doubles = index.links[channel]
+        base, coulomb = _single_terms(up.holes, up.particles, up.phase, occ[channel][up.src], s)
+        iy = index.ib if channel == "alpha" else index.ia
+        for i, j, link in index.same_spin(channel, up):
+            yield i, j, _single_value(base[link], coulomb[link], occ[other][iy[i]])
+        value = _double_element(doubles.holes.T, doubles.particles.T, doubles.phase, s)
+        nonzero = value != 0.0  # no pair is looked up for a vanishing element
+        value = value[nonzero]
+        for i, j, link in index.same_spin(channel, doubles.where(nonzero)):
+            yield i, j, value[link]
+
+    # (h_a p_a|h_b p_b) is one gather from the flat eri, at an offset per link of each table
+    up_alpha, beta = index.links["alpha"][1], index.links["beta"][0]
+    offset_a = (up_alpha.holes * s.n_orb + up_alpha.particles) * s.n_orb ** 2
+    offset_b = beta.holes * s.n_orb + beta.particles
+    flat = s.eri.ravel()
+    for i, j, la, lb in index.mixed():
+        yield i, j, up_alpha.phase[la] * beta.phase[lb] * flat[offset_a[la] + offset_b[lb]]
+
+
+def _set_orbitals(x: np.ndarray, count: int) -> np.ndarray:
+    """(len(x), count) ascending orbitals of the count set bits of each uint64 in x."""
+    out = np.empty((len(x), count), dtype=np.intp)
+    for c in range(count - 1):
+        low = x & ~(x - _ONE)
+        out[:, c] = np.bitwise_count(low - _ONE)
+        x = x ^ low
+    out[:, -1] = np.bitwise_count(x - _ONE)
+    return out
+
+
+def _move_phase(strings: np.ndarray, holes: np.ndarray, particles: np.ndarray) -> np.ndarray:
+    """Sign of moving holes[:, 0] -> particles[:, 0] out of each string and,
+    for two moves, then holes[:, 1] -> particles[:, 1] out of what it left."""
+    phase = _phase(strings, holes[:, 0], particles[:, 0])
+    if holes.shape[1] == 2:
+        moved = strings ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
+        phase = phase * _phase(moved, holes[:, 1], particles[:, 1])
+    return phase
+
+
+def _moves(src: np.ndarray, dst: np.ndarray, count: int):
+    """(holes, particles, phase) of the count moves carrying strings src into dst."""
+    x = src ^ dst
+    holes, particles = _set_orbitals(src & x, count), _set_orbitals(dst & x, count)
+    return holes, particles, _move_phase(src, holes, particles)
+
+
+def _compared(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
+    """Yield (i, j, value) batches for the pairs of rows j < i, n_old <= i, at
+    most two electrons apart, from the XOR of their strings (Scemama &
+    Giner, arXiv:1311.6244).
+
+    Each pair is read from its source row, the one with the lower string in
+    the moving channel (alpha for a single in each), as the walk reads it
+    from its upward link, so every value is bitwise the walk's.
+    """
+    alpha, beta, ia, ib = sub.alpha, sub.beta, sub.ranks.ia, sub.ranks.ib
+    occ_a, occ_b = occ["alpha"], occ["beta"]
+    for k, j in _expand(np.arange(n_old, len(sub))):
+        i = k + n_old
+        bits_a = np.bitwise_count(alpha[i] ^ alpha[j])  # 2 per move
+        bits_b = np.bitwise_count(beta[i] ^ beta[j])
+        near = np.flatnonzero(bits_a + bits_b <= 4)
+        i, j, bits_a, bits_b = i[near], j[near], bits_a[near], bits_b[near]
+        a_moves = bits_a > 0  # the channel that moves is alpha, also when both do
+        of_i, of_j = (np.where(a_moves, alpha[r], beta[r]) for r in (i, j))
+        i_first = of_i < of_j
+        src, dst = np.where(i_first, i, j), np.where(i_first, j, i)
+        s_src, s_dst = np.minimum(of_i, of_j), np.maximum(of_i, of_j)  # the moving channel's strings
+
+        one = np.flatnonzero(bits_a + bits_b == 2)
+        holes, particles, phase = _moves(s_src[one], s_dst[one], 1)
+        a1, oa, ob = a_moves[one, None], occ_a[ia[src[one]]], occ_b[ib[src[one]]]
+        base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, np.where(a1, oa, ob), s)
+        yield i[one], j[one], _single_value(base, coulomb, np.where(a1, ob, oa))
+        two = np.flatnonzero((bits_a == 4) | (bits_b == 4))
+        holes, particles, phase = _moves(s_src[two], s_dst[two], 2)
+        yield i[two], j[two], _double_element(holes.T, particles.T, phase, s)
+        mixed = np.flatnonzero((bits_a == 2) & (bits_b == 2))
+        ha, pa, phase_a = _moves(s_src[mixed], s_dst[mixed], 1)
+        hb, pb, phase_b = _moves(beta[src[mixed]], beta[dst[mixed]], 1)
+        yield i[mixed], j[mixed], _double_element((ha[:, 0], hb[:, 0]), (pa[:, 0], pb[:, 0]),
+                                                  phase_a * phase_b, s, exchange=False)
 
 
 def project(sub: Subspace, s: IntegralSet,
@@ -287,7 +415,9 @@ def project(sub: Subspace, s: IntegralSet,
     sub's first rows (EigensolverError otherwise), those rows are copied and
     only the rows after them are built; each value is the same formula, so
     the matrix is bitwise a cold one. The diagonal is always recomputed: its
-    last bits depend on which strings sub holds.
+    last bits depend on which strings sub holds. Fewer than PAIRWISE_CUTOFF
+    row pairs to build are compared string by string, more are walked along
+    the string links; both give the same bits.
     """
     n = len(sub)
     if n == 0:
@@ -296,44 +426,20 @@ def project(sub: Subspace, s: IntegralSet,
     if n_old and not (np.array_equal(known[0].alpha, sub.alpha[:n_old])
                       and np.array_equal(known[0].beta, sub.beta[:n_old])):
         raise EigensolverError("the known rows are not the first rows of the subspace")
-    index = _StringIndex(sub, s.n_orb, n_old)
-    eri, ar = s.eri, np.arange(s.n_orb)
-    occ = {"alpha": _occupations(index.alpha, s.n_orb), "beta": _occupations(index.beta, s.n_orb)}
-    diag = _diagonal(index, occ["alpha"], occ["beta"], s) + s.e_core
+    r = sub.ranks
+    occ = {"alpha": _occupations(r.alpha, s.n_orb), "beta": _occupations(r.beta, s.n_orb)}
+    diag = _diagonal(r, occ["alpha"], occ["beta"], s) + s.e_core
     new = np.arange(n_old, n, dtype=np.int32)
     rows, cols, vals = [new - n_old], [new], [diag[n_old:]]  # rows count from the first new row
-
-    def emit(i, j, v):
+    if (n - n_old) * (n + n_old - 1) // 2 < PAIRWISE_CUTOFF:
+        pairs = _compared(sub, n_old, occ, s)
+    else:
+        pairs = _walked(sub, n_old, occ, s)
+    for i, j, v in pairs:
         keep = v != 0.0
         rows.append((np.maximum(i, j)[keep] - n_old).astype(np.int32))
         cols.append(np.minimum(i, j)[keep].astype(np.int32))
         vals.append(v[keep])
-
-    for channel, other in (("alpha", "beta"), ("beta", "alpha")):
-        _, up, doubles = index.links[channel]
-        # A single h -> p moves against every other electron: the same-spin
-        # part of the sum is fixed by the source string, the opposite-spin
-        # part (hp|qq) over the other channel's occupation is added per pair.
-        h, p = up.holes[:, None], up.particles[:, None]
-        coulomb = eri[h, p, ar, ar]
-        exchange = eri[h, ar, ar, p]
-        base = up.phase * (s.one_body[up.holes, up.particles]
-                           + np.einsum("lq,lq->l", occ[channel][up.src], coulomb - exchange))
-        coulomb *= up.phase[:, None]
-        iy = index.ib if channel == "alpha" else index.ia
-        for i, j, link in index.same_spin(channel, up):
-            emit(i, j, base[link] + np.einsum("kq,kq->k", coulomb[link], occ[other][iy[i]]))
-        value = _double_element(doubles.holes.T, doubles.particles.T, doubles.phase, s)
-        for i, j, link in index.same_spin(channel, doubles):
-            emit(i, j, value[link])
-
-    # (h_a p_a|h_b p_b) is one gather from the flat eri, at an offset per link of each table
-    up_alpha, beta = index.links["alpha"][1], index.links["beta"][0]
-    offset_a = (up_alpha.holes * s.n_orb + up_alpha.particles) * s.n_orb ** 2
-    offset_b = beta.holes * s.n_orb + beta.particles
-    flat = eri.ravel()
-    for i, j, la, lb in index.mixed():
-        emit(i, j, up_alpha.phase[la] * beta.phase[lb] * flat[offset_a[la] + offset_b[lb]])
 
     added = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n - n_old, n))

@@ -1,5 +1,6 @@
 """Subspace Hamiltonian assembly and the Davidson ground-state solver."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -22,30 +23,45 @@ from hivqe.subspace import tensor_reconstruct
 
 from helpers import dense_symmetric, load_fixture, load_reference, random_integral_set, subspace_of
 
+# PAIRWISE_CUTOFF values that make project walk the string links for every
+# call, or compare every pair of strings; a project test runs under both.
+WALK, PAIRWISE = 0, 1 << 62
+
+
+@contextlib.contextmanager
+def generator(cutoff):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", cutoff)
+        yield
+
 
 def test_project_is_symmetric_with_core_on_diagonal():
     """project stores the symmetric matrix once: its lower triangle and the
     diagonal, with nothing above it."""
     s = random_integral_set(4, 2, 2, seed=1, e_core=1.75)
     dets = enumerate_sector(4, 2, 2)
-    h = project(subspace_of(dets, s), s)
-    stored = h.toarray()
-    assert not np.triu(stored, 1).any()
-    assert np.count_nonzero(np.tril(stored, -1)) > 0
-    mat = dense_symmetric(h)
-    assert np.allclose(mat, mat.T, atol=0)
-    for i, d in enumerate(dets):
-        assert mat[i, i] == pytest.approx(
-            slater_condon(d, d, s) + 1.75, abs=1e-13)
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            h = project(subspace_of(dets, s), s)
+        stored = h.toarray()
+        assert not np.triu(stored, 1).any()
+        assert np.count_nonzero(np.tril(stored, -1)) > 0
+        mat = dense_symmetric(h)
+        assert np.allclose(mat, mat.T, atol=0)
+        for i, d in enumerate(dets):
+            assert mat[i, i] == pytest.approx(
+                slater_condon(d, d, s) + 1.75, abs=1e-13)
 
 
 def test_project_matches_operator_algebra():
     s = random_integral_set(3, 1, 2, seed=14, e_core=-0.5)
     dets = enumerate_sector(3, 1, 2)
-    mat = dense_symmetric(project(subspace_of(dets, s), s))
     dense = brute_force_hamiltonian(s)
     idx = [det_to_fock_index(d, 3) for d in dets]
-    assert np.max(np.abs(mat - dense[np.ix_(idx, idx)])) < 1e-12
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            mat = dense_symmetric(project(subspace_of(dets, s), s))
+        assert np.max(np.abs(mat - dense[np.ix_(idx, idx)])) < 1e-12
 
 
 def test_project_partial_subspace_rows():
@@ -55,25 +71,33 @@ def test_project_partial_subspace_rows():
     dets = list(enumerate_sector(5, 2, 2))
     rng = np.random.default_rng(6)
     pick = [dets[i] for i in rng.permutation(len(dets))[:37]]
-    mat = dense_symmetric(project(subspace_of(pick, s), s))
-    for i, di in enumerate(pick):
-        for j, dj in enumerate(pick):
-            assert mat[i, j] == pytest.approx(
-                slater_condon(di, dj, s) + (s.e_core if i == j else 0.0),
-                abs=1e-12)
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            mat = dense_symmetric(project(subspace_of(pick, s), s))
+        for i, di in enumerate(pick):
+            for j, dj in enumerate(pick):
+                assert mat[i, j] == pytest.approx(
+                    slater_condon(di, dj, s) + (s.e_core if i == j else 0.0),
+                    abs=1e-12)
 
 
 def assert_matches_oracle(dets, s):
     """project()'s stored lower triangle agrees element by element with
     slater_condon (+ e_core on the diagonal), holds nothing above the
-    diagonal and stores no off-diagonal zeros."""
-    h = project(subspace_of(dets, s), s)
+    diagonal and stores no off-diagonal zeros, under either pair generator;
+    the two store the same bits."""
     oracle = np.array([[slater_condon(di, dj, s) + (s.e_core if i == j else 0.0)
                         for j, dj in enumerate(dets)] for i, di in enumerate(dets)])
-    stored = h.toarray()
-    assert not np.triu(stored, 1).any()
-    assert np.max(np.abs(stored - np.tril(oracle))) < 1e-12
-    assert h.nnz == len(dets) + np.count_nonzero(np.tril(oracle, -1))
+    built = []
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            h = project(subspace_of(dets, s), s)
+        stored = h.toarray()
+        assert not np.triu(stored, 1).any()
+        assert np.max(np.abs(stored - np.tril(oracle))) < 1e-12
+        assert h.nnz == len(dets) + np.count_nonzero(np.tril(oracle, -1))
+        built.append(h)
+    assert same_storage(*built)
 
 
 def walk_strings(n_orb, n_e, count, rng):
@@ -179,15 +203,17 @@ def test_principal_slice_equals_a_fresh_projection():
     dets = list(enumerate_sector(8, 3, 3))
     union = subspace_of([dets[i] for i in rng.permutation(len(dets))[:1500]], s)
     assert len(union) > DENSE_CUTOFF
-    h = project(union, s)
     rows = rng.permutation(len(union))[:700]
-    kept, sliced = principal_block(union, h, rows)
-    assert np.array_equal(kept.alpha, union.alpha[np.sort(rows)])
-    assert np.array_equal(kept.beta, union.beta[np.sort(rows)])
-    fresh = project(kept, s)
-    assert fresh.has_sorted_indices and sliced.has_sorted_indices
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            h = project(union, s)
+            kept, sliced = principal_block(union, h, rows)
+            assert np.array_equal(kept.alpha, union.alpha[np.sort(rows)])
+            assert np.array_equal(kept.beta, union.beta[np.sort(rows)])
+            fresh = project(kept, s)
+        assert fresh.has_sorted_indices and sliced.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
 
 
 def same_storage(a, b) -> bool:
@@ -216,10 +242,12 @@ def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_
         rows = np.sort(rng.choice(len(union), len(union) // 3, replace=False))
         kept = union.take(rows)
         assert len(np.unique(kept.alpha)) < len(np.unique(union.alpha))
-        sliced = principal_block(union, project(union, s), rows)[1]
-        fresh = project(kept, s)
-        assert same_storage(off_diagonal(sliced), off_diagonal(fresh))
-        assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
+        for cutoff in (WALK, PAIRWISE):
+            with generator(cutoff):
+                sliced = principal_block(union, project(union, s), rows)[1]
+                fresh = project(kept, s)
+            assert same_storage(off_diagonal(sliced), off_diagonal(fresh))
+            assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
 
 
 def prefix_cases(rng):
@@ -242,27 +270,58 @@ def prefix_cases(rng):
 def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
     """A known matrix, a principal block at ascending rows of an earlier
     subspace, extended by the rows appended after it, is bitwise the matrix
-    a cold project builds; so is a tensor reconstruction that extends it."""
+    a cold project builds; so is a tensor reconstruction that extends it.
+    That holds whichever generator built the known matrix and whichever
+    extends it."""
     s = load_fixture("lih") if name == "lih" else random_integral_set(8, 3, 4, seed=41, e_core=0.2)
     dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
     rng = np.random.default_rng(41)
     order = rng.permutation(len(dets))
     earlier = subspace_of([dets[i] for i in order[:120]], s)
-    h_earlier = project(earlier, s)
+    h_earlier = {}
+    for build in (WALK, PAIRWISE):
+        with generator(build):
+            h_earlier[build] = project(earlier, s)
     for kept, added in prefix_cases(rng):
-        known = principal_block(earlier, h_earlier, kept)
         sub = subspace_of([dets[i] for i in order[np.r_[kept, added]]], s)
-        cold, warm = project(sub, s), project(sub, s, known)
-        assert same_storage(cold, warm)
-        assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
-        stale = known[1].copy()
-        stale.setdiag(stale.diagonal() + 1.0)  # the diagonal is recomputed, never copied
-        assert same_storage(cold, project(sub, s, (known[0], stale)))
+        cold = project(sub, s)
+        for build, extend in itertools.product((WALK, PAIRWISE), repeat=2):
+            known = principal_block(earlier, h_earlier[build], kept)
+            with generator(extend):
+                warm = project(sub, s, known)
+                stale = known[1].copy()
+                stale.setdiag(stale.diagonal() + 1.0)  # the diagonal is recomputed, never copied
+                assert same_storage(cold, project(sub, s, (known[0], stale)))
+            assert same_storage(cold, warm)
+            assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
         tensored = tensor_reconstruct(sub, False, len(dets))  # no product exceeds the sector
         assert len(tensored) > len(sub)
-        cold, warm = project(tensored, s), project(tensored, s, (sub, warm))
-        assert same_storage(cold, warm)
-        assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
+        cold = project(tensored, s)
+        for extend in (WALK, PAIRWISE):
+            with generator(extend):
+                extended = project(tensored, s, (sub, warm))
+            assert same_storage(cold, extended)
+            assert (cold.indptr.dtype, cold.indices.dtype) == (extended.indptr.dtype, extended.indices.dtype)
+
+
+def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
+    """A sampled set of a few dozen rows, and its extension by a few more,
+    compares strings pairwise and never builds the string links; the same
+    calls walking the links do build them."""
+    s = load_fixture("lih")
+    dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
+    pick = [dets[i] for i in np.random.default_rng(43).permutation(len(dets))[:40]]
+    sampled, extended = subspace_of(pick[:25], s), subspace_of(pick, s)
+    cold = project(extended, s)
+
+    def refuse(*args):
+        raise RuntimeError("a link table was built")
+
+    monkeypatch.setattr(hivqe.eigensolver, "_string_links", refuse)
+    assert same_storage(project(extended, s, (sampled, project(sampled, s))), cold)
+    monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", WALK)
+    with pytest.raises(RuntimeError, match="link table"):
+        project(sampled, s)
 
 
 def test_project_refuses_a_known_block_that_is_not_the_first_rows():
