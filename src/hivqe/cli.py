@@ -72,11 +72,7 @@ def _load_config(args):
     """Defaults < config file < --seed < --set, in that order."""
     data = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_data = json.load(fh)
-        if not isinstance(file_data, dict):
-            raise ValueError("config file must hold a JSON object")
-        data.update(file_data)
+        data.update(_read_json(args.config, "config file"))
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     for item in getattr(args, "overrides", []):
@@ -92,6 +88,20 @@ def _read(path, what: str) -> str:
     if not Path(path).exists():
         raise FileNotFoundError(f"{what} not found: {path}")
     return Path(path).read_text()
+
+
+def _read_json(path, what: str, keys=()) -> dict:
+    """The JSON object in the file at path, which must hold keys; errors name the file."""
+    try:
+        doc = json.loads(_read(path, what))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} {path} has no {key!r}")
+    return doc
 
 
 def _read_integrals(path):
@@ -200,7 +210,7 @@ def _cmd_report(args) -> int:
     rows = []
     for path in args.results:
         p = Path(path)
-        doc = json.loads(_read(path, "result file"))
+        doc = _read_json(path, "result file", ("n_dets", "energy"))
         sector = doc.get("sector", {})
         n_orb = sector.get("n_orb")
         rows.append(

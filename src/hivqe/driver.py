@@ -362,7 +362,7 @@ def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
     n = sub.sector.n_orb
     amps = c.amplitudes
     gamma = np.diag(amps**2 @ (_occupations(sub.alpha, n) + _occupations(sub.beta, n)))
-    i, j, hole, particle, phase = single_excitation_pairs(sub, n)
+    i, j, hole, particle, phase = single_excitation_pairs(sub)
     term = amps[i] * amps[j] * phase
     np.add.at(gamma, (hole, particle), term)
     np.add.at(gamma, (particle, hole), term)

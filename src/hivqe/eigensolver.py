@@ -6,16 +6,17 @@ triangle. Off-diagonal pairs come from one of two generators, picked by how
 many row pairs the call builds. Below PAIRWISE_CUTOFF pairs, as in a
 sampled set, the strings of each pair of rows are XORed and the popcounts
 class the pair as a single or double in one spin channel or a single in
-each; holes and particles are the XOR's bits (Scemama & Giner,
-arXiv:1311.6244). At or above it, each row's pair of uint64 strings becomes
-a pair of indices into the distinct alpha and beta strings, excitations of
-degree 1 and 2 are linked between the strings of each spin channel, and
-partners are found by StringRanks.row (Knowles & Handy, CPL 111, 315,
-1984), in three batches: alpha excitations with the beta string unchanged,
-beta excitations with the alpha string unchanged, and one single excitation
-in each channel. Both read a pair from its source row, the one with the
-lower string in the moving channel (alpha for a single in each), and
-evaluate it with the same helpers, so they store the same bits.
+each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
+uint64 strings becomes a pair of indices into the distinct alpha and beta
+strings, the strings of each spin channel one or two electrons apart are
+linked, and partners are found by StringRanks.row (Knowles & Handy, CPL
+111, 315, 1984), in three batches: alpha excitations with the beta string
+unchanged, beta excitations with the alpha string unchanged, and one single
+excitation in each channel. A link holds only the two strings it joins;
+both generators take every hole, particle and sign from _moves on the two
+strings, read a pair from its source row, the one with the lower string in
+the moving channel (alpha for a single in each), and evaluate it with the
+same helpers, so they store the same bits.
 Every entry of a row lies in that row, so a subspace that appends rows to an
 earlier one extends its triangle by appending: the earlier rows are copied
 and only the new rows are batched (fast SHCI: Li, Otten, Holmes, Sharma &
@@ -123,29 +124,24 @@ def _expand(counts: np.ndarray):
 
 @dataclass(frozen=True)
 class _Links:
-    """Excitations between strings, grouped by source string.
+    """Pairs of strings one or two electrons apart, grouped by source string.
 
-    Links of source k are rows start[k]:start[k+1]; holes and particles are
-    ascending per link (shape (m,) for singles, (m, 2) for doubles) and
-    phase is the fermionic sign of carrying the source into dst.
+    Links of source k are rows start[k]:start[k+1], each carrying string
+    src into string dst; _moves describes the move.
     """
 
     start: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    holes: np.ndarray
-    particles: np.ndarray
-    phase: np.ndarray
 
     def __post_init__(self):
         for array in vars(self).values():
             array.flags.writeable = False  # shared through the cache
 
     @classmethod
-    def grouped(cls, n_strings, src, dst, holes, particles, phase):
+    def grouped(cls, n_strings, src, dst):
         order = np.argsort(src, kind="stable")
-        start = np.searchsorted(src[order], np.arange(n_strings + 1))
-        return cls(start, src[order], dst[order], holes[order], particles[order], phase[order])
+        return cls(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order])
 
     def grouping(self, into: bool):
         """(start, order, far): links order[start[k]:start[k+1]] leave string k
@@ -166,12 +162,11 @@ class _Links:
     def where(self, keep: np.ndarray) -> "_Links":
         """Only the links where keep is true, in the same order."""
         before = np.r_[0, np.cumsum(keep)]  # kept links ahead of each link
-        return _Links(before[self.start], self.src[keep], self.dst[keep],
-                      self.holes[keep], self.particles[keep], self.phase[keep])
+        return _Links(before[self.start], self.src[keep], self.dst[keep])
 
 
 @lru_cache(maxsize=4)
-def _string_links(n_orb: int, packed: bytes):
+def _string_links(packed: bytes):
     """(singles, upward singles, doubles) among the distinct sorted uint64 strings in packed.
 
     Singles hold both directions of each pair; doubles only the upward one.
@@ -181,25 +176,18 @@ def _string_links(n_orb: int, packed: bytes):
     without comparing all string pairs.
     """
     strings = np.frombuffer(packed, dtype=np.uint64)
-    n_s = len(strings)
-    n_e = int(np.bitwise_count(strings[0]))
-    occ = np.nonzero(_occupations(strings, n_orb))[1].reshape(n_s, n_e)
+    n_s, n_e = len(strings), int(np.bitwise_count(strings[0]))
+    bits = _BIT[_set_orbitals(strings, n_e)]  # each string's electrons
 
-    ea, eb = _pairs_in_groups((strings[:, None] ^ _BIT[occ]).ravel())
-    src, dst = np.r_[ea, eb] // n_e, np.r_[eb, ea] // n_e
-    holes, particles = occ.ravel()[np.r_[ea, eb]], occ.ravel()[np.r_[eb, ea]]
-    singles = _Links.grouped(n_s, src, dst, holes, particles,
-                             _phase(strings[src], holes, particles))
+    ea, eb = _pairs_in_groups((strings[:, None] ^ bits).ravel())
+    singles = _Links.grouped(n_s, np.r_[ea, eb] // n_e, np.r_[eb, ea] // n_e)
 
     i1, i2 = np.triu_indices(n_e, 1)
-    removed = np.stack((occ[:, i1], occ[:, i2]), axis=-1).reshape(-1, 2)
-    ea, eb = _pairs_in_groups((strings[:, None] ^ _BIT[occ[:, i1]] ^ _BIT[occ[:, i2]]).ravel())
+    ea, eb = _pairs_in_groups((strings[:, None] ^ bits[:, i1] ^ bits[:, i2]).ravel())
     # Entries are row-major over sorted strings: the lower entry has the lower string.
-    ea, eb = np.minimum(ea, eb), np.maximum(ea, eb)
-    src, dst = ea // len(i1), eb // len(i1)
+    src, dst = np.minimum(ea, eb) // len(i1), np.maximum(ea, eb) // len(i1)
     keep = np.bitwise_count(strings[src] ^ strings[dst]) == 4
-    src, dst, holes, particles = src[keep], dst[keep], removed[ea[keep]], removed[eb[keep]]
-    doubles = _Links.grouped(n_s, src, dst, holes, particles, _move_phase(strings[src], holes, particles))
+    doubles = _Links.grouped(n_s, src[keep], dst[keep])
     return singles, singles.where(singles.dst > singles.src), doubles
 
 
@@ -211,14 +199,19 @@ class _StringIndex:
     n_old rows into them.
     """
 
-    def __init__(self, sub: Subspace, n_orb: int, n_old: int = 0):
+    def __init__(self, sub: Subspace, n_old: int = 0):
         r = sub.ranks
-        self.alpha, self.ia, self.beta, self.ib, self.find = r.alpha, r.ia, r.beta, r.ib, r.row
+        self.ia, self.ib, self.find = r.ia, r.ib, r.row
         self.n_old, self.new = n_old, np.arange(n_old, len(sub))
         self.directions = (False, True) if n_old else (False,)
+        self.strings = {"alpha": r.alpha, "beta": r.beta}
         # (singles, upward singles, doubles) per channel
-        self.links = {"alpha": _string_links(n_orb, self.alpha.tobytes()),
-                      "beta": _string_links(n_orb, self.beta.tobytes())}
+        self.links = {c: _string_links(strings.tobytes()) for c, strings in self.strings.items()}
+
+    def moves(self, channel: str, links: _Links, degree: int):
+        """_moves of each of one channel's links of degree 1 or 2."""
+        strings = self.strings[channel]
+        return _moves(strings[links.src], strings[links.dst], degree)
 
     def same_spin(self, channel: str, links: _Links):
         """Yield (i, j, link) for pairs differing by one of the links in one channel only."""
@@ -255,19 +248,20 @@ class _StringIndex:
                 yield i[hit], j[hit], la[hit], lb[hit]
 
 
-def single_excitation_pairs(sub: Subspace, n_orb: int):
+def single_excitation_pairs(sub: Subspace):
     """Row pairs of sub one electron apart, each once.
 
     Returns arrays (i, j, hole, particle, phase): row j is row i with one
     electron moved from orbital hole to orbital particle in one spin
     channel, with fermionic sign phase.
     """
-    index = _StringIndex(sub, n_orb)
+    index = _StringIndex(sub)
     out = []
     for channel in ("alpha", "beta"):
         up = index.links[channel][1]
+        holes, particles, phase = index.moves(channel, up, 1)
         for i, j, link in index.same_spin(channel, up):
-            out.append((i, j, up.holes[link], up.particles[link], up.phase[link]))
+            out.append((i, j, holes[link, 0], particles[link, 0], phase[link]))
     if not out:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, empty, empty, np.zeros(0)
@@ -316,54 +310,53 @@ def _single_value(base, coulomb, occ_other):
 def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
     """Yield (i, j, value) batches for the pairs of rows at most two electrons
     apart that touch a row at or after n_old, along the string links."""
-    index = _StringIndex(sub, s.n_orb, n_old)
+    index = _StringIndex(sub, n_old)
+    up_moves = {}
     for channel, other in (("alpha", "beta"), ("beta", "alpha")):
         _, up, doubles = index.links[channel]
-        base, coulomb = _single_terms(up.holes, up.particles, up.phase, occ[channel][up.src], s)
+        holes, particles, phase = up_moves[channel] = index.moves(channel, up, 1)
+        base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, occ[channel][up.src], s)
         iy = index.ib if channel == "alpha" else index.ia
         for i, j, link in index.same_spin(channel, up):
             yield i, j, _single_value(base[link], coulomb[link], occ[other][iy[i]])
-        value = _double_element(doubles.holes.T, doubles.particles.T, doubles.phase, s)
+        holes, particles, phase = index.moves(channel, doubles, 2)
+        value = _double_element(holes.T, particles.T, phase, s)
         nonzero = value != 0.0  # no pair is looked up for a vanishing element
         value = value[nonzero]
         for i, j, link in index.same_spin(channel, doubles.where(nonzero)):
             yield i, j, value[link]
 
     # (h_a p_a|h_b p_b) is one gather from the flat eri, at an offset per link of each table
-    up_alpha, beta = index.links["alpha"][1], index.links["beta"][0]
-    offset_a = (up_alpha.holes * s.n_orb + up_alpha.particles) * s.n_orb ** 2
-    offset_b = beta.holes * s.n_orb + beta.particles
+    ha, pa, phase_a = up_moves["alpha"]
+    hb, pb, phase_b = index.moves("beta", index.links["beta"][0], 1)
+    offset_a, offset_b = (ha[:, 0] * s.n_orb + pa[:, 0]) * s.n_orb ** 2, hb[:, 0] * s.n_orb + pb[:, 0]
     flat = s.eri.ravel()
     for i, j, la, lb in index.mixed():
-        yield i, j, up_alpha.phase[la] * beta.phase[lb] * flat[offset_a[la] + offset_b[lb]]
+        yield i, j, phase_a[la] * phase_b[lb] * flat[offset_a[la] + offset_b[lb]]
 
 
 def _set_orbitals(x: np.ndarray, count: int) -> np.ndarray:
     """(len(x), count) ascending orbitals of the count set bits of each uint64 in x."""
     out = np.empty((len(x), count), dtype=np.intp)
-    for c in range(count - 1):
+    for c in range(count):
         low = x & ~(x - _ONE)
         out[:, c] = np.bitwise_count(low - _ONE)
         x = x ^ low
-    out[:, -1] = np.bitwise_count(x - _ONE)
     return out
 
 
-def _move_phase(strings: np.ndarray, holes: np.ndarray, particles: np.ndarray) -> np.ndarray:
-    """Sign of moving holes[:, 0] -> particles[:, 0] out of each string and,
-    for two moves, then holes[:, 1] -> particles[:, 1] out of what it left."""
-    phase = _phase(strings, holes[:, 0], particles[:, 0])
-    if holes.shape[1] == 2:
-        moved = strings ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
-        phase = phase * _phase(moved, holes[:, 1], particles[:, 1])
-    return phase
-
-
 def _moves(src: np.ndarray, dst: np.ndarray, count: int):
-    """(holes, particles, phase) of the count moves carrying strings src into dst."""
+    """(holes, particles, phase) of the count moves carrying strings src into
+    dst: ascending holes and particles, shape (len(src), count), and the sign
+    of moving holes[:, 0] -> particles[:, 0] and, for two, then holes[:, 1] ->
+    particles[:, 1] out of what the first left."""
     x = src ^ dst
     holes, particles = _set_orbitals(src & x, count), _set_orbitals(dst & x, count)
-    return holes, particles, _move_phase(src, holes, particles)
+    phase = _phase(src, holes[:, 0], particles[:, 0])
+    if count == 2:
+        moved = src ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
+        phase = phase * _phase(moved, holes[:, 1], particles[:, 1])
+    return holes, particles, phase
 
 
 def _compared(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):

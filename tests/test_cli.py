@@ -138,17 +138,25 @@ def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
 @pytest.mark.parametrize("argv, message", [
     (["run", "--fcidump", H2, "--set", "tensor_reconstruct=maybe"],
      "tensor_reconstruct expects a boolean, got 'maybe'"),
-    (["run", "--fcidump", H2, "--config", "CONFIG"], "config file must hold a JSON object"),
+    (["run", "--fcidump", H2, "--config", "LIST"], "config file {LIST} must hold a JSON object"),
+    (["run", "--fcidump", H2, "--config", "NOT_JSON"],
+     "config file {NOT_JSON} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["report", "NO_N_DETS"], "result file {NO_N_DETS} has no 'n_dets'"),
+    (["report", "LIST"], "result file {LIST} must hold a JSON object"),
     (["sweep", "--manifest", "MANIFEST"],
      f"manifest line needs 'label path [e_ref]': 'a {H2} -1.1 extra'"),
-], ids=["boolean", "config_list", "manifest_tokens"])
+], ids=["boolean", "config_list", "config_not_json", "result_without_n_dets", "result_list",
+        "manifest_tokens"])
 def test_refusals_name_what_is_wrong(tmp_path, capsys, argv, message):
-    files = {"CONFIG": tmp_path / "cfg.json", "MANIFEST": tmp_path / "curve.txt"}
-    files["CONFIG"].write_text("[1, 2]")
+    files = {"LIST": tmp_path / "list.json", "NOT_JSON": tmp_path / "bad.json",
+             "NO_N_DETS": tmp_path / "energy.json", "MANIFEST": tmp_path / "curve.txt"}
+    files["LIST"].write_text("[1, 2]")
+    files["NOT_JSON"].write_text("k = 10\n")
+    files["NO_N_DETS"].write_text('{"energy": -1.0}')
     files["MANIFEST"].write_text(f"a {H2} -1.1 extra\n")
     argv = [str(files.get(a, a)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -163,9 +171,10 @@ def test_run_accepts_an_int_for_a_float_key_unconverted(tmp_path):
 @pytest.mark.parametrize("argv, what", [
     (["run", "--fcidump", "MISSING"], "FCIDUMP file"),
     (["run", "--fcidump", H2, "--dipole", "MISSING"], "dipole file"),
+    (["run", "--fcidump", H2, "--config", "MISSING"], "config file"),
     (["sweep", "--manifest", "MISSING"], "manifest"),
     (["report", "MISSING"], "result file"),
-], ids=["fcidump", "dipole", "manifest", "result"])
+], ids=["fcidump", "dipole", "config", "manifest", "result"])
 def test_missing_input_file_exits_one(tmp_path, capsys, argv, what):
     missing = str(tmp_path / "nope")
     rc = main([missing if a == "MISSING" else a for a in argv] + ["--out", str(tmp_path)])

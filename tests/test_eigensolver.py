@@ -7,19 +7,22 @@ import numpy as np
 import pytest
 
 import hivqe.eigensolver
-from hivqe.determinants import Determinant, slater_condon
+from hivqe.determinants import Determinant, Sector, _channel_excitation, slater_condon
 from hivqe.eigensolver import (
     DENSE_CUTOFF,
     CIVector,
     EigensolverError,
+    _moves,
+    _string_links,
     ground_state,
     principal_block,
     project,
+    single_excitation_pairs,
 )
 from hivqe.integrals import IntegralSet
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
-from hivqe.subspace import tensor_reconstruct
+from hivqe.subspace import Subspace, tensor_reconstruct
 
 from helpers import dense_symmetric, load_fixture, load_reference, random_integral_set, subspace_of
 
@@ -190,6 +193,85 @@ def test_project_uses_the_top_orbital_of_64():
     assert any(d.alpha_mask >> 63 for d in pick) and any(d.beta_mask >> 63 for d in pick)
     assert all(excitation_kinds(pick))
     assert_matches_oracle(pick, s)
+
+
+TOP_ACTIVE = (0, 1, 5, 31, 32, 40, 62, 63)  # orbitals of a 64-orbital case, 63 among them
+
+
+def link_strings(name):
+    """Sorted distinct strings of one spin channel, by case name."""
+    rng = np.random.default_rng(44)
+    if name == "h8_channel":
+        return [m for m in range(1 << 8) if m.bit_count() == 4]
+    if name.startswith("random"):
+        n_orb = int(name.split("_")[1])
+        return walk_strings(n_orb, n_orb // 2 - 1, 10 * n_orb, rng)
+    if name == "one_electron":
+        return [1 << p for p in (0, 3, 4, 9)]
+    if name == "no_electron":
+        return [0]
+    return sorted(sum(1 << p for p in c) for c in itertools.combinations(TOP_ACTIVE, 3))
+
+
+@pytest.mark.parametrize("name", ["h8_channel", "random_10", "random_11", "random_12",
+                                  "one_electron", "no_electron", "orbital_63"])
+def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
+    """Singles link each ordered pair of strings two bits apart once, upward
+    singles and doubles each unordered pair two and four bits apart once,
+    from the lower string; _moves over every link is the oracle's move."""
+    strings = np.array(link_strings(name), dtype=np.uint64)
+    distance = np.bitwise_count(strings[:, None] ^ strings)
+    singles, up, doubles = _string_links(strings.tobytes())
+    for links, bits, upward in ((singles, 2, False), (up, 2, True), (doubles, 4, True)):
+        src, dst = links.src.tolist(), links.dst.tolist()
+        pairs = set(zip(src, dst))
+        assert len(pairs) == len(src)
+        assert pairs == {(a, b) for a, b in np.argwhere(distance == bits).tolist()
+                         if a < b or not upward}
+        assert src == sorted(src)
+        assert np.array_equal(links.start, np.searchsorted(src, np.arange(len(strings) + 1)))
+        holes, particles, phase = _moves(strings[links.src], strings[links.dst], bits // 2)
+        for k, (a, b) in enumerate(zip(src, dst)):
+            move = _channel_excitation(int(strings[a]), int(strings[b]))
+            assert (holes[k].tolist(), particles[k].tolist(), phase[k]) == move
+    assert len(singles.src) > 0 or name == "no_electron"
+    assert len(doubles.src) > 0 or name in ("no_electron", "one_electron")
+
+
+def rdm_case(name):
+    """(determinants, n_orb) of a shuffled sector subset, by case name."""
+    rng = np.random.default_rng(45)
+    if name == "no_beta":
+        dets = list(enumerate_sector(10, 3, 0))
+        return [dets[i] for i in rng.permutation(len(dets))[:80]], 10
+    if name == "orbital_63":
+        dets = [Determinant(sum(1 << p for p in a), sum(1 << p for p in b))
+                for a in itertools.combinations(TOP_ACTIVE, 3)
+                for b in itertools.combinations(TOP_ACTIVE, 2)]
+        return [dets[i] for i in rng.permutation(len(dets))[:300]], 64
+    n_orb, n_alpha, n_beta = (int(x) for x in name.split("_"))
+    dets = list(enumerate_sector(n_orb, n_alpha, n_beta))
+    return [dets[i] for i in rng.permutation(len(dets))[:400]], n_orb
+
+
+@pytest.mark.parametrize("name", ["10_3_3", "11_4_2", "12_2_5", "no_beta", "orbital_63"])
+def test_single_excitation_pairs_list_every_pair_one_electron_apart_once(name):
+    """The 1-RDM's pairs: each pair of rows one electron apart once, with the
+    hole, particle and sign of moving row i's electron into row j."""
+    dets, n_orb = rdm_case(name)
+    a, b = dets[0].alpha_mask.bit_count(), dets[0].beta_mask.bit_count()
+    i, j, hole, particle, phase = single_excitation_pairs(Subspace(dets, Sector(n_orb, a, b)))
+    apart = {frozenset((x, y)) for x, y in itertools.combinations(range(len(dets)), 2)
+             if (dets[x].alpha_mask ^ dets[y].alpha_mask).bit_count()
+             + (dets[x].beta_mask ^ dets[y].beta_mask).bit_count() == 2}
+    assert len(apart) > 0 and len(i) == len(apart)
+    assert {frozenset(pair) for pair in zip(i.tolist(), j.tolist())} == apart
+    for x, y, h, p, sign in zip(i.tolist(), j.tolist(), hole.tolist(), particle.tolist(), phase):
+        moving = 0 if dets[x].alpha_mask != dets[y].alpha_mask else 1
+        assert _channel_excitation(dets[x][moving], dets[y][moving]) == ([h], [p], sign)
+    if name == "orbital_63":
+        assert any(d.alpha_mask >> 63 or d.beta_mask >> 63 for d in dets)
+        assert 63 in hole.tolist() + particle.tolist()
 
 
 def test_principal_slice_equals_a_fresh_projection():
