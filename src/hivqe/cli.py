@@ -104,6 +104,18 @@ def _read_json(path, what: str, keys=()) -> dict:
     return doc
 
 
+def _typed(path, doc: dict, key: str, kinds: tuple, default=None):
+    """doc[key], default when absent, if its JSON type is one of kinds: a
+    float is any finite number, an int is no boolean; errors name the file."""
+    value = doc.get(key, default)
+    kind = float if type(value) is int and float in kinds else type(value)
+    if kind not in kinds or kind is float and not math.isfinite(value):
+        names = {dict: "an object", int: "an integer", float: "a finite number", type(None): "null"}
+        raise ValueError(f"result file {path} needs {' or '.join(names[k] for k in kinds)} "
+                         f"as {key!r}, got {value!r}")
+    return value
+
+
 def _read_integrals(path):
     return parse_fcidump(_read(path, "FCIDUMP file"))
 
@@ -181,7 +193,10 @@ def _cmd_sweep(args) -> int:
         label, rel = tokens[0], tokens[1]
         if label in entries:
             raise ValueError(f"manifest line {number} repeats the label {label!r}")
-        e_ref = float(tokens[2]) if len(tokens) == 3 else None
+        try:
+            e_ref = float(tokens[2]) if len(tokens) == 3 else None
+        except ValueError:
+            raise ValueError(f"manifest line {number}: e_ref {tokens[2]!r} is not a number") from None
         path = Path(rel)
         if not path.is_absolute():
             path = base / rel
@@ -211,42 +226,31 @@ def _cmd_report(args) -> int:
     for path in args.results:
         p = Path(path)
         doc = _read_json(path, "result file", ("n_dets", "energy"))
-        sector = doc.get("sector", {})
-        n_orb = sector.get("n_orb")
-        rows.append(
-            {
-                "label": p.stem if p.stem != "result" else p.parent.name,
-                "n_qubits": None if n_orb is None else 2 * n_orb,
-                "m": doc.get("config", {}).get("m"),
-                "n_dets": doc["n_dets"],
-                "energy": doc["energy"],
-            }
-        )
+        sector, config = (_typed(path, doc, key, (dict,), {}) for key in ("sector", "config"))
+        n_orb = _typed(path, sector, "n_orb", (int, type(None)))
+        energy = _typed(path, doc, "energy", (float, type(None)))
+        rows.append({"label": p.stem if p.stem != "result" else p.parent.name,
+                     "n_qubits": None if n_orb is None else 2 * n_orb,
+                     "m": _typed(path, config, "m", (int, type(None))),
+                     "n_dets": _typed(path, doc, "n_dets", (int,)),
+                     "energy": energy,
+                     "abs_error": None if args.ref is None or energy is None
+                     else abs(energy - args.ref)})
     rows.sort(key=lambda r: (r["n_qubits"] or 0, r["m"] or 0, r["label"]))
-    for row in rows:
-        if args.ref is None or row["energy"] is None:
-            row["abs_error"] = None
-        else:
-            row["abs_error"] = abs(row["energy"] - args.ref)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["label,n_qubits,m,n_dets,energy,abs_error"]
-    for r in rows:
-        lines.append(
-            f"{r['label']},{r['n_qubits']},{r['m']},{r['n_dets']},"
-            f"{_csv_field(r['energy'])},{_csv_field(r['abs_error'])}"
-        )
+    lines = ["label,n_qubits,m,n_dets,energy,abs_error"] + [
+        f"{r['label']},{r['n_qubits']},{r['m']},{r['n_dets']},"
+        f"{_csv_field(r['energy'])},{_csv_field(r['abs_error'])}" for r in rows]
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
     # gnuplot data: errors floored so exact hits stay plottable on a log axis
     dat = ["# m n_dets energy abs_error"]
     for r in rows:
-        if r["energy"] is None:
-            continue
-        err = r["abs_error"]
-        shown = "" if err is None else repr(max(err, ERROR_FLOOR))
-        dat.append(f"{r['m']} {r['n_dets']} {r['energy']!r} {shown}")
+        if r["energy"] is not None:
+            shown = "" if r["abs_error"] is None else repr(max(r["abs_error"], ERROR_FLOOR))
+            dat.append(f"{r['m']} {r['n_dets']} {r['energy']!r} {shown}")
     (out_dir / "report.dat").write_text("\n".join(dat) + "\n")
     print(f"wrote {out_dir / 'report.csv'} ({len(rows)} rows)")
     return 0

@@ -7,12 +7,15 @@ convention that spin orbitals are ordered by ascending spatial index with the
 whole alpha string before the beta string; crossings are therefore counted
 within each spin channel independently and the channel signs multiply.
 
-slater_condon reads each channel's holes, particles and sign from
-_channel_excitation. Its element helpers also take arrays of moves out of one
-determinant; with _excitations, the strings one or two moves from one string,
-they score classical expansion's candidates as string arrays, bit for bit,
-with sign 1, as only the couplings' magnitudes rank them. _double_element
-also gives project its same-spin double excitations.
+slater_condon, the element-by-element oracle, reads each channel's holes,
+particles and sign from _channel_excitation. Every element formula the
+program uses lives here too, over uint64 string arrays: _moves takes the
+holes, particles and sign of the moves between two strings, and
+_single_terms, _single_value and _double_element evaluate them.
+_pair_elements values pairs of determinants from their strings alone; it
+serves project's string comparison and scores classical expansion's
+candidates, which _excitations builds, so a ranked coupling is bit for bit
+the stored entry. The link walk in eigensolver calls the same helpers.
 """
 
 from __future__ import annotations
@@ -142,8 +145,7 @@ def _diagonal_element(d: Determinant, s: IntegralSet) -> float:
 
 def _single_element(h, p, phase, occ_same, occ_other, s: IntegralSet):
     """<d1|H|d2> for the move h -> p of sign phase; occ_same and occ_other are
-    d1's ascending occupations of the moving channel and of the other. h, p
-    and phase may be arrays of moves out of one d1, each summed as one move."""
+    d1's ascending occupations of the moving channel and of the other."""
     # The q == h term cancels identically, so the sum may run over the full
     # occupation of the source determinant.
     e = s.one_body[h, p]
@@ -163,6 +165,85 @@ def _double_element(holes, particles, phase, s: IntegralSet, exchange: bool = Tr
     if exchange:
         e = e - s.eri[h1, p2, h2, p1]
     return phase * e
+
+
+def _set_orbitals(x: np.ndarray, count: int) -> np.ndarray:
+    """(len(x), count) ascending orbitals of the count set bits of each uint64 in x."""
+    out = np.empty((len(x), count), dtype=np.intp)
+    for c in range(count):
+        low = x & ~(x - _ONE)
+        out[:, c] = np.bitwise_count(low - _ONE)
+        x = x ^ low
+    return out
+
+
+def _moves(src: np.ndarray, dst: np.ndarray, count: int):
+    """(holes, particles, phase) of the count moves carrying strings src into
+    dst: ascending holes and particles, shape (len(src), count), and the sign
+    of moving holes[:, 0] -> particles[:, 0] and, for two, then holes[:, 1] ->
+    particles[:, 1] out of what the first left."""
+    x = src ^ dst
+    holes, particles = _set_orbitals(src & x, count), _set_orbitals(dst & x, count)
+    phase = _phase(src, holes[:, 0], particles[:, 0])
+    if count == 2:
+        moved = src ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
+        phase = phase * _phase(moved, holes[:, 1], particles[:, 1])
+    return holes, particles, phase
+
+
+def _single_terms(holes, particles, phase, occ_src, s: IntegralSet):
+    """(base, coulomb) for single moves holes -> particles of sign phase out
+    of strings whose occupations are the rows of occ_src.
+
+    A single h -> p moves against every other electron: the same-spin part
+    of the sum is fixed by the source string and is in base; the
+    opposite-spin part (hp|qq) over the other channel's occupation is added
+    per pair by _single_value from the phased coulomb rows.
+    """
+    ar = np.arange(s.n_orb)
+    h, p = holes[:, None], particles[:, None]
+    coulomb = s.eri[h, p, ar, ar]
+    exchange = s.eri[h, ar, ar, p]
+    base = phase * (s.one_body[holes, particles] + np.einsum("lq,lq->l", occ_src, coulomb - exchange))
+    coulomb *= phase[:, None]
+    return base, coulomb
+
+
+def _single_value(base, coulomb, occ_other):
+    """Single elements from _single_terms and the other channel's occupations."""
+    return base + np.einsum("kq,kq->k", coulomb, occ_other)
+
+
+def _pair_elements(alpha_i, beta_i, alpha_j, beta_j, s: IntegralSet) -> np.ndarray:
+    """<i|H|j> for distinct determinants i, j at most two electrons apart, as
+    uint64 string arrays (the j side may be one determinant's scalar strings).
+
+    Each pair is read from its source, the determinant with the lower string
+    in the moving channel (alpha for a single in each), so <i|H|j> and
+    <j|H|i> are the same bits; the link walk reads its upward links alike.
+    """
+    bits_a, bits_b = np.bitwise_count(alpha_i ^ alpha_j), np.bitwise_count(beta_i ^ beta_j)
+    a_moves = bits_a > 0  # the channel that moves is alpha, also when both do
+    swap = np.where(a_moves, alpha_j < alpha_i, beta_j < beta_i)  # j is the source
+    (a_src, a_dst), (b_src, b_dst) = ((np.where(swap, y, x), np.where(swap, x, y))
+                                      for x, y in ((alpha_i, alpha_j), (beta_i, beta_j)))
+    src, dst = np.where(a_moves, a_src, b_src), np.where(a_moves, a_dst, b_dst)
+    value = np.empty(len(src))
+
+    one = np.flatnonzero(bits_a + bits_b == 2)
+    holes, particles, phase = _moves(src[one], dst[one], 1)
+    occ = [_occupations(x[one], s.n_orb) for x in (src, np.where(a_moves, b_src, a_src))]
+    base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, occ[0], s)
+    value[one] = _single_value(base, coulomb, occ[1])  # the other channel's string is shared
+    two = np.flatnonzero((bits_a == 4) | (bits_b == 4))
+    holes, particles, phase = _moves(src[two], dst[two], 2)
+    value[two] = _double_element(holes.T, particles.T, phase, s)
+    mixed = np.flatnonzero((bits_a == 2) & (bits_b == 2))
+    ha, pa, phase_a = _moves(a_src[mixed], a_dst[mixed], 1)
+    hb, pb, phase_b = _moves(b_src[mixed], b_dst[mixed], 1)
+    value[mixed] = _double_element((ha[:, 0], hb[:, 0]), (pa[:, 0], pb[:, 0]),
+                                   phase_a * phase_b, s, exchange=False)
+    return value
 
 
 def slater_condon(d1: Determinant, d2: Determinant, s: IntegralSet) -> float:
@@ -189,19 +270,13 @@ def slater_condon(d1: Determinant, d2: Determinant, s: IntegralSet) -> float:
     return _single_element(holes[0], particles[0], phase, same, other, s)
 
 
-def _excitations(string, n_orb: int, degree: int) -> tuple:
-    """Every string that moves degree (1 or 2) electrons of one uint64 string.
-
-    Returns (strings, holes, particles): holes and particles are
-    (len(strings), degree) ascending orbitals, paired in that order as
-    _channel_excitation pairs them. No move is signed.
-    """
+def _excitations(string, n_orb: int, degree: int) -> np.ndarray:
+    """Every uint64 string that moves degree (1 or 2) electrons of one string."""
     bits = _occupations(np.array([string], dtype=np.uint64), n_orb)[0]
     holes, particles = (np.array(list(combinations(np.flatnonzero(bits == v), degree)),
                                  dtype=np.intp).reshape(-1, degree) for v in (1, 0))
     holes, particles = np.repeat(holes, len(particles), axis=0), np.tile(particles, (len(holes), 1))
-    moved = np.bitwise_or.reduce(_BIT[holes] | _BIT[particles], axis=1)
-    return np.uint64(string) ^ moved, holes, particles
+    return np.uint64(string) ^ np.bitwise_or.reduce(_BIT[holes] | _BIT[particles], axis=1)
 
 
 def det_to_string(d: Determinant, n_orb: int) -> str:

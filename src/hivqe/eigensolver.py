@@ -12,11 +12,12 @@ strings, the strings of each spin channel one or two electrons apart are
 linked, and partners are found by StringRanks.row (Knowles & Handy, CPL
 111, 315, 1984), in three batches: alpha excitations with the beta string
 unchanged, beta excitations with the alpha string unchanged, and one single
-excitation in each channel. A link holds only the two strings it joins;
-both generators take every hole, particle and sign from _moves on the two
-strings, read a pair from its source row, the one with the lower string in
-the moving channel (alpha for a single in each), and evaluate it with the
-same helpers, so they store the same bits.
+excitation in each channel. A link holds only the two strings it joins.
+Every element formula lives in determinants: compared pairs are valued by
+_pair_elements, and the walk evaluates its links with the same helpers,
+reading a pair from its source row as _pair_elements does, so both
+generators store the same bits; this module only generates, stores and
+solves.
 Every entry of a row lies in that row, so a subspace that appends rows to an
 earlier one extends its triangle by appending: the earlier rows are copied
 and only the new rows are batched (fast SHCI: Li, Otten, Holmes, Sharma &
@@ -43,7 +44,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .determinants import _BIT, _ONE, _double_element, _occupations, _phase
+from .determinants import (_BIT, _double_element, _moves, _occupations, _pair_elements,
+                           _set_orbitals, _single_terms, _single_value)
 from .integrals import IntegralSet
 from .subspace import StringRanks, Subspace
 
@@ -284,29 +286,6 @@ def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralS
     return diag
 
 
-def _single_terms(holes, particles, phase, occ_src, s: IntegralSet):
-    """(base, coulomb) for single moves holes -> particles of sign phase out
-    of strings whose occupations are the rows of occ_src.
-
-    A single h -> p moves against every other electron: the same-spin part
-    of the sum is fixed by the source string and is in base; the
-    opposite-spin part (hp|qq) over the other channel's occupation is added
-    per pair by _single_value from the phased coulomb rows.
-    """
-    ar = np.arange(s.n_orb)
-    h, p = holes[:, None], particles[:, None]
-    coulomb = s.eri[h, p, ar, ar]
-    exchange = s.eri[h, ar, ar, p]
-    base = phase * (s.one_body[holes, particles] + np.einsum("lq,lq->l", occ_src, coulomb - exchange))
-    coulomb *= phase[:, None]
-    return base, coulomb
-
-
-def _single_value(base, coulomb, occ_other):
-    """Single elements from _single_terms and the other channel's occupations."""
-    return base + np.einsum("kq,kq->k", coulomb, occ_other)
-
-
 def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
     """Yield (i, j, value) batches for the pairs of rows at most two electrons
     apart that touch a row at or after n_old, along the string links."""
@@ -335,66 +314,17 @@ def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
         yield i, j, phase_a[la] * phase_b[lb] * flat[offset_a[la] + offset_b[lb]]
 
 
-def _set_orbitals(x: np.ndarray, count: int) -> np.ndarray:
-    """(len(x), count) ascending orbitals of the count set bits of each uint64 in x."""
-    out = np.empty((len(x), count), dtype=np.intp)
-    for c in range(count):
-        low = x & ~(x - _ONE)
-        out[:, c] = np.bitwise_count(low - _ONE)
-        x = x ^ low
-    return out
-
-
-def _moves(src: np.ndarray, dst: np.ndarray, count: int):
-    """(holes, particles, phase) of the count moves carrying strings src into
-    dst: ascending holes and particles, shape (len(src), count), and the sign
-    of moving holes[:, 0] -> particles[:, 0] and, for two, then holes[:, 1] ->
-    particles[:, 1] out of what the first left."""
-    x = src ^ dst
-    holes, particles = _set_orbitals(src & x, count), _set_orbitals(dst & x, count)
-    phase = _phase(src, holes[:, 0], particles[:, 0])
-    if count == 2:
-        moved = src ^ _BIT[holes[:, 0]] ^ _BIT[particles[:, 0]]
-        phase = phase * _phase(moved, holes[:, 1], particles[:, 1])
-    return holes, particles, phase
-
-
-def _compared(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
+def _compared(sub: Subspace, n_old: int, s: IntegralSet):
     """Yield (i, j, value) batches for the pairs of rows j < i, n_old <= i, at
     most two electrons apart, from the XOR of their strings (Scemama &
-    Giner, arXiv:1311.6244).
-
-    Each pair is read from its source row, the one with the lower string in
-    the moving channel (alpha for a single in each), as the walk reads it
-    from its upward link, so every value is bitwise the walk's.
-    """
-    alpha, beta, ia, ib = sub.alpha, sub.beta, sub.ranks.ia, sub.ranks.ib
-    occ_a, occ_b = occ["alpha"], occ["beta"]
+    Giner, arXiv:1311.6244), valued by _pair_elements."""
+    alpha, beta = sub.alpha, sub.beta
     for k, j in _expand(np.arange(n_old, len(sub))):
         i = k + n_old
-        bits_a = np.bitwise_count(alpha[i] ^ alpha[j])  # 2 per move
-        bits_b = np.bitwise_count(beta[i] ^ beta[j])
-        near = np.flatnonzero(bits_a + bits_b <= 4)
-        i, j, bits_a, bits_b = i[near], j[near], bits_a[near], bits_b[near]
-        a_moves = bits_a > 0  # the channel that moves is alpha, also when both do
-        of_i, of_j = (np.where(a_moves, alpha[r], beta[r]) for r in (i, j))
-        i_first = of_i < of_j
-        src, dst = np.where(i_first, i, j), np.where(i_first, j, i)
-        s_src, s_dst = np.minimum(of_i, of_j), np.maximum(of_i, of_j)  # the moving channel's strings
-
-        one = np.flatnonzero(bits_a + bits_b == 2)
-        holes, particles, phase = _moves(s_src[one], s_dst[one], 1)
-        a1, oa, ob = a_moves[one, None], occ_a[ia[src[one]]], occ_b[ib[src[one]]]
-        base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, np.where(a1, oa, ob), s)
-        yield i[one], j[one], _single_value(base, coulomb, np.where(a1, ob, oa))
-        two = np.flatnonzero((bits_a == 4) | (bits_b == 4))
-        holes, particles, phase = _moves(s_src[two], s_dst[two], 2)
-        yield i[two], j[two], _double_element(holes.T, particles.T, phase, s)
-        mixed = np.flatnonzero((bits_a == 2) & (bits_b == 2))
-        ha, pa, phase_a = _moves(s_src[mixed], s_dst[mixed], 1)
-        hb, pb, phase_b = _moves(beta[src[mixed]], beta[dst[mixed]], 1)
-        yield i[mixed], j[mixed], _double_element((ha[:, 0], hb[:, 0]), (pa[:, 0], pb[:, 0]),
-                                                  phase_a * phase_b, s, exchange=False)
+        near = np.flatnonzero(np.bitwise_count(alpha[i] ^ alpha[j])
+                              + np.bitwise_count(beta[i] ^ beta[j]) <= 4)  # 2 per move
+        i, j = i[near], j[near]
+        yield i, j, _pair_elements(alpha[i], beta[i], alpha[j], beta[j], s)
 
 
 def project(sub: Subspace, s: IntegralSet,
@@ -425,7 +355,7 @@ def project(sub: Subspace, s: IntegralSet,
     new = np.arange(n_old, n, dtype=np.int32)
     rows, cols, vals = [new - n_old], [new], [diag[n_old:]]  # rows count from the first new row
     if (n - n_old) * (n + n_old - 1) // 2 < PAIRWISE_CUTOFF:
-        pairs = _compared(sub, n_old, occ, s)
+        pairs = _compared(sub, n_old, s)
     else:
         pairs = _walked(sub, n_old, occ, s)
     for i, j, v in pairs:

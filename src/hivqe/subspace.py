@@ -23,12 +23,10 @@ from .determinants import (
     Sector,
     _BIT,
     _distinct_rows,
-    _double_element,
     _excitations,
     _occupations,
-    _single_element,
+    _pair_elements,
     hartree_fock_det,
-    occupied_orbitals,
 )
 from .integrals import IntegralSet
 
@@ -45,7 +43,8 @@ __all__ = [
 ]
 
 # Fresh |amplitudes| this close to the largest tie for expansion's reference,
-# so spin mirrors, equal in exact arithmetic, are picked by (alpha, beta).
+# and candidates' couplings are ranked on a grid of this step, so values
+# equal in exact arithmetic, as of spin mirrors, are ordered by (alpha, beta).
 AMPLITUDE_TIE = 1e-12
 
 
@@ -293,10 +292,11 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
 
     amplitudes is a wavefunction over sub; fresh |amplitudes| within
     AMPLITUDE_TIE of the largest tie, and the least (alpha, beta) among them
-    is the reference. Its singles and doubles are built as string arrays and
-    scored, unsigned, by slater_condon's own element helpers; candidates
-    absent from the subspace are ranked by |<ref|H|cand>| descending, the
-    top m appended, and the reference marked as expanded. When every
+    is the reference. Its singles and doubles are built as string arrays;
+    those absent from the subspace are scored by |<cand|H|ref>| from
+    _pair_elements, bit for bit the entry project stores for the pair, and
+    ranked on a grid of AMPLITUDE_TIE descending, then by (alpha, beta). The
+    top m are appended and the reference marked as expanded. When every
     determinant has already served as a reference the subspace is returned
     unchanged.
     """
@@ -311,25 +311,15 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
     if not len(tied):
         return sub
     ref_a, ref_b = min(zip(sub.alpha[tied], sub.beta[tied]))  # ties by (alpha, beta)
-    n = sub.sector.n_orb
-    occ_a, occ_b = occupied_orbitals(int(ref_a)), occupied_orbitals(int(ref_b))
-    a1, ha1, pa1 = _excitations(ref_a, n, 1)
-    b1, hb1, pb1 = _excitations(ref_b, n, 1)
-    a2, ha2, pa2 = _excitations(ref_a, n, 2)
-    b2, hb2, pb2 = _excitations(ref_b, n, 2)
+    a1, b1, a2, b2 = (_excitations(r, sub.sector.n_orb, d) for d in (1, 2) for r in (ref_a, ref_b))
     ia, ib = np.divmod(np.arange(len(a1) * len(b1)), len(b1))
     # alpha singles, beta singles, alpha doubles, beta doubles, alpha single x beta single
     alpha = np.concatenate((a1, np.full(len(b1), ref_a), a2, np.full(len(b2), ref_a), a1[ia]))
     beta = np.concatenate((np.full(len(a1), ref_b), b1, np.full(len(a2), ref_b), b2, b1[ib]))
-    coupling = np.abs(np.concatenate((
-        _single_element(ha1[:, 0], pa1[:, 0], 1.0, occ_a, occ_b, s),
-        _single_element(hb1[:, 0], pb1[:, 0], 1.0, occ_b, occ_a, s),
-        _double_element(ha2.T, pa2.T, 1.0, s),
-        _double_element(hb2.T, pb2.T, 1.0, s),
-        _double_element((ha1[ia, 0], hb1[ib, 0]), (pa1[ia, 0], pb1[ib, 0]), 1.0, s,
-                        exchange=False))))
     absent = np.flatnonzero(sub.find(alpha, beta) < 0)
-    added = absent[np.lexsort((beta[absent], alpha[absent], -coupling[absent]))[:m]]
+    alpha, beta = alpha[absent], beta[absent]
+    coupling = np.abs(_pair_elements(alpha, beta, ref_a, ref_b, s))
+    added = np.lexsort((beta, alpha, -np.rint(coupling / AMPLITUDE_TIE)))[:m]
     return Subspace._of(np.concatenate((sub.alpha, alpha[added])),
                         np.concatenate((sub.beta, beta[added])),
                         sub.sector, sub.expanded_refs | {Determinant(int(ref_a), int(ref_b))})

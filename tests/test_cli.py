@@ -143,17 +143,43 @@ def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
      "config file {NOT_JSON} is not JSON: Expecting value: line 1 column 1 (char 0)"),
     (["report", "NO_N_DETS"], "result file {NO_N_DETS} has no 'n_dets'"),
     (["report", "LIST"], "result file {LIST} must hold a JSON object"),
+    (["report", "SECTOR_LIST"], "result file {SECTOR_LIST} needs an object as 'sector', "
+     "got [4, 2, 2]"),
+    (["report", "CONFIG_LIST"], "result file {CONFIG_LIST} needs an object as 'config', got []"),
+    (["report", "M_TEXT"], "result file {M_TEXT} needs an integer or null as 'm', got 'x'"),
+    (["report", "N_ORB_FLOAT"],
+     "result file {N_ORB_FLOAT} needs an integer or null as 'n_orb', got 4.0"),
+    (["report", "N_DETS_BOOL"], "result file {N_DETS_BOOL} needs an integer as 'n_dets', got True"),
+    (["report", "ENERGY_TEXT"],
+     "result file {ENERGY_TEXT} needs a finite number or null as 'energy', got 'low'"),
+    (["report", "ENERGY_NAN"],
+     "result file {ENERGY_NAN} needs a finite number or null as 'energy', got nan"),
     (["sweep", "--manifest", "MANIFEST"],
      f"manifest line needs 'label path [e_ref]': 'a {H2} -1.1 extra'"),
+    (["sweep", "--manifest", "E_REF_TEXT"],
+     "manifest line 2: e_ref 'abc' is not a number"),
 ], ids=["boolean", "config_list", "config_not_json", "result_without_n_dets", "result_list",
-        "manifest_tokens"])
+        "result_sector_list", "result_config_list", "result_m_text", "result_n_orb_float",
+        "result_n_dets_bool", "result_energy_text", "result_energy_nan", "manifest_tokens",
+        "manifest_e_ref_text"])
 def test_refusals_name_what_is_wrong(tmp_path, capsys, argv, message):
+    results = {
+        "SECTOR_LIST": '"sector": [4, 2, 2]', "CONFIG_LIST": '"config": []',
+        "M_TEXT": '"config": {"m": "x"}', "N_ORB_FLOAT": '"sector": {"n_orb": 4.0}',
+        "N_DETS_BOOL": '"n_dets": true', "ENERGY_TEXT": '"energy": "low"',
+        "ENERGY_NAN": '"energy": NaN',
+    }
     files = {"LIST": tmp_path / "list.json", "NOT_JSON": tmp_path / "bad.json",
-             "NO_N_DETS": tmp_path / "energy.json", "MANIFEST": tmp_path / "curve.txt"}
+             "NO_N_DETS": tmp_path / "energy.json", "MANIFEST": tmp_path / "curve.txt",
+             "E_REF_TEXT": tmp_path / "e_ref.txt"}
     files["LIST"].write_text("[1, 2]")
     files["NOT_JSON"].write_text("k = 10\n")
     files["NO_N_DETS"].write_text('{"energy": -1.0}')
     files["MANIFEST"].write_text(f"a {H2} -1.1 extra\n")
+    files["E_REF_TEXT"].write_text(f"# label path e_ref\na {H2} abc\n")
+    for name, field in results.items():  # a valid result file with one field replaced
+        files[name] = tmp_path / f"{name.lower()}.json"
+        files[name].write_text(f'{{"n_dets": 1, "energy": -1.0, {field}}}')
     argv = [str(files.get(a, a)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"

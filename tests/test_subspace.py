@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+import hivqe.eigensolver
 from hivqe.determinants import (
     Determinant,
     Sector,
+    _pair_elements,
     hartree_fock_det,
     slater_condon,
 )
@@ -492,8 +494,11 @@ def excitation_degree(d, ref):
 
 
 def reference_ranking(ref, candidates, s):
-    """Candidates by |<ref|H|cand>| descending, ties by (alpha, beta) ascending."""
-    return sorted(candidates, key=lambda d: (-abs(slater_condon(ref, d, s)), d))
+    """Candidates by |<ref|H|cand>| on a grid of AMPLITUDE_TIE descending,
+    ties by (alpha, beta) ascending: couplings equal in exact arithmetic
+    tie, whichever last bit their sums round to."""
+    return sorted(candidates,
+                  key=lambda d: (-round(abs(slater_condon(ref, d, s)) / AMPLITUDE_TIE), d))
 
 
 def reference_expand(dets, amps, refs, m, s, every):
@@ -584,6 +589,26 @@ def test_expansion_appends_every_single_and_double_once(case):
     if case == "orbital_63":  # moves out of and into orbital 63 both couple
         assert any(slater_condon(ref, d, s) != 0 for d in candidates if not d.alpha_mask >> 63)
         assert any(slater_condon(ref, d, s) != 0 for d in candidates if d.beta_mask >> 63)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1 << 62], ids=["walk", "pairwise"])
+@pytest.mark.parametrize("case", ["lih_hf", "h4_chain_hf", "orbital_63"])
+def test_expansion_ranks_the_entries_project_stores(case, cutoff, monkeypatch):
+    """Each appended row's coupling to the reference is bit for bit the entry
+    project stores for the pair, whichever generator builds the matrix, and
+    the rows are appended in the order of those entries on the tie grid."""
+    monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", cutoff)
+    s, ref = EXPANSION_CASES[case]()
+    ref = ref or hartree_fock_det(s)
+    grown = classical_expand(Subspace([ref], Sector(s.n_orb, s.n_alpha, s.n_beta)),
+                             np.ones(1), 10**6, s)
+    added = slice(1, None)
+    stored = np.abs(project(grown, s)[added, 0].toarray().ravel())  # <row|H|ref>, lower triangle
+    coupling = np.abs(_pair_elements(grown.alpha[added], grown.beta[added],
+                                     grown.alpha[0], grown.beta[0], s))
+    assert len(grown) > 1 and coupling.tobytes() == stored.tobytes()
+    keys = [(-round(c / AMPLITUDE_TIE), d) for c, d in zip(stored.tolist(), list(grown)[1:])]
+    assert keys == sorted(keys)
 
 
 def test_a_dropped_and_readded_reference_is_not_expanded_twice():
