@@ -189,14 +189,16 @@ def _cmd_sweep(args) -> int:
         if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) not in (2, 3):
-            raise ValueError(f"manifest line needs 'label path [e_ref]': {line!r}")
+            raise ValueError(f"manifest line {number} needs 'label path [e_ref]': {line!r}")
         label, rel = tokens[0], tokens[1]
         if label in entries:
             raise ValueError(f"manifest line {number} repeats the label {label!r}")
         try:
             e_ref = float(tokens[2]) if len(tokens) == 3 else None
         except ValueError:
-            raise ValueError(f"manifest line {number}: e_ref {tokens[2]!r} is not a number") from None
+            e_ref = math.nan
+        if e_ref is not None and not math.isfinite(e_ref):
+            raise ValueError(f"manifest line {number}: e_ref {tokens[2]!r} is not a finite number")
         path = Path(rel)
         if not path.is_absolute():
             path = base / rel

@@ -155,13 +155,17 @@ def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
     (["report", "ENERGY_NAN"],
      "result file {ENERGY_NAN} needs a finite number or null as 'energy', got nan"),
     (["sweep", "--manifest", "MANIFEST"],
-     f"manifest line needs 'label path [e_ref]': 'a {H2} -1.1 extra'"),
+     f"manifest line 1 needs 'label path [e_ref]': 'a {H2} -1.1 extra'"),
     (["sweep", "--manifest", "E_REF_TEXT"],
-     "manifest line 2: e_ref 'abc' is not a number"),
+     "manifest line 2: e_ref 'abc' is not a finite number"),
+    (["sweep", "--manifest", "E_REF_NAN"],
+     "manifest line 2: e_ref 'nan' is not a finite number"),
+    (["sweep", "--manifest", "E_REF_INF"],
+     "manifest line 3: e_ref '-inf' is not a finite number"),
 ], ids=["boolean", "config_list", "config_not_json", "result_without_n_dets", "result_list",
         "result_sector_list", "result_config_list", "result_m_text", "result_n_orb_float",
         "result_n_dets_bool", "result_energy_text", "result_energy_nan", "manifest_tokens",
-        "manifest_e_ref_text"])
+        "manifest_e_ref_text", "manifest_e_ref_nan", "manifest_e_ref_inf"])
 def test_refusals_name_what_is_wrong(tmp_path, capsys, argv, message):
     results = {
         "SECTOR_LIST": '"sector": [4, 2, 2]', "CONFIG_LIST": '"config": []',
@@ -171,12 +175,15 @@ def test_refusals_name_what_is_wrong(tmp_path, capsys, argv, message):
     }
     files = {"LIST": tmp_path / "list.json", "NOT_JSON": tmp_path / "bad.json",
              "NO_N_DETS": tmp_path / "energy.json", "MANIFEST": tmp_path / "curve.txt",
-             "E_REF_TEXT": tmp_path / "e_ref.txt"}
+             "E_REF_TEXT": tmp_path / "e_ref.txt", "E_REF_NAN": tmp_path / "e_ref_nan.txt",
+             "E_REF_INF": tmp_path / "e_ref_inf.txt"}
     files["LIST"].write_text("[1, 2]")
     files["NOT_JSON"].write_text("k = 10\n")
     files["NO_N_DETS"].write_text('{"energy": -1.0}')
     files["MANIFEST"].write_text(f"a {H2} -1.1 extra\n")
     files["E_REF_TEXT"].write_text(f"# label path e_ref\na {H2} abc\n")
+    files["E_REF_NAN"].write_text(f"# label path e_ref\na {H2} nan\n")
+    files["E_REF_INF"].write_text(f"a {H2} -1.1\n\nb {H2} -inf\n")
     for name, field in results.items():  # a valid result file with one field replaced
         files[name] = tmp_path / f"{name.lower()}.json"
         files[name].write_text(f'{{"n_dets": 1, "energy": -1.0, {field}}}')
@@ -262,7 +269,7 @@ def test_run_results_are_byte_identical_across_repeats(tmp_path):
 
 def test_run_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """README's Determinism claim at one and two BLAS threads, on H8 blocks
-    large enough (over 200 rows) for the Davidson path."""
+    large enough (over DENSE_CUTOFF rows) for the Davidson path."""
     src = str(Path(hivqe.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):

@@ -2,9 +2,15 @@
 
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 import hivqe.eigensolver
 from hivqe.determinants import Determinant, Sector, _channel_excitation, slater_condon
@@ -19,12 +25,15 @@ from hivqe.eigensolver import (
     project,
     single_excitation_pairs,
 )
-from hivqe.integrals import IntegralSet
+from hivqe.integrals import IntegralSet, parse_fcidump
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import Subspace, tensor_reconstruct
 
-from helpers import dense_symmetric, load_fixture, load_reference, random_integral_set, subspace_of
+from helpers import (FIXTURES, dense_symmetric, load_fixture, load_reference,
+                     random_integral_set, subspace_of)
+
+H8 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "h8.fcidump"  # read only
 
 # PAIRWISE_CUTOFF values that make project walk the string links for every
 # call, or compare every pair of strings; a project test runs under both.
@@ -454,6 +463,55 @@ def test_both_ground_state_paths_equal_a_full_dense_eigh(monkeypatch, name):
         c = ground_state(h, "tight")
         assert abs(c.energy - w[0]) < 1e-12
         assert abs(c.amplitudes @ v[:, 0]) > 1 - 1e-12
+
+
+def principal_blocks(name):
+    """Principal blocks of a sector's matrix over its 1 to DENSE_CUTOFF
+    largest-|c| FCI rows, or random lower triangles of those sizes."""
+    if name == "random":
+        rng = np.random.default_rng(27)
+        for n in range(1, DENSE_CUTOFF + 1):
+            a = rng.normal(size=(n, n))
+            yield scipy.sparse.csr_matrix(np.tril(a + a.T))
+        return
+    s = load_fixture(name) if name != "h8" else parse_fcidump(H8.read_text())
+    sector = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    h = project(sector, s)
+    order = np.argsort(-np.abs(ground_state(h, "tight").amplitudes), kind="stable")
+    for n in range(1, DENSE_CUTOFF + 1):
+        yield principal_block(sector, h, order[:n])[1]
+
+
+@pytest.mark.parametrize("name", ["random", "lih", "h8"])
+def test_the_direct_solve_matches_the_lowest_pair_solve_it_replaced(name):
+    """The direct path keeps column 0 of numpy's full eigh; scipy.linalg's
+    lowest-pair eigh, which it replaced, is its oracle, signed so that its
+    largest amplitude is positive."""
+    for h in principal_blocks(name):
+        c = ground_state(h, "tight")
+        w, v = scipy.linalg.eigh(h.toarray(), lower=True, subset_by_index=[0, 0])
+        x = v[:, 0] if v[np.argmax(np.abs(v[:, 0])), 0] > 0 else -v[:, 0]
+        assert abs(c.energy - w[0]) <= 1e-12
+        assert np.abs(c.amplitudes - x).max() <= 1e-10
+
+
+def test_no_run_loads_scipy_linalg():
+    """numpy does every dense solve: a loop and an FCI solve leave
+    scipy.linalg unloaded. A fresh interpreter, since tests import it."""
+    src = str(Path(hivqe.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "import hivqe\n"
+            f"s = hivqe.parse_fcidump(Path({str(FIXTURES / 'h2_0.74.fcidump')!r}).read_text())\n"
+            "hivqe.run_hivqe(hivqe.RunConfig(), s)\n"
+            "hivqe.fci_ground(s)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_davidson_on_fixture_sectors(monkeypatch):
