@@ -321,6 +321,7 @@ def run_hivqe(
 
         rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
         known = principal_block(sub, h, rows)
+        del h  # a copied block is not held through the next project
         carried, amplitudes = known[0], psi.amplitudes[rows]
         for _ in range(cfg.expansion_repeats):
             expanded = classical_expand(carried, amplitudes, cfg.m, s)

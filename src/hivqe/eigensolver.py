@@ -12,7 +12,10 @@ strings, the strings of each spin channel one or two electrons apart are
 linked, and partners are found by StringRanks.row (Knowles & Handy, CPL
 111, 315, 1984), in three batches: alpha excitations with the beta string
 unchanged, beta excitations with the alpha string unchanged, and one single
-excitation in each channel. A link holds only the two strings it joins.
+excitation in each channel, the last once per coupling block (connected
+orbital pairs, joined wherever (pq|rs) != 0). No pair is looked up whose
+single, double or (h_a p_a|h_b p_b) is exactly zero, so every stored bit
+stays as it was. A link holds only the two strings it joins.
 Every element formula lives in determinants: compared pairs are valued by
 _pair_elements, and the walk evaluates its links with the same helpers,
 reading a pair from its source row as _pair_elements does, so both
@@ -196,6 +199,25 @@ def _string_links(packed: bytes):
     return singles, singles.where(singles.dst > singles.src), doubles
 
 
+def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
+    """Block label of each orbital pair (p, q), at p * n_orb + q: the connected
+    components joining (pq) and (rs) wherever (pq|rs) != 0. A breadth-first
+    search reads each row once, n_orb rows at a time (no second n_orb**4 array)."""
+    n_orb = eri.shape[0]
+    coupled = (eri != 0).reshape(n_orb ** 2, -1)
+    block = np.full(n_orb ** 2, -1)
+    for seed in range(n_orb ** 2):
+        if block[seed] < 0:
+            block[seed], todo = seed, [seed]
+            while len(todo):
+                reached = np.zeros(n_orb ** 2, dtype=bool)
+                for lo in range(0, len(todo), n_orb):
+                    reached |= coupled[todo[lo:lo + n_orb]].any(axis=0)
+                todo = np.flatnonzero(reached & (block < 0))
+                block[todo] = seed
+    return block
+
+
 class _StringIndex:
     """A subspace's rows as (alpha string, beta string) index pairs.
 
@@ -233,14 +255,12 @@ class _StringIndex:
                 hit = (j >= 0) & (j < self.n_old) if into else j >= 0
                 yield i[hit], j[hit], link[hit]
 
-    def mixed(self):
-        """Yield (i, j, alpha link, beta link) for pairs one single apart in each channel.
-
-        Alpha links index the upward alpha singles, beta links all beta singles.
-        """
+    def mixed(self, alpha: _Links, beta: _Links):
+        """Yield (i, j, alpha link, beta link) for pairs one single apart in each
+        channel, by one link of each table given: upward alpha singles, beta singles."""
         for into in self.directions:
-            a_start, a_order, a_far = self.links["alpha"][1].grouping(into)
-            b_start, b_order, b_far = self.links["beta"][0].grouping(into)
+            a_start, a_order, a_far = alpha.grouping(into)
+            b_start, b_order, b_far = beta.grouping(into)
             n_b = np.diff(b_start)[self.ib[self.new]]
             for k, rank in _expand(np.diff(a_start)[self.ia[self.new]] * n_b):
                 i = self.new[k]
@@ -298,8 +318,10 @@ def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
         _, up, doubles = index.links[channel]
         holes, particles, phase = up_moves[channel] = index.moves(channel, up, 1)
         base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, occ[channel][up.src], s)
+        live = (base != 0.0) | coulomb.any(axis=1)  # no pair is looked up for a vanishing single
+        base, coulomb = base[live], coulomb[live]
         iy = index.ib if channel == "alpha" else index.ia
-        for i, j, link in index.same_spin(channel, up):
+        for i, j, link in index.same_spin(channel, up.where(live)):
             yield i, j, _single_value(base[link], coulomb[link], occ[other][iy[i]])
         holes, particles, phase = index.moves(channel, doubles, 2)
         value = _double_element(holes.T, particles.T, phase, s)
@@ -308,13 +330,19 @@ def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
         for i, j, link in index.same_spin(channel, doubles.where(nonzero)):
             yield i, j, value[link]
 
-    # (h_a p_a|h_b p_b) is one gather from the flat eri, at an offset per link of each table
+    # (h_a p_a|h_b p_b) is eri[pair_a, pair_b]; it vanishes unless both moves'
+    # orbital pairs lie in one coupling block, so the walk runs block by block
     ha, pa, phase_a = up_moves["alpha"]
-    hb, pb, phase_b = index.moves("beta", index.links["beta"][0], 1)
-    offset_a, offset_b = (ha[:, 0] * s.n_orb + pa[:, 0]) * s.n_orb ** 2, hb[:, 0] * s.n_orb + pb[:, 0]
-    flat = s.eri.ravel()
-    for i, j, la, lb in index.mixed():
-        yield i, j, phase_a[la] * phase_b[lb] * flat[offset_a[la] + offset_b[lb]]
+    up_a, singles_b = index.links["alpha"][1], index.links["beta"][0]
+    hb, pb, phase_b = index.moves("beta", singles_b, 1)
+    pair_a, pair_b = ha[:, 0] * s.n_orb + pa[:, 0], hb[:, 0] * s.n_orb + pb[:, 0]
+    block, eri = _coupling_blocks(s.eri), s.eri.reshape(s.n_orb ** 2, -1)
+    for b in np.unique(block[pair_a]):
+        ka, kb = block[pair_a] == b, block[pair_b] == b
+        whole_a, whole_b = np.flatnonzero(ka), np.flatnonzero(kb)  # links in the whole tables
+        for i, j, la, lb in index.mixed(up_a.where(ka), singles_b.where(kb)):
+            la, lb = whole_a[la], whole_b[lb]
+            yield i, j, phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
 
 
 def _compared(sub: Subspace, n_old: int, s: IntegralSet):

@@ -125,6 +125,26 @@ def random_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet
     return IntegralSet.from_terms(n_orb, n_alpha, n_beta, e_core, one, two)
 
 
+def blocked_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet:
+    """random_integral_set with point-group zeros. Each orbital carries a
+    Z2 x Z2 irrep, a 2-bit label whose products are XORs; every h_pq and
+    (pq|rs) whose irrep product is not totally symmetric is zero, and so are
+    three accidental (pq|rs) that the irreps allow, each with p != q of
+    irrep product 1."""
+    s = random_integral_set(n_orb, n_alpha, n_beta, seed, e_core)
+    rng = np.random.default_rng(seed)
+    irrep = rng.permutation(np.arange(n_orb) % 4)
+    pair = irrep[:, None] ^ irrep  # the irrep of each orbital pair
+    one = np.where(pair == 0, s.one_body, 0.0)
+    eri = np.where(pair[:, :, None, None] == pair, s.eri, 0.0)
+    keys = [(p, q, r, t) for p, q in zip(*np.nonzero(pair == 1)) for r, t in zip(*np.nonzero(pair == 1))]
+    for i in rng.choice(len(keys), 3, replace=False):
+        p, q, r, t = keys[i]
+        for a, b, c, d in ((p, q, r, t), (q, p, r, t), (p, q, t, r), (q, p, t, r)):
+            eri[a, b, c, d] = eri[c, d, a, b] = 0.0
+    return IntegralSet(n_orb, n_alpha, n_beta, e_core, one, eri)
+
+
 # ---------------------------------------------------------------------------
 # Independent Jordan-Wigner construction (numpy kron only)
 # ---------------------------------------------------------------------------

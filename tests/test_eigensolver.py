@@ -18,6 +18,7 @@ from hivqe.eigensolver import (
     DENSE_CUTOFF,
     CIVector,
     EigensolverError,
+    _coupling_blocks,
     _moves,
     _string_links,
     ground_state,
@@ -30,10 +31,11 @@ from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
 from hivqe.subspace import Subspace, tensor_reconstruct
 
-from helpers import (FIXTURES, dense_symmetric, load_fixture, load_reference,
-                     random_integral_set, subspace_of)
+from helpers import (FIXTURES, blocked_integral_set, dense_symmetric, load_fixture,
+                     load_reference, random_integral_set, subspace_of)
 
-H8 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "h8.fcidump"  # read only
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"  # read only
+H8 = BENCH_INPUTS / "h8.fcidump"
 
 # PAIRWISE_CUTOFF values that make project walk the string links for every
 # call, or compare every pair of strings; a project test runs under both.
@@ -146,17 +148,43 @@ def excitation_kinds(dets):
     return kinds
 
 
-@pytest.mark.parametrize("n_orb,n_alpha,n_beta,seed", [
-    (10, 3, 3, 101),
-    (11, 4, 2, 102),
-    (12, 2, 5, 103),
-    (12, 5, 5, 104),
+@pytest.mark.parametrize("n_orb,n_alpha,n_beta,seed,integrals", [
+    pytest.param(10, 3, 3, 101, random_integral_set, id="10-3-3-101"),
+    pytest.param(11, 4, 2, 102, random_integral_set, id="11-4-2-102"),
+    pytest.param(12, 2, 5, 103, random_integral_set, id="12-2-5-103"),
+    pytest.param(12, 5, 5, 104, random_integral_set, id="12-5-5-104"),
+    pytest.param(10, 3, 3, 110, blocked_integral_set, id="10-3-3-110-blocked"),
+    pytest.param(12, 4, 5, 111, blocked_integral_set, id="12-4-5-111-blocked"),
 ])
-def test_project_matches_slater_condon_on_shuffled_subsets(n_orb, n_alpha, n_beta, seed):
-    s = random_integral_set(n_orb, n_alpha, n_beta, seed=seed, e_core=0.6)
+def test_project_matches_slater_condon_on_shuffled_subsets(n_orb, n_alpha, n_beta, seed, integrals):
+    """Under point-group zeros the walk visits each coupling block on its own."""
+    s = integrals(n_orb, n_alpha, n_beta, seed=seed, e_core=0.6)
     dets = string_product_subset(n_orb, n_alpha, n_beta, 12, 0.7, seed)
     assert all(excitation_kinds(dets))
     assert_matches_oracle(dets, s)
+
+
+@pytest.mark.parametrize("name,blocks", [
+    ("h2_0.50", 1), ("h2_0.74", 1), ("h2_1.50", 1), ("h2_2.50", 1), ("h4_chain", 2),
+    ("h8", 2), ("h12", 2), ("lih", 4), ("random", 1), ("blocked", 4),
+])
+def test_coupling_blocks_join_every_pair_of_orbital_pairs_an_integral_couples(name, blocks):
+    """Point-group symmetry parts the off-diagonal orbital pairs into the
+    blocks of its irrep products (g and u for the chains, four for LiH and the
+    Z2 x Z2 random set); dense random integrals leave one."""
+    if name in ("h8", "h12"):
+        s = parse_fcidump((BENCH_INPUTS / f"{name}.fcidump").read_text())
+    elif name == "random":
+        s = random_integral_set(7, 3, 3, seed=9)
+    elif name == "blocked":
+        s = blocked_integral_set(10, 3, 3, seed=110)
+    else:
+        s = load_fixture(name)
+    block, n = _coupling_blocks(s.eri), s.n_orb
+    assert block.shape == (n * n,)
+    assert len(np.unique(block[~np.eye(n, dtype=bool).ravel()])) == blocks
+    p, q, r, t = np.nonzero(s.eri)
+    assert np.array_equal(block[p * n + q], block[r * n + t])
 
 
 def test_project_matches_slater_condon_without_beta_electrons():
@@ -357,14 +385,15 @@ def prefix_cases(rng):
     ]
 
 
-@pytest.mark.parametrize("name", ["lih", "random"])
+@pytest.mark.parametrize("name", ["lih", "random", "blocked"])
 def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
     """A known matrix, a principal block at ascending rows of an earlier
     subspace, extended by the rows appended after it, is bitwise the matrix
     a cold project builds; so is a tensor reconstruction that extends it.
     That holds whichever generator built the known matrix and whichever
     extends it."""
-    s = load_fixture("lih") if name == "lih" else random_integral_set(8, 3, 4, seed=41, e_core=0.2)
+    s = load_fixture("lih") if name == "lih" else {"random": random_integral_set,
+        "blocked": blocked_integral_set}[name](8, 3, 4, seed=41, e_core=0.2)
     dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
     rng = np.random.default_rng(41)
     order = rng.permutation(len(dets))
