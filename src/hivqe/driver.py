@@ -34,7 +34,8 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .determinants import Sector, _occupations, hartree_fock_det, slater_condon
-from .eigensolver import CIVector, ground_state, principal_block, project, single_excitation_pairs
+from .eigensolver import (CIVector, WalkState, ground_state, principal_block, project,
+                          single_excitation_pairs)
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
 from .sampler import brick_wall_ansatz, mean_occupations, prepare_state, sample
@@ -218,7 +219,9 @@ def run_hivqe(
     opt = make_optimizer(np.zeros(ansatz.n_params), _stream(cfg.seed, 3))
     history = EnergyHistory()
     carried, amplitudes = Subspace([], sector), np.zeros(0)  # amplitudes over carried
-    known: Optional[tuple] = None  # (subspace, matrix) of carried's first rows
+    # carried's first rows, their matrix (none before the first iteration) and
+    # the link walk's string state, which every walked project grows
+    known = (carried, None, WalkState(s))
     best: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
     best_energy_seen = math.inf
@@ -275,7 +278,7 @@ def run_hivqe(
             except ValueError as exc:
                 raise RunError(f"{exc}; lower k or disable it", trace) from None
             if tensored is not sub:
-                sub, h = tensored, project(tensored, s, (sub, h))
+                sub, h = tensored, project(tensored, s, (sub, h, known[2]))
                 guess = np.pad(guess, (0, len(sub) - len(guess)))
         try:
             psi = ground_state(h, "tight", guess)
@@ -320,7 +323,7 @@ def run_hivqe(
             break
 
         rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
-        known = principal_block(sub, h, rows)
+        known = (*principal_block(sub, h, rows), known[2])
         del h  # a copied block is not held through the next project
         carried, amplitudes = known[0], psi.amplitudes[rows]
         for _ in range(cfg.expansion_repeats):

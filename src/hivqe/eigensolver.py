@@ -7,15 +7,20 @@ many row pairs the call builds. Below PAIRWISE_CUTOFF pairs, as in a
 sampled set, the strings of each pair of rows are XORed and the popcounts
 class the pair as a single or double in one spin channel or a single in
 each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
-uint64 strings becomes a pair of indices into the distinct alpha and beta
-strings, the strings of each spin channel one or two electrons apart are
-linked, and partners are found by StringRanks.row (Knowles & Handy, CPL
-111, 315, 1984), in three batches: alpha excitations with the beta string
-unchanged, beta excitations with the alpha string unchanged, and one single
-excitation in each channel, the last once per coupling block (connected
-orbital pairs, joined wherever (pq|rs) != 0). No pair is looked up whose
-single, double or (h_a p_a|h_b p_b) is exactly zero, so every stored bit
-stays as it was. A link holds only the two strings it joins.
+uint64 strings becomes a pair of indices into each spin channel's strings,
+the strings one or two electrons apart are linked, and partners are found
+by a RowIndex (Knowles & Handy, CPL 111, 315, 1984), in three batches:
+alpha excitations with the beta string unchanged, beta excitations with the
+alpha string unchanged, and one single excitation in each channel, the last
+once per coupling block (connected orbital pairs, joined wherever
+(pq|rs) != 0). No pair is looked up whose single, double or
+(h_a p_a|h_b p_b) is exactly zero, so every stored bit stays as it was.
+The links, with the values they carry and their groupings, make up a
+WalkState of one IntegralSet, which the loop carries beside its known
+block: an extension whose strings it holds walks it as it is, and new
+strings are linked only to what they meet (fast SHCI keeps its helper
+lists across builds alike). The state never drops a string; a walked call
+handed none builds its own from nothing.
 Every element formula lives in determinants: compared pairs are valued by
 _pair_elements, and the walk evaluates its links with the same helpers,
 reading a pair from its source row as _pair_elements does, so both
@@ -44,7 +49,7 @@ vector once the basis is full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,11 +58,12 @@ import scipy.sparse
 from .determinants import (_BIT, _double_element, _moves, _occupations, _pair_elements,
                            _set_orbitals, _single_terms, _single_value)
 from .integrals import IntegralSet
-from .subspace import StringRanks, Subspace
+from .subspace import RowIndex, StringRanks, Subspace
 
 __all__ = [
     "CIVector",
     "EigensolverError",
+    "WalkState",
     "project",
     "single_excitation_pairs",
     "ground_state",
@@ -96,18 +102,28 @@ class CIVector:
 _CHUNK = 1 << 15
 
 
-def _pairs_in_groups(keys: np.ndarray):
-    """Every pair (a, b) of distinct positions of keys with keys[a] == keys[b], once."""
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
+def _kept(keep: np.ndarray, *arrays):
+    """arrays where keep is true; the arrays themselves when it is true throughout."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
+def _pairs_in_groups(keys: np.ndarray, new: np.ndarray):
+    """Every pair (a, b) of distinct positions of keys with keys[a] == keys[b]
+    and new[a] or new[b], once."""
+    order = np.lexsort((new, keys))  # each group's old positions first
+    k, old = keys[order], ~new[order]
     n = len(k)
     if n == 0:
         return order, order
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    later = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    sizes = np.diff(np.concatenate((starts, [n])))
+    old_before = np.concatenate(([0], np.cumsum(old)))
+    first_new = starts + old_before[starts + sizes] - old_before[starts]
+    # a position pairs with the later ones of its group, an old one only with new ones
+    begin = np.maximum(np.arange(1, n + 1), np.repeat(first_new, sizes))
+    later = np.repeat(starts + sizes, sizes) - begin
     a = np.repeat(np.arange(n), later)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    b = np.repeat(begin, later) + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
     return order[a], order[b]
 
 
@@ -130,26 +146,34 @@ def _expand(counts: np.ndarray):
         lo = hi
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for keys below bound, sorted as the
+    smallest unsigned type that holds them: numpy radix-sorts 16-bit keys."""
+    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
+
+
 @dataclass(frozen=True)
 class _Links:
     """Pairs of strings one or two electrons apart, grouped by source string.
 
     Links of source k are rows start[k]:start[k+1], each carrying string
-    src into string dst; _moves describes the move.
+    src into string dst; values holds, by name, one entry per link.
     """
 
     start: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    values: dict
 
     def __post_init__(self):
-        for array in vars(self).values():
-            array.flags.writeable = False  # shared through the cache
+        for array in (self.start, self.src, self.dst, *self.values.values()):
+            array.flags.writeable = False  # carried from call to call
 
     @classmethod
-    def grouped(cls, n_strings, src, dst):
-        order = np.argsort(src, kind="stable")
-        return cls(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order])
+    def grouped(cls, n_strings, src, dst, **values):
+        order = _stable_order(src, n_strings)
+        return cls(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order],
+                   {name: v[order] for name, v in values.items()})
 
     def grouping(self, into: bool):
         """(start, order, far): links order[start[k]:start[k+1]] leave string k
@@ -162,41 +186,47 @@ class _Links:
     @cached_property
     def _by_dst(self):
         """grouping(into=True), sorted once per table."""
-        order = np.argsort(self.dst, kind="stable")
+        order = _stable_order(self.dst, len(self.start))
         start = np.searchsorted(self.dst[order], np.arange(len(self.start)))
         order.flags.writeable = start.flags.writeable = False
         return start, order, self.src
 
-    def where(self, keep: np.ndarray) -> "_Links":
-        """Only the links where keep is true, in the same order."""
-        before = np.r_[0, np.cumsum(keep)]  # kept links ahead of each link
-        return _Links(before[self.start], self.src[keep], self.dst[keep])
+
+def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Links:
+    """links (None for none yet) and the given ones, grouped over n_strings strings."""
+    if links is None:
+        return _Links.grouped(n_strings, src, dst, **values)
+    return _Links.grouped(n_strings, np.concatenate((links.src, src)), np.concatenate((links.dst, dst)),
+                          **{k: np.concatenate((v, values[k])) for k, v in links.values.items()})
 
 
-@lru_cache(maxsize=4)
-def _string_links(packed: bytes):
-    """(singles, upward singles, doubles) among the distinct sorted uint64 strings in packed.
+def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
+    """(lo, hi): each pair of the distinct strings degree (1 or 2) electrons
+    apart, at least one of them at or after position n_old, once, as
+    positions with strings[lo] < strings[hi].
 
-    Singles hold both directions of each pair; doubles only the upward one.
     Two strings one electron apart share exactly one string with one
     electron removed, and two strings two electrons apart share exactly one
     with two removed, so grouping those reduced strings finds each pair
     without comparing all string pairs.
     """
-    strings = np.frombuffer(packed, dtype=np.uint64)
-    n_s, n_e = len(strings), int(np.bitwise_count(strings[0]))
+    n_e = int(np.bitwise_count(strings[0]))
     bits = _BIT[_set_orbitals(strings, n_e)]  # each string's electrons
-
-    ea, eb = _pairs_in_groups((strings[:, None] ^ bits).ravel())
-    singles = _Links.grouped(n_s, np.r_[ea, eb] // n_e, np.r_[eb, ea] // n_e)
-
-    i1, i2 = np.triu_indices(n_e, 1)
-    ea, eb = _pairs_in_groups((strings[:, None] ^ bits[:, i1] ^ bits[:, i2]).ravel())
-    # Entries are row-major over sorted strings: the lower entry has the lower string.
-    src, dst = np.minimum(ea, eb) // len(i1), np.maximum(ea, eb) // len(i1)
-    keep = np.bitwise_count(strings[src] ^ strings[dst]) == 4
-    doubles = _Links.grouped(n_s, src[keep], dst[keep])
-    return singles, singles.where(singles.dst > singles.src), doubles
+    if degree == 2:
+        i1, i2 = np.triu_indices(n_e, 1)
+        bits = bits[:, i1] ^ bits[:, i2]
+    width = bits.shape[1]
+    keys = (strings[:, None] ^ bits).ravel()  # width reduced strings per string
+    split = n_old * width
+    fresh = np.sort(keys[split:])
+    at = np.searchsorted(fresh, keys[:split]).clip(max=len(fresh) - 1)
+    # a held reduced string pairs only if a new string shares it
+    pos = np.concatenate((np.flatnonzero(fresh[at] == keys[:split]), np.arange(split, len(keys))))
+    a, b = (pos[e] // max(width, 1) for e in _pairs_in_groups(keys[pos], pos >= split))
+    if degree == 2:  # strings one electron apart share several reduced strings
+        a, b = _kept(np.bitwise_count(strings[a] ^ strings[b]) == 4, a, b)
+    up = strings[a] < strings[b]
+    return np.where(up, a, b), np.where(up, b, a)
 
 
 def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
@@ -218,27 +248,106 @@ def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
     return block
 
 
+class _Channel:
+    """One spin channel's strings, in first-seen order, and the links the walk
+    reads among them, each with the values it carries.
+
+    singles holds the upward singles whose element can be nonzero, with
+    their _single_terms (base, coulomb); doubles the upward doubles with
+    their nonzero values; across, by coupling block, the singles the walk
+    pairs with one in the other channel, with their phase and orbital pair
+    (upward only for alpha, both directions for beta).
+    """
+
+    def __init__(self, n_orb: int, both_ways: bool):
+        self.strings = np.zeros(0, dtype=np.uint64)
+        self.occ = np.zeros((0, n_orb))
+        self.singles = self.doubles = None
+        self.across = {}
+        self.both_ways = both_ways
+        self._sorter = self._sorted = self.strings
+
+    def index(self, wanted: np.ndarray, s: IntegralSet, block: np.ndarray) -> np.ndarray:
+        """Position of each of the sorted distinct strings wanted, adding those not held."""
+        fresh = np.setdiff1d(wanted, self._sorted, assume_unique=True)
+        if len(fresh):
+            self.add(fresh, s, block)
+        return self._sorter[np.searchsorted(self._sorted, wanted)]
+
+    def add(self, fresh: np.ndarray, s: IntegralSet, block: np.ndarray) -> None:
+        """Hold the sorted strings fresh too, linking only the pairs that involve one."""
+        n_old, n = len(self.strings), len(self.strings) + len(fresh)
+        strings = self.strings = np.concatenate((self.strings, fresh))
+        occ = self.occ = np.concatenate((self.occ, _occupations(fresh, s.n_orb)))
+        self._sorter = np.argsort(strings)
+        self._sorted = strings[self._sorter]
+
+        lo, hi = _string_pairs(strings, n_old, 1)
+        holes, particles, phase = _moves(strings[lo], strings[hi], 1)
+        holes, particles = holes[:, 0], particles[:, 0]
+        base, coulomb = _single_terms(holes, particles, phase, occ[lo], s)
+        # no pair is looked up for a vanishing single
+        src, dst, base, coulomb = _kept((base != 0.0) | coulomb.any(axis=1), lo, hi, base, coulomb)
+        self.singles = _grown(self.singles, n, src, dst, base=base, coulomb=coulomb)
+        pair = holes * s.n_orb + particles
+        if self.both_ways:
+            back_holes, back_particles, back_phase = _moves(strings[hi], strings[lo], 1)
+            lo, hi = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+            pair = np.concatenate((pair, back_holes[:, 0] * s.n_orb + back_particles[:, 0]))
+            phase = np.concatenate((phase, back_phase))
+        label = block[pair]
+        for b in set(self.across) | set(np.unique(label).tolist()):
+            src, dst, phase_b, pair_b = _kept(label == b, lo, hi, phase, pair)
+            self.across[b] = _grown(self.across.get(b), n, src, dst, phase=phase_b, pair=pair_b)
+
+        lo, hi = _string_pairs(strings, n_old, 2)
+        holes, particles, phase = _moves(strings[lo], strings[hi], 2)
+        value = _double_element(holes.T, particles.T, phase, s)
+        # no pair is looked up for a vanishing element
+        src, dst, value = _kept(value != 0.0, lo, hi, value)
+        self.doubles = _grown(self.doubles, n, src, dst, value=value)
+
+
+class WalkState:
+    """What the link walk reads besides the rows, for one IntegralSet: each
+    spin channel's strings, their occupations and the links among them
+    (_Channel), and the coupling block of each orbital pair.
+
+    project grows it in place as it walks: a string it holds is never linked
+    again, and a new one is linked only to the strings it meets one or two
+    electrons away. It holds every string walked since it was made, so it
+    serves any later subspace of its IntegralSet.
+    """
+
+    def __init__(self, s: IntegralSet):
+        self.s = s
+        self.alpha, self.beta = _Channel(s.n_orb, both_ways=False), _Channel(s.n_orb, both_ways=True)
+        self._block = None
+
+    def index(self, sub: Subspace, n_old: int) -> "_StringIndex":
+        """sub's rows as positions among the held strings, holding sub's strings first."""
+        if self._block is None:
+            self._block = _coupling_blocks(self.s.eri)
+        r = sub.ranks
+        ia = self.alpha.index(r.alpha, self.s, self._block)[r.ia]
+        ib = self.beta.index(r.beta, self.s, self._block)[r.ib]
+        rows = RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings))
+        return _StringIndex(ia, ib, rows.row, n_old)
+
+
 class _StringIndex:
-    """A subspace's rows as (alpha string, beta string) index pairs.
+    """Rows as (alpha string, beta string) index pairs ia, ib; find(ia, ib)
+    is the row of an index pair, -1 where absent.
 
     The pair walks yield each pair that touches a row at or after n_old, once:
     upward links from those rows to any row, then upward links from the first
     n_old rows into them.
     """
 
-    def __init__(self, sub: Subspace, n_old: int = 0):
-        r = sub.ranks
-        self.ia, self.ib, self.find = r.ia, r.ib, r.row
-        self.n_old, self.new = n_old, np.arange(n_old, len(sub))
+    def __init__(self, ia: np.ndarray, ib: np.ndarray, find, n_old: int = 0):
+        self.ia, self.ib, self.find = ia, ib, find
+        self.n_old, self.new = n_old, np.arange(n_old, len(ia))
         self.directions = (False, True) if n_old else (False,)
-        self.strings = {"alpha": r.alpha, "beta": r.beta}
-        # (singles, upward singles, doubles) per channel
-        self.links = {c: _string_links(strings.tobytes()) for c, strings in self.strings.items()}
-
-    def moves(self, channel: str, links: _Links, degree: int):
-        """_moves of each of one channel's links of degree 1 or 2."""
-        strings = self.strings[channel]
-        return _moves(strings[links.src], strings[links.dst], degree)
 
     def same_spin(self, channel: str, links: _Links):
         """Yield (i, j, link) for pairs differing by one of the links in one channel only."""
@@ -252,8 +361,7 @@ class _StringIndex:
                     link = order[link]
                 pair = (far[link], iy[i]) if channel == "alpha" else (iy[i], far[link])
                 j = self.find(*pair)
-                hit = (j >= 0) & (j < self.n_old) if into else j >= 0
-                yield i[hit], j[hit], link[hit]
+                yield _kept((j >= 0) & (j < self.n_old) if into else j >= 0, i, j, link)
 
     def mixed(self, alpha: _Links, beta: _Links):
         """Yield (i, j, alpha link, beta link) for pairs one single apart in each
@@ -269,8 +377,7 @@ class _StringIndex:
                 if into:
                     la, lb = a_order[la], b_order[lb]
                 j = self.find(a_far[la], b_far[lb])
-                hit = (j >= 0) & (j < self.n_old) if into else j >= 0
-                yield i[hit], j[hit], la[hit], lb[hit]
+                yield _kept((j >= 0) & (j < self.n_old) if into else j >= 0, i, j, la, lb)
 
 
 def single_excitation_pairs(sub: Subspace):
@@ -280,13 +387,16 @@ def single_excitation_pairs(sub: Subspace):
     electron moved from orbital hole to orbital particle in one spin
     channel, with fermionic sign phase.
     """
-    index = _StringIndex(sub)
+    r = sub.ranks
+    index = _StringIndex(r.ia, r.ib, r.row)
     out = []
-    for channel in ("alpha", "beta"):
-        up = index.links[channel][1]
-        holes, particles, phase = index.moves(channel, up, 1)
+    for channel, strings in (("alpha", r.alpha), ("beta", r.beta)):
+        lo, hi = _string_pairs(strings, 0, 1)
+        holes, particles, phase = _moves(strings[lo], strings[hi], 1)
+        up = _Links.grouped(len(strings), lo, hi, hole=holes[:, 0], particle=particles[:, 0],
+                            phase=phase)
         for i, j, link in index.same_spin(channel, up):
-            out.append((i, j, holes[link, 0], particles[link, 0], phase[link]))
+            out.append((i, j, *(up.values[name][link] for name in ("hole", "particle", "phase"))))
     if not out:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, empty, empty, np.zeros(0)
@@ -309,40 +419,29 @@ def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralS
     return diag
 
 
-def _walked(sub: Subspace, n_old: int, occ: dict, s: IntegralSet):
+def _walked(sub: Subspace, n_old: int, walk: WalkState):
     """Yield (i, j, value) batches for the pairs of rows at most two electrons
     apart that touch a row at or after n_old, along the string links."""
-    index = _StringIndex(sub, n_old)
-    up_moves = {}
-    for channel, other in (("alpha", "beta"), ("beta", "alpha")):
-        _, up, doubles = index.links[channel]
-        holes, particles, phase = up_moves[channel] = index.moves(channel, up, 1)
-        base, coulomb = _single_terms(holes[:, 0], particles[:, 0], phase, occ[channel][up.src], s)
-        live = (base != 0.0) | coulomb.any(axis=1)  # no pair is looked up for a vanishing single
-        base, coulomb = base[live], coulomb[live]
-        iy = index.ib if channel == "alpha" else index.ia
-        for i, j, link in index.same_spin(channel, up.where(live)):
-            yield i, j, _single_value(base[link], coulomb[link], occ[other][iy[i]])
-        holes, particles, phase = index.moves(channel, doubles, 2)
-        value = _double_element(holes.T, particles.T, phase, s)
-        nonzero = value != 0.0  # no pair is looked up for a vanishing element
-        value = value[nonzero]
-        for i, j, link in index.same_spin(channel, doubles.where(nonzero)):
+    index = walk.index(sub, n_old)
+    for channel, own, other, iy in (("alpha", walk.alpha, walk.beta, index.ib),
+                                    ("beta", walk.beta, walk.alpha, index.ia)):
+        base, coulomb = own.singles.values["base"], own.singles.values["coulomb"]
+        for i, j, link in index.same_spin(channel, own.singles):
+            yield i, j, _single_value(base[link], coulomb[link], other.occ[iy[i]])
+        value = own.doubles.values["value"]
+        for i, j, link in index.same_spin(channel, own.doubles):
             yield i, j, value[link]
 
     # (h_a p_a|h_b p_b) is eri[pair_a, pair_b]; it vanishes unless both moves'
     # orbital pairs lie in one coupling block, so the walk runs block by block
-    ha, pa, phase_a = up_moves["alpha"]
-    up_a, singles_b = index.links["alpha"][1], index.links["beta"][0]
-    hb, pb, phase_b = index.moves("beta", singles_b, 1)
-    pair_a, pair_b = ha[:, 0] * s.n_orb + pa[:, 0], hb[:, 0] * s.n_orb + pb[:, 0]
-    block, eri = _coupling_blocks(s.eri), s.eri.reshape(s.n_orb ** 2, -1)
-    for b in np.unique(block[pair_a]):
-        ka, kb = block[pair_a] == b, block[pair_b] == b
-        whole_a, whole_b = np.flatnonzero(ka), np.flatnonzero(kb)  # links in the whole tables
-        for i, j, la, lb in index.mixed(up_a.where(ka), singles_b.where(kb)):
-            la, lb = whole_a[la], whole_b[lb]
-            yield i, j, phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
+    eri = walk.s.eri.reshape(walk.s.n_orb ** 2, -1)
+    for b, up_a in walk.alpha.across.items():
+        if b in walk.beta.across:
+            singles_b = walk.beta.across[b]
+            (phase_a, pair_a), (phase_b, pair_b) = ((t.values["phase"], t.values["pair"])
+                                                    for t in (up_a, singles_b))
+            for i, j, la, lb in index.mixed(up_a, singles_b):
+                yield i, j, phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
 
 
 def _compared(sub: Subspace, n_old: int, s: IntegralSet):
@@ -379,8 +478,14 @@ def project(sub: Subspace, s: IntegralSet,
     the matrix is bitwise a cold one. The diagonal is always recomputed: its
     last bits depend on which strings sub holds. Fewer than PAIRWISE_CUTOFF
     row pairs to build are compared string by string, more are walked along
-    the string links; both give the same bits.
+    the string links; both give the same bits. A walk reads and grows the
+    WalkState that known may carry as a third entry (the matrix may then be
+    None if the Subspace is empty), and builds its own otherwise; a state
+    made for another IntegralSet is refused with EigensolverError.
     """
+    walk = known[2] if known is not None and len(known) > 2 else None
+    if walk is not None and walk.s is not s:
+        raise EigensolverError("the known block was assembled from another IntegralSet")
     n = len(sub)
     if n == 0:
         raise EigensolverError("cannot project onto an empty subspace")
@@ -389,19 +494,18 @@ def project(sub: Subspace, s: IntegralSet,
                       and np.array_equal(known[0].beta, sub.beta[:n_old])):
         raise EigensolverError("the known rows are not the first rows of the subspace")
     r = sub.ranks
-    occ = {"alpha": _occupations(r.alpha, s.n_orb), "beta": _occupations(r.beta, s.n_orb)}
-    diag = _diagonal(r, occ["alpha"], occ["beta"], s) + s.e_core
+    diag = _diagonal(r, _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb), s) + s.e_core
     new = np.arange(n_old, n, dtype=np.int32)
     rows, cols, vals = [new - n_old], [new], [diag[n_old:]]  # rows count from the first new row
     if (n - n_old) * (n + n_old - 1) // 2 < PAIRWISE_CUTOFF:
         pairs = _compared(sub, n_old, s)
     else:
-        pairs = _walked(sub, n_old, occ, s)
+        pairs = _walked(sub, n_old, walk or WalkState(s))
     for i, j, v in pairs:
-        keep = v != 0.0
-        rows.append((np.maximum(i, j)[keep] - n_old).astype(np.int32))
-        cols.append(np.minimum(i, j)[keep].astype(np.int32))
-        vals.append(v[keep])
+        i, j, v = _kept(v != 0.0, i, j, v)
+        rows.append((np.maximum(i, j) - n_old).astype(np.int32))
+        cols.append(np.minimum(i, j).astype(np.int32))
+        vals.append(v)
 
     added = scipy.sparse.csr_matrix((_joined(vals), (_joined(rows), _joined(cols))),
                                     shape=(n - n_old, n))

@@ -163,19 +163,19 @@ def _product(alpha: np.ndarray, beta: np.ndarray, sector: Sector) -> Subspace:
     return Subspace._of(np.repeat(alpha, len(beta)), np.tile(beta, len(alpha)), sector, ())
 
 
-class StringRanks:
-    """Rows as indices ia, ib into each channel's sorted distinct strings alpha, beta.
+class RowIndex:
+    """Row of each (alpha index, beta index) pair of n_alpha x n_beta, from the
+    rows' index pairs ia, ib.
 
-    row() reads a len(alpha)*len(beta) table of rows (-1 where absent) while
-    that is at most TABLE_FILL entries per row, as in any full sector, and
-    beyond that searches the sorted pair keys."""
+    row() reads an n_alpha*n_beta table of rows (-1 where absent) while that
+    is at most TABLE_FILL entries per row, as in any full sector, and beyond
+    that searches the sorted pair keys."""
 
     TABLE_FILL = 64
 
-    def __init__(self, alpha: np.ndarray, beta: np.ndarray):
-        self.alpha, self.ia = np.unique(alpha, return_inverse=True)
-        self.beta, self.ib = np.unique(beta, return_inverse=True)
-        keys, size = self.ia * len(self.beta) + self.ib, len(self.alpha) * len(self.beta)
+    def __init__(self, ia: np.ndarray, ib: np.ndarray, n_alpha: int, n_beta: int):
+        self._n_beta = n_beta
+        keys, size = ia * n_beta + ib, n_alpha * n_beta
         if size <= self.TABLE_FILL * len(keys):
             self._table = np.full(size, -1, dtype=np.int32)
             self._table[keys] = np.arange(len(keys))
@@ -185,11 +185,20 @@ class StringRanks:
 
     def row(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row of each index pair (ia[i], ib[i]), -1 where absent."""
-        want = ia * len(self.beta) + ib
+        want = ia * self._n_beta + ib
         if self._table is not None:
             return self._table[want]
         pos = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
         return np.where(self._sorted[pos] == want, self._order[pos], -1)
+
+
+class StringRanks(RowIndex):
+    """Rows as indices ia, ib into each channel's sorted distinct strings alpha, beta."""
+
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray):
+        self.alpha, self.ia = np.unique(alpha, return_inverse=True)
+        self.beta, self.ib = np.unique(beta, return_inverse=True)
+        super().__init__(self.ia, self.ib, len(self.alpha), len(self.beta))
 
 
 def _strings(dets) -> tuple:

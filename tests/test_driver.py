@@ -17,8 +17,9 @@ from hivqe.driver import (
     dipole_moment,
     run_hivqe,
 )
-from hivqe.eigensolver import CIVector, EigensolverError, ground_state, project
-from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file
+import hivqe.eigensolver
+from hivqe.eigensolver import CIVector, EigensolverError, _Channel, ground_state, project
+from hivqe.integrals import DipoleIntegrals, IntegralSet, parse_dipole_file, parse_fcidump
 from hivqe.optimizer import make_optimizer, propose
 from hivqe.oracle import fci_ground
 from hivqe.sampler import (
@@ -339,6 +340,55 @@ def test_extending_known_matrices_changes_no_result(monkeypatch, extra):
     assert repr(warm.result_dict()) == repr(cold.result_dict())
     assert warm.dets == cold.dets
     assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
+
+
+H8 = FIXTURES.parent.parent / "bench" / "inputs" / "h8.fcidump"  # read only
+
+
+@pytest.mark.parametrize("name,cfg", [
+    ("lih", RunConfig(seed=0, k=40, m=10, max_iterations=10)),
+    ("h8", RunConfig(seed=0, k=500, m=100, max_iterations=12)),
+])
+def test_a_walked_loop_carries_one_string_state(monkeypatch, name, cfg):
+    """With every project walking the links and the cap below the union, each
+    matrix run_hivqe assembles from a known block is bitwise a cold project
+    of the same subspace; every such call reads one carried walk state, which
+    grows in a spin channel exactly when the subspace brings a string the
+    state does not hold."""
+    s = load_fixture("lih") if name == "lih" else parse_fcidump(H8.read_text())
+    monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", 0)
+    added = []
+    add = _Channel.add
+
+    def counted_add(channel, *args):
+        added.append(channel)
+        return add(channel, *args)
+
+    monkeypatch.setattr(_Channel, "add", counted_add)
+    states, calls = set(), []
+
+    def checked(sub, s, known=None):
+        if known is None:  # a sampled set: nothing is carried
+            return project(sub, s)
+        walk = known[2]
+        states.add(id(walk))
+        new = [not set(strings.tolist()) <= set(c.strings.tolist())
+               for strings, c in ((sub.alpha, walk.alpha), (sub.beta, walk.beta))]
+        before = len(added)
+        h = project(sub, s, known)
+        calls.append((len(known[0]), new, added[before:] == [c for c, n in
+                                                              zip((walk.alpha, walk.beta), new) if n]))
+        cold = project(sub, s)
+        assert all(np.array_equal(getattr(h, a), getattr(cold, a)) for a in ("indptr", "indices", "data"))
+        return h
+
+    monkeypatch.setattr("hivqe.driver.project", checked)
+    res = run_hivqe(cfg, s)
+    assert len(states) == 1 and len(calls) == res.iterations
+    assert all(once for _, _, once in calls)
+    assert any(r.n_dets_union > cfg.k for r in res.trace)  # the cap dropped rows
+    extensions = [new for n_old, new, _ in calls if n_old]
+    assert any(any(new) for new in extensions) and any(not any(new) for new in extensions)
 
 
 def test_tensor_reconstruction_cap_guard():

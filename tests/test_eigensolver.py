@@ -13,14 +13,15 @@ import scipy.linalg
 import scipy.sparse
 
 import hivqe.eigensolver
-from hivqe.determinants import Determinant, Sector, _channel_excitation, slater_condon
+from hivqe.determinants import Determinant, Sector, _channel_excitation, _occupations, slater_condon
 from hivqe.eigensolver import (
     DENSE_CUTOFF,
     CIVector,
     EigensolverError,
+    WalkState,
+    _Channel,
     _coupling_blocks,
     _moves,
-    _string_links,
     ground_state,
     principal_block,
     project,
@@ -250,29 +251,69 @@ def link_strings(name):
     return sorted(sum(1 << p for p in c) for c in itertools.combinations(TOP_ACTIVE, 3))
 
 
+def link_integrals(name, strings):
+    """Integrals under which no link among the strings of one case vanishes:
+    random over the orbitals the strings use, one coupling block among them."""
+    n_e = int(np.bitwise_count(strings[0]))
+    if name != "orbital_63":
+        return random_integral_set(int(strings.max()).bit_length() or 1, n_e, n_e, seed=46)
+    rng = np.random.default_rng(46)
+    one = {(p, q): rng.normal() for p in TOP_ACTIVE for q in TOP_ACTIVE if q <= p}
+    two = {(p, q, r, t): rng.normal() for p in TOP_ACTIVE for q in TOP_ACTIVE
+           for r in TOP_ACTIVE for t in TOP_ACTIVE if q <= p and t <= r and (r, t) <= (p, q)}
+    return IntegralSet.from_terms(64, n_e, n_e, 0.0, one, two)
+
+
 @pytest.mark.parametrize("name", ["h8_channel", "random_10", "random_11", "random_12",
                                   "one_electron", "no_electron", "orbital_63"])
 def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
-    """Singles link each ordered pair of strings two bits apart once, upward
-    singles and doubles each unordered pair two and four bits apart once,
-    from the lower string; _moves over every link is the oracle's move."""
+    """A channel's state, built from nothing and then grown by two batches of
+    new strings in first-seen order, links each pair of its strings once:
+    upward singles and doubles each unordered pair two and four bits apart,
+    from the lower string; the singles the mixed walk reads each ordered pair
+    (beta) or each unordered one upward (alpha). Every table is grouped by
+    source, and _moves over every link is the oracle's move."""
     strings = np.array(link_strings(name), dtype=np.uint64)
+    s = link_integrals(name, strings)
+    block = _coupling_blocks(s.eri)
+    batches = [np.sort(b) for b in np.array_split(np.random.default_rng(47).permutation(strings), 3)]
+    seen = np.concatenate(batches)  # each batch's new strings are held after the earlier ones
+    alpha, beta = _Channel(s.n_orb, both_ways=False), _Channel(s.n_orb, both_ways=True)
+    for channel in (alpha, beta):
+        for k, batch in enumerate(batches):
+            wanted = np.unique(np.r_[batch, batches[0][:2]]) if k else batch  # some held already
+            positions = channel.index(wanted, s, block)
+            assert channel.strings[positions].tolist() == wanted.tolist()
+            assert channel.strings.tolist() == seen[:len(channel.strings)].tolist()
+        assert channel.strings.tolist() == seen.tolist()
+        assert np.array_equal(channel.occ, _occupations(seen, s.n_orb))
     distance = np.bitwise_count(strings[:, None] ^ strings)
-    singles, up, doubles = _string_links(strings.tobytes())
-    for links, bits, upward in ((singles, 2, False), (up, 2, True), (doubles, 4, True)):
-        src, dst = links.src.tolist(), links.dst.tolist()
-        pairs = set(zip(src, dst))
-        assert len(pairs) == len(src)
-        assert pairs == {(a, b) for a, b in np.argwhere(distance == bits).tolist()
-                         if a < b or not upward}
-        assert src == sorted(src)
-        assert np.array_equal(links.start, np.searchsorted(src, np.arange(len(strings) + 1)))
-        holes, particles, phase = _moves(strings[links.src], strings[links.dst], bits // 2)
-        for k, (a, b) in enumerate(zip(src, dst)):
-            move = _channel_excitation(int(strings[a]), int(strings[b]))
-            assert (holes[k].tolist(), particles[k].tolist(), phase[k]) == move
-    assert len(singles.src) > 0 or name == "no_electron"
-    assert len(doubles.src) > 0 or name in ("no_electron", "one_electron")
+    one_apart, two_apart = ({(int(strings[a]), int(strings[b])) for a, b in np.argwhere(distance == bits)}
+                            for bits in (2, 4))
+    upward = {(a, b) for a, b in one_apart if a < b}
+    tables = [(c, c.singles, 1) for c in (alpha, beta)] + [(c, c.doubles, 2) for c in (alpha, beta)]
+    tables += [(c, links, 1) for c in (alpha, beta) for links in c.across.values()]
+    for channel, want in ((alpha, upward), (beta, one_apart)):
+        assert len(channel.across) == (1 if want else 0)  # the strings' moves share one block
+        pairs = [pair for links in channel.across.values()
+                 for pair in zip(channel.strings[links.src].tolist(), channel.strings[links.dst].tolist())]
+        assert len(pairs) == len(set(pairs)) and set(pairs) == want
+    for channel, links, degree in tables:
+        src, dst = channel.strings[links.src], channel.strings[links.dst]
+        if links is channel.singles or links is channel.doubles:
+            pairs = list(zip(src.tolist(), dst.tolist()))
+            want = upward if degree == 1 else {(a, b) for a, b in two_apart if a < b}
+            assert len(pairs) == len(set(pairs)) and set(pairs) == want
+        assert links.src.tolist() == sorted(links.src.tolist())
+        assert np.array_equal(links.start, np.searchsorted(links.src, np.arange(len(strings) + 1)))
+        holes, particles, phase = _moves(src, dst, degree)
+        for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+            assert (holes[k].tolist(), particles[k].tolist(), phase[k]) == _channel_excitation(a, b)
+        if degree == 1 and links is not channel.singles:
+            assert np.array_equal(links.values["pair"], holes[:, 0] * s.n_orb + particles[:, 0])
+            assert np.array_equal(links.values["phase"], phase)
+    assert len(one_apart) > 0 or name == "no_electron"
+    assert len(two_apart) > 0 or name in ("no_electron", "one_electron")
 
 
 def rdm_case(name):
@@ -389,9 +430,10 @@ def prefix_cases(rng):
 def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
     """A known matrix, a principal block at ascending rows of an earlier
     subspace, extended by the rows appended after it, is bitwise the matrix
-    a cold project builds; so is a tensor reconstruction that extends it.
-    That holds whichever generator built the known matrix and whichever
-    extends it."""
+    a cold project builds; so is a tensor reconstruction that extends it, and
+    so is each link of a chain of two extensions that carries one walk state
+    while the cap drops a string and an extension brings it back. That holds
+    whichever generator built the known matrix and whichever extends it."""
     s = load_fixture("lih") if name == "lih" else {"random": random_integral_set,
         "blocked": blocked_integral_set}[name](8, 3, 4, seed=41, e_core=0.2)
     dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
@@ -423,11 +465,33 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
             assert same_storage(cold, extended)
             assert (cold.indptr.dtype, cold.indices.dtype) == (extended.indptr.dtype, extended.indices.dtype)
 
+    # A chain carrying one walk state: the cap drops every row of one alpha
+    # string, and the next extension brings that string back.
+    gone = int(earlier.alpha[0])
+    kept = np.flatnonzero(earlier.alpha != gone)
+    later = [dets[i] for i in order[120:]]
+    apart, returning = ([d for d in later if (d.alpha_mask == gone) == back][:15] for back in (False, True))
+    first = subspace_of([list(earlier)[i] for i in kept] + apart, s)
+    second = subspace_of(list(first) + returning, s)
+    assert gone not in first.alpha.tolist() and returning
+    for build, extend in itertools.product((WALK, PAIRWISE), repeat=2):
+        walk = WalkState(s)
+        with generator(build):
+            h = project(earlier, s, (subspace_of([], s), None, walk))
+        with generator(extend):
+            h_first = project(first, s, (*principal_block(earlier, h, kept), walk))
+            held = walk.alpha.strings.copy()
+            h_second = project(second, s, (first, h_first, walk))
+        assert same_storage(h_first, project(first, s))
+        assert same_storage(h_second, project(second, s))
+        if build == extend == WALK:  # the state still held the string: nothing was added
+            assert gone in held.tolist() and np.array_equal(walk.alpha.strings, held)
+
 
 def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
     """A sampled set of a few dozen rows, and its extension by a few more,
-    compares strings pairwise and never builds the string links; the same
-    calls walking the links do build them."""
+    compares strings pairwise and never builds the walk's string state, not
+    even the one it is handed; the same calls walking the links do build it."""
     s = load_fixture("lih")
     dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
     pick = [dets[i] for i in np.random.default_rng(43).permutation(len(dets))[:40]]
@@ -437,11 +501,31 @@ def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
     def refuse(*args):
         raise RuntimeError("a link table was built")
 
-    monkeypatch.setattr(hivqe.eigensolver, "_string_links", refuse)
-    assert same_storage(project(extended, s, (sampled, project(sampled, s))), cold)
+    monkeypatch.setattr(_Channel, "add", refuse)
+    walk = WalkState(s)
+    known = (sampled, project(sampled, s, (subspace_of([], s), None, walk)), walk)
+    assert same_storage(project(extended, s, known), cold)
+    assert len(walk.alpha.strings) == len(walk.beta.strings) == 0
     monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", WALK)
     with pytest.raises(RuntimeError, match="link table"):
         project(sampled, s)
+
+
+def test_project_refuses_a_known_block_from_another_integral_set():
+    """The walk state a known block carries records the IntegralSet it was
+    built for: project refuses the block, or a state alone, with another set,
+    whose elements it would otherwise copy or walk, under either generator."""
+    s, other = (random_integral_set(6, 2, 2, seed=seed) for seed in (42, 43))
+    dets = list(enumerate_sector(6, 2, 2))
+    sub, earlier, empty = subspace_of(dets[:40], s), subspace_of(dets[:20], s), subspace_of([], s)
+    for cutoff in (WALK, PAIRWISE):
+        with generator(cutoff):
+            walk = WalkState(s)
+            known = (earlier, project(earlier, s, (empty, None, walk)), walk)
+            for wrong in (known, (empty, None, walk)):
+                with pytest.raises(EigensolverError, match="another IntegralSet"):
+                    project(sub, other, wrong)
+            assert same_storage(project(sub, s, known), project(sub, s))
 
 
 def test_project_refuses_a_known_block_that_is_not_the_first_rows():
