@@ -32,10 +32,10 @@ from dataclasses import asdict, dataclass
 from typing import Optional, get_type_hints
 
 import numpy as np
+import scipy.sparse
 
-from .determinants import Sector, _occupations, hartree_fock_det, slater_condon
-from .eigensolver import (CIVector, WalkState, ground_state, principal_block, project,
-                          single_excitation_pairs)
+from .determinants import Sector, _moves, _occupations, hartree_fock_det, slater_condon
+from .eigensolver import CIVector, WalkState, _string_pairs, ground_state, principal_block, project
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
 from .sampler import brick_wall_ansatz, mean_occupations, prepare_state, sample
@@ -63,6 +63,7 @@ __all__ = [
 DEBYE_PER_AU = 2.541746
 LOOSE_CACHE = 4  # sampled sets whose loose energy a run keeps
 STALL_WINDOW = 10  # iterations without a lower energy before a run stops as stalled
+RDM_BATCH = 4096  # string pairs whose amplitude rows compute_1rdm multiplies at once
 
 
 class RunError(RuntimeError):
@@ -219,9 +220,8 @@ def run_hivqe(
     opt = make_optimizer(np.zeros(ansatz.n_params), _stream(cfg.seed, 3))
     history = EnergyHistory()
     carried, amplitudes = Subspace([], sector), np.zeros(0)  # amplitudes over carried
-    # carried's first rows, their matrix (none before the first iteration) and
-    # the link walk's string state, which every walked project grows
-    known = (carried, None, WalkState(s))
+    walk = WalkState(s)  # the link walk's string state, which every walked project grows
+    known = None  # carried's first rows and their matrix, from the second iteration on
     best: Optional[tuple] = None  # (eigenvector, its subspace)
     trace: list[IterationRecord] = []
     best_energy_seen = math.inf
@@ -267,7 +267,7 @@ def run_hivqe(
                 trace,
             )
         t1 = time.perf_counter()
-        sub, h = cum, project(cum, s, known)
+        sub, h = cum, project(cum, s, known, walk)
         guess = np.pad(amplitudes, (0, len(cum) - len(amplitudes)))
         if len(cum) > cfg.k:
             rows = np.sort(cap_screen(cum, ground_state(h, "loose").amplitudes, cfg.k))
@@ -278,7 +278,7 @@ def run_hivqe(
             except ValueError as exc:
                 raise RunError(f"{exc}; lower k or disable it", trace) from None
             if tensored is not sub:
-                sub, h = tensored, project(tensored, s, (sub, h, known[2]))
+                sub, h = tensored, project(tensored, s, (sub, h), walk)
                 guess = np.pad(guess, (0, len(sub) - len(guess)))
         try:
             psi = ground_state(h, "tight", guess)
@@ -323,7 +323,7 @@ def run_hivqe(
             break
 
         rows = amplitude_screen(sub, psi.amplitudes, cfg.threshold)
-        known = (*principal_block(sub, h, rows), known[2])
+        known = principal_block(sub, h, rows)
         del h  # a copied block is not held through the next project
         carried, amplitudes = known[0], psi.amplitudes[rows]
         for _ in range(cfg.expansion_repeats):
@@ -358,18 +358,31 @@ def run_hivqe(
 def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
     """Spin-summed one-particle density matrix gamma_pq = <a+_p a_q> (both spins).
 
-    Diagonal terms are occupation-weighted probabilities; off-diagonal terms
-    come from determinant pairs one excitation apart, with fermionic phases.
+    Diagonal terms are occupation-weighted probabilities. Off-diagonal terms
+    come from the pairs of distinct strings one electron apart in each spin
+    channel, contracted with the amplitudes over the other channel's strings
+    (Knowles & Handy, CPL 111, 315, 1984): with the amplitudes as a sparse
+    alpha-by-beta matrix C, an alpha pair (a, a') adds its fermionic phase
+    times the row overlap C[a] . C[a'] at (hole, particle) and (particle,
+    hole), and a beta pair the overlap of two columns. The rows of at most
+    RDM_BATCH pairs are multiplied at once.
     """
     if len(c.amplitudes) != len(sub):
         raise ValueError("amplitude vector does not match subspace length")
     n = sub.sector.n_orb
-    amps = c.amplitudes
+    amps, r = c.amplitudes, sub.ranks
     gamma = np.diag(amps**2 @ (_occupations(sub.alpha, n) + _occupations(sub.beta, n)))
-    i, j, hole, particle, phase = single_excitation_pairs(sub)
-    term = amps[i] * amps[j] * phase
-    np.add.at(gamma, (hole, particle), term)
-    np.add.at(gamma, (particle, hole), term)
+    by_alpha = scipy.sparse.csr_matrix((amps, (r.ia, r.ib)), shape=(len(r.alpha), len(r.beta)))
+    for strings, rows in ((r.alpha, by_alpha), (r.beta, by_alpha.T.tocsr())):
+        lo, hi = _string_pairs(strings, 0, 1)
+        overlap = np.empty(len(lo))
+        for k in range(0, len(lo), RDM_BATCH):
+            pick = slice(k, k + RDM_BATCH)
+            overlap[pick] = rows[lo[pick]].multiply(rows[hi[pick]]).sum(axis=1).A1
+        holes, particles, phase = _moves(strings[lo], strings[hi], 1)
+        term = phase * overlap
+        np.add.at(gamma, (holes[:, 0], particles[:, 0]), term)
+        np.add.at(gamma, (particles[:, 0], holes[:, 0]), term)
     return gamma
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "EigensolverError",
     "WalkState",
     "project",
-    "single_excitation_pairs",
     "ground_state",
 ]
 
@@ -169,12 +168,6 @@ class _Links:
         for array in (self.start, self.src, self.dst, *self.values.values()):
             array.flags.writeable = False  # carried from call to call
 
-    @classmethod
-    def grouped(cls, n_strings, src, dst, **values):
-        order = _stable_order(src, n_strings)
-        return cls(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order],
-                   {name: v[order] for name, v in values.items()})
-
     def grouping(self, into: bool):
         """(start, order, far): links order[start[k]:start[k+1]] leave string k
         for string far[link], or, when into, reach string k from far[link].
@@ -194,10 +187,12 @@ class _Links:
 
 def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Links:
     """links (None for none yet) and the given ones, grouped over n_strings strings."""
-    if links is None:
-        return _Links.grouped(n_strings, src, dst, **values)
-    return _Links.grouped(n_strings, np.concatenate((links.src, src)), np.concatenate((links.dst, dst)),
-                          **{k: np.concatenate((v, values[k])) for k, v in links.values.items()})
+    if links is not None:
+        src, dst = np.concatenate((links.src, src)), np.concatenate((links.dst, dst))
+        values = {k: np.concatenate((v, values[k])) for k, v in links.values.items()}
+    order = _stable_order(src, n_strings)
+    return _Links(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order],
+                  {name: v[order] for name, v in values.items()})
 
 
 def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
@@ -344,7 +339,7 @@ class _StringIndex:
     n_old rows into them.
     """
 
-    def __init__(self, ia: np.ndarray, ib: np.ndarray, find, n_old: int = 0):
+    def __init__(self, ia: np.ndarray, ib: np.ndarray, find, n_old: int):
         self.ia, self.ib, self.find = ia, ib, find
         self.n_old, self.new = n_old, np.arange(n_old, len(ia))
         self.directions = (False, True) if n_old else (False,)
@@ -378,29 +373,6 @@ class _StringIndex:
                     la, lb = a_order[la], b_order[lb]
                 j = self.find(a_far[la], b_far[lb])
                 yield _kept((j >= 0) & (j < self.n_old) if into else j >= 0, i, j, la, lb)
-
-
-def single_excitation_pairs(sub: Subspace):
-    """Row pairs of sub one electron apart, each once.
-
-    Returns arrays (i, j, hole, particle, phase): row j is row i with one
-    electron moved from orbital hole to orbital particle in one spin
-    channel, with fermionic sign phase.
-    """
-    r = sub.ranks
-    index = _StringIndex(r.ia, r.ib, r.row)
-    out = []
-    for channel, strings in (("alpha", r.alpha), ("beta", r.beta)):
-        lo, hi = _string_pairs(strings, 0, 1)
-        holes, particles, phase = _moves(strings[lo], strings[hi], 1)
-        up = _Links.grouped(len(strings), lo, hi, hole=holes[:, 0], particle=particles[:, 0],
-                            phase=phase)
-        for i, j, link in index.same_spin(channel, up):
-            out.append((i, j, *(up.values[name][link] for name in ("hole", "particle", "phase"))))
-    if not out:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, empty, empty, np.zeros(0)
-    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
@@ -465,8 +437,8 @@ def _joined(batches: list) -> np.ndarray:
     return joined
 
 
-def project(sub: Subspace, s: IntegralSet,
-            known: Optional[tuple] = None) -> scipy.sparse.csr_matrix:
+def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
+            walk: Optional[WalkState] = None) -> scipy.sparse.csr_matrix:
     """Assemble <d_i|H|d_j> + e_core*I over the rows of sub, in order.
 
     Only the lower triangle is stored: row i holds columns <= i and ends with
@@ -478,14 +450,12 @@ def project(sub: Subspace, s: IntegralSet,
     the matrix is bitwise a cold one. The diagonal is always recomputed: its
     last bits depend on which strings sub holds. Fewer than PAIRWISE_CUTOFF
     row pairs to build are compared string by string, more are walked along
-    the string links; both give the same bits. A walk reads and grows the
-    WalkState that known may carry as a third entry (the matrix may then be
-    None if the Subspace is empty), and builds its own otherwise; a state
-    made for another IntegralSet is refused with EigensolverError.
+    the string links; both give the same bits. A walk reads and grows walk,
+    and builds its own state when given none; a state made for another
+    IntegralSet is refused with EigensolverError.
     """
-    walk = known[2] if known is not None and len(known) > 2 else None
     if walk is not None and walk.s is not s:
-        raise EigensolverError("the known block was assembled from another IntegralSet")
+        raise EigensolverError("the walk state was built for another IntegralSet")
     n = len(sub)
     if n == 0:
         raise EigensolverError("cannot project onto an empty subspace")

@@ -118,6 +118,8 @@ class SectorState:
 @lru_cache(maxsize=8)
 def _channel(n_orb: int, n_e: int) -> np.ndarray:
     """Ascending uint64 strings with n_e of n_orb bits set, by Gosper's walk."""
+    if n_orb > 64:
+        raise ValueError(f"spin strings are packed into 64 bits; n_orb={n_orb} does not fit")
     masks, m = [], (1 << n_e) - 1
     while m < 1 << n_orb:
         masks.append(m)

@@ -300,10 +300,10 @@ def test_capped_iteration_assembles_its_cumulative_subspace_once(monkeypatch):
     calls = []
 
     def counting(original):
-        def project_counted(dets, s, known=None):
+        def project_counted(dets, s, known=None, walk=None):
             if inspect.currentframe().f_back.f_code.co_name != "sample_and_solve":
                 calls.append(len(dets))
-            return original(dets, s, known)
+            return original(dets, s, known, walk)
         return project_counted
 
     # both names, so a call through either module is counted
@@ -326,14 +326,15 @@ def test_extending_known_matrices_changes_no_result(monkeypatch, extra):
     cfg = RunConfig(seed=2, k=40, m=12, shots=200, max_iterations=8, **extra)
     extended = []
 
-    def counting(sub, s, known=None):
+    def counting(sub, s, known=None, walk=None):
         if known is not None and (known[0].find(sub.alpha, sub.beta) >= 0).any():
             extended.append(len(sub))
-        return project(sub, s, known)
+        return project(sub, s, known, walk)
 
     monkeypatch.setattr("hivqe.driver.project", counting)
     warm = run_hivqe(cfg, s)
-    monkeypatch.setattr("hivqe.driver.project", lambda sub, s, known=None: project(sub, s))
+    monkeypatch.setattr("hivqe.driver.project",
+                        lambda sub, s, known=None, walk=None: project(sub, s))
     cold = run_hivqe(cfg, s)
     assert len(extended) >= 4
     assert timeless(warm.trace) == timeless(cold.trace)
@@ -367,16 +368,15 @@ def test_a_walked_loop_carries_one_string_state(monkeypatch, name, cfg):
     monkeypatch.setattr(_Channel, "add", counted_add)
     states, calls = set(), []
 
-    def checked(sub, s, known=None):
-        if known is None:  # a sampled set: nothing is carried
+    def checked(sub, s, known=None, walk=None):
+        if walk is None:  # a sampled set: nothing is carried
             return project(sub, s)
-        walk = known[2]
         states.add(id(walk))
         new = [not set(strings.tolist()) <= set(c.strings.tolist())
                for strings, c in ((sub.alpha, walk.alpha), (sub.beta, walk.beta))]
         before = len(added)
-        h = project(sub, s, known)
-        calls.append((len(known[0]), new, added[before:] == [c for c, n in
+        h = project(sub, s, known, walk)
+        calls.append((0 if known is None else len(known[0]), new, added[before:] == [c for c, n in
                                                               zip((walk.alpha, walk.beta), new) if n]))
         cold = project(sub, s)
         assert all(np.array_equal(getattr(h, a), getattr(cold, a)) for a in ("indptr", "indices", "data"))

@@ -13,7 +13,10 @@ import scipy.linalg
 import scipy.sparse
 
 import hivqe.eigensolver
-from hivqe.determinants import Determinant, Sector, _channel_excitation, _occupations, slater_condon
+import hivqe.driver
+from hivqe.determinants import (Determinant, Sector, _channel_excitation, _occupations,
+                                occupied_orbitals, slater_condon)
+from hivqe.driver import compute_1rdm
 from hivqe.eigensolver import (
     DENSE_CUTOFF,
     CIVector,
@@ -25,7 +28,6 @@ from hivqe.eigensolver import (
     ground_state,
     principal_block,
     project,
-    single_excitation_pairs,
 )
 from hivqe.integrals import IntegralSet, parse_fcidump
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
@@ -332,24 +334,56 @@ def rdm_case(name):
     return [dets[i] for i in rng.permutation(len(dets))[:400]], n_orb
 
 
-@pytest.mark.parametrize("name", ["10_3_3", "11_4_2", "12_2_5", "no_beta", "orbital_63"])
-def test_single_excitation_pairs_list_every_pair_one_electron_apart_once(name):
-    """The 1-RDM's pairs: each pair of rows one electron apart once, with the
-    hole, particle and sign of moving row i's electron into row j."""
+def rdm_by_pairs(dets, amps, n_orb):
+    """The 1-RDM element by element: each determinant's occupations on the
+    diagonal, and each pair of determinants one electron apart, with the
+    hole, particle and sign of _channel_excitation, at (hole, particle) and
+    (particle, hole)."""
+    gamma = np.zeros((n_orb, n_orb))
+    for d, c in zip(dets, amps.tolist()):
+        for p in occupied_orbitals(d.alpha_mask) + occupied_orbitals(d.beta_mask):
+            gamma[p, p] += c * c
+    for (x, dx), (y, dy) in itertools.combinations(enumerate(dets), 2):
+        moved = [(dx[k] ^ dy[k]).bit_count() for k in (0, 1)]
+        if sorted(moved) == [0, 2]:
+            k = 0 if moved[0] else 1
+            (h,), (p,), sign = _channel_excitation(dx[k], dy[k])
+            gamma[h, p] += sign * amps[x] * amps[y]
+            gamma[p, h] += sign * amps[x] * amps[y]
+    return gamma
+
+
+def rdm_vector(name):
+    """(subspace, normalized random amplitudes over it) of an rdm_case."""
     dets, n_orb = rdm_case(name)
     a, b = dets[0].alpha_mask.bit_count(), dets[0].beta_mask.bit_count()
-    i, j, hole, particle, phase = single_excitation_pairs(Subspace(dets, Sector(n_orb, a, b)))
-    apart = {frozenset((x, y)) for x, y in itertools.combinations(range(len(dets)), 2)
-             if (dets[x].alpha_mask ^ dets[y].alpha_mask).bit_count()
-             + (dets[x].beta_mask ^ dets[y].beta_mask).bit_count() == 2}
-    assert len(apart) > 0 and len(i) == len(apart)
-    assert {frozenset(pair) for pair in zip(i.tolist(), j.tolist())} == apart
-    for x, y, h, p, sign in zip(i.tolist(), j.tolist(), hole.tolist(), particle.tolist(), phase):
-        moving = 0 if dets[x].alpha_mask != dets[y].alpha_mask else 1
-        assert _channel_excitation(dets[x][moving], dets[y][moving]) == ([h], [p], sign)
+    sub = Subspace(dets, Sector(n_orb, a, b))
+    amps = np.random.default_rng(46).standard_normal(len(sub))
+    return sub, CIVector(amps / np.linalg.norm(amps), 0.0)
+
+
+@pytest.mark.parametrize("name", ["10_3_3", "11_4_2", "12_2_5", "no_beta", "orbital_63"])
+def test_compute_1rdm_sums_every_pair_one_electron_apart_once(name):
+    """The 1-RDM adds each pair of rows one electron apart once, with the
+    hole, particle and sign of moving one row's electron into the other's
+    place, as the element-by-element sum does."""
+    sub, c = rdm_vector(name)
+    expected = rdm_by_pairs(list(sub), c.amplitudes, sub.sector.n_orb)
+    off_diagonal = expected - np.diag(np.diag(expected))
+    assert np.count_nonzero(off_diagonal) > 0
+    assert np.max(np.abs(compute_1rdm(c, sub) - expected)) < 1e-12
     if name == "orbital_63":
-        assert any(d.alpha_mask >> 63 or d.beta_mask >> 63 for d in dets)
-        assert 63 in hole.tolist() + particle.tolist()
+        assert any(d.alpha_mask >> 63 or d.beta_mask >> 63 for d in sub)
+        assert np.count_nonzero(off_diagonal[63]) > 0
+
+
+def test_compute_1rdm_is_the_same_in_batches_of_one_pair(monkeypatch):
+    """Each pair's overlap is summed on its own, so how many pairs are
+    multiplied at once changes no bit."""
+    sub, c = rdm_vector("11_4_2")
+    batched = compute_1rdm(c, sub)
+    monkeypatch.setattr(hivqe.driver, "RDM_BATCH", 1)
+    assert np.array_equal(compute_1rdm(c, sub), batched)
 
 
 def test_principal_slice_equals_a_fresh_projection():
@@ -477,11 +511,11 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
     for build, extend in itertools.product((WALK, PAIRWISE), repeat=2):
         walk = WalkState(s)
         with generator(build):
-            h = project(earlier, s, (subspace_of([], s), None, walk))
+            h = project(earlier, s, walk=walk)
         with generator(extend):
-            h_first = project(first, s, (*principal_block(earlier, h, kept), walk))
+            h_first = project(first, s, principal_block(earlier, h, kept), walk=walk)
             held = walk.alpha.strings.copy()
-            h_second = project(second, s, (first, h_first, walk))
+            h_second = project(second, s, (first, h_first), walk=walk)
         assert same_storage(h_first, project(first, s))
         assert same_storage(h_second, project(second, s))
         if build == extend == WALK:  # the state still held the string: nothing was added
@@ -503,8 +537,8 @@ def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
 
     monkeypatch.setattr(_Channel, "add", refuse)
     walk = WalkState(s)
-    known = (sampled, project(sampled, s, (subspace_of([], s), None, walk)), walk)
-    assert same_storage(project(extended, s, known), cold)
+    known = (sampled, project(sampled, s, walk=walk))
+    assert same_storage(project(extended, s, known, walk=walk), cold)
     assert len(walk.alpha.strings) == len(walk.beta.strings) == 0
     monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", WALK)
     with pytest.raises(RuntimeError, match="link table"):
@@ -512,20 +546,21 @@ def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
 
 
 def test_project_refuses_a_known_block_from_another_integral_set():
-    """The walk state a known block carries records the IntegralSet it was
-    built for: project refuses the block, or a state alone, with another set,
-    whose elements it would otherwise copy or walk, under either generator."""
+    """The walk state carried beside a known block records the IntegralSet it
+    was built for: project refuses the block with its state, or the state
+    alone, with another set, whose elements it would otherwise copy or walk,
+    under either generator."""
     s, other = (random_integral_set(6, 2, 2, seed=seed) for seed in (42, 43))
     dets = list(enumerate_sector(6, 2, 2))
-    sub, earlier, empty = subspace_of(dets[:40], s), subspace_of(dets[:20], s), subspace_of([], s)
+    sub, earlier = subspace_of(dets[:40], s), subspace_of(dets[:20], s)
     for cutoff in (WALK, PAIRWISE):
         with generator(cutoff):
             walk = WalkState(s)
-            known = (earlier, project(earlier, s, (empty, None, walk)), walk)
-            for wrong in (known, (empty, None, walk)):
+            known = (earlier, project(earlier, s, walk=walk))
+            for wrong in ({"known": known, "walk": walk}, {"walk": walk}):
                 with pytest.raises(EigensolverError, match="another IntegralSet"):
-                    project(sub, other, wrong)
-            assert same_storage(project(sub, s, known), project(sub, s))
+                    project(sub, other, **wrong)
+            assert same_storage(project(sub, s, known, walk), project(sub, s))
 
 
 def test_project_refuses_a_known_block_that_is_not_the_first_rows():

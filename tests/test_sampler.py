@@ -91,6 +91,18 @@ def test_oversized_spin_channel_is_refused_before_any_table():
     assert "spin strings in one channel" in str(info.value)
 
 
+def test_more_than_64_orbitals_are_refused_by_the_string_tables():
+    """Both callers of the string tables name the 64-orbital limit rather
+    than overflow uint64."""
+    message = "spin strings are packed into 64 bits; n_orb=65 does not fit"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_sector(65, 1, 1)
+    spec = brick_wall_ansatz(65, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prepare_state(spec, np.zeros(spec.n_params), Sector(65, 1, 1))
+    assert len(enumerate_sector(64, 1, 0)) == 64  # the limit itself still fits
+
+
 def test_brick_wall_layout():
     spec = brick_wall_ansatz(4, 2)
     assert spec.n_params == 6
