@@ -92,6 +92,12 @@ _ONE = np.uint64(1)
 _BIT = _ONE << np.arange(64, dtype=np.uint64)
 
 
+def _check_packed(n_orb: int) -> None:
+    """ValueError unless n_orb orbitals fit the uint64 spin strings."""
+    if n_orb > 64:
+        raise ValueError(f"spin strings are packed into 64 bits; n_orb={n_orb} does not fit")
+
+
 def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
     """(len(strings), n_orb) 0/1 float occupations of uint64 strings."""
     return ((strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & _ONE).astype(float)

@@ -34,7 +34,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 import scipy.sparse
 
-from .determinants import Sector, _moves, _occupations, hartree_fock_det, slater_condon
+from .determinants import Sector, _check_packed, _moves, _occupations, hartree_fock_det, slater_condon
 from .eigensolver import CIVector, WalkState, _string_pairs, ground_state, principal_block, project
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
@@ -98,8 +98,10 @@ class RunConfig:
                 raise RunError(f"config key {name!r} expects {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise RunError(f"config key {name!r} must be finite, got {value!r}")
-        if s.n_orb > 64:
-            raise RunError(f"{s.n_orb} orbitals exceed the 64-orbital limit of the spin strings")
+        try:
+            _check_packed(s.n_orb)
+        except ValueError as exc:
+            raise RunError(str(exc)) from None
         for name, floor in (("shots", 1), ("k", 1), ("m", 0), ("max_iterations", 0),
                             ("threshold", 0), ("seed", 0), ("ansatz_layers", 0),
                             ("expansion_repeats", 1)):
@@ -358,7 +360,8 @@ def run_hivqe(
 def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
     """Spin-summed one-particle density matrix gamma_pq = <a+_p a_q> (both spins).
 
-    Diagonal terms are occupation-weighted probabilities. Off-diagonal terms
+    Diagonal terms are occupation-weighted probabilities, summed per distinct
+    string of each channel before its occupations weigh them. Off-diagonal terms
     come from the pairs of distinct strings one electron apart in each spin
     channel, contracted with the amplitudes over the other channel's strings
     (Knowles & Handy, CPL 111, 315, 1984): with the amplitudes as a sparse
@@ -371,7 +374,9 @@ def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
         raise ValueError("amplitude vector does not match subspace length")
     n = sub.sector.n_orb
     amps, r = c.amplitudes, sub.ranks
-    gamma = np.diag(amps**2 @ (_occupations(sub.alpha, n) + _occupations(sub.beta, n)))
+    weight = amps**2
+    gamma = np.diag(np.bincount(r.ia, weight) @ _occupations(r.alpha, n)
+                    + np.bincount(r.ib, weight) @ _occupations(r.beta, n))
     by_alpha = scipy.sparse.csr_matrix((amps, (r.ia, r.ib)), shape=(len(r.alpha), len(r.beta)))
     for strings, rows in ((r.alpha, by_alpha), (r.beta, by_alpha.T.tocsr())):
         lo, hi = _string_pairs(strings, 0, 1)

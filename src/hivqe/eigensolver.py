@@ -9,12 +9,13 @@ class the pair as a single or double in one spin channel or a single in
 each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
 uint64 strings becomes a pair of indices into each spin channel's strings,
 the strings one or two electrons apart are linked, and partners are found
-by a RowIndex (Knowles & Handy, CPL 111, 315, 1984), in three batches:
-alpha excitations with the beta string unchanged, beta excitations with the
-alpha string unchanged, and one single excitation in each channel, the last
-once per coupling block (connected orbital pairs, joined wherever
-(pq|rs) != 0). No pair is looked up whose single, double or
-(h_a p_a|h_b p_b) is exactly zero, so every stored bit stays as it was.
+by a RowIndex (Knowles & Handy, CPL 111, 315, 1984). One enumerator,
+_linked, walks every pair as one alpha link and one beta link: a single or
+double in one channel takes a stay (each string linked to itself) in the
+other, and a single in each channel is walked once per coupling block
+(connected orbital pairs, joined wherever (pq|rs) != 0). No pair is looked
+up whose single, double or (h_a p_a|h_b p_b) is exactly zero, so every
+stored bit stays as it was.
 The links, with the values they carry and their groupings, make up a
 WalkState of one IntegralSet, which the loop carries beside its known
 block: an extension whose strings it holds walks it as it is, and new
@@ -153,7 +154,8 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Links:
-    """Pairs of strings one or two electrons apart, grouped by source string.
+    """Pairs of strings one or two electrons apart (or, for a stay, each string
+    and itself), grouped by source string.
 
     Links of source k are rows start[k]:start[k+1], each carrying string
     src into string dst; values holds, by name, one entry per link.
@@ -319,60 +321,40 @@ class WalkState:
         self.alpha, self.beta = _Channel(s.n_orb, both_ways=False), _Channel(s.n_orb, both_ways=True)
         self._block = None
 
-    def index(self, sub: Subspace, n_old: int) -> "_StringIndex":
-        """sub's rows as positions among the held strings, holding sub's strings first."""
+    def index(self, sub: Subspace):
+        """(ia, ib, find): sub's rows as positions among the held strings, holding
+        sub's strings first, and the row of each position pair, -1 where absent."""
         if self._block is None:
             self._block = _coupling_blocks(self.s.eri)
         r = sub.ranks
         ia = self.alpha.index(r.alpha, self.s, self._block)[r.ia]
         ib = self.beta.index(r.beta, self.s, self._block)[r.ib]
-        rows = RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings))
-        return _StringIndex(ia, ib, rows.row, n_old)
+        return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
-class _StringIndex:
-    """Rows as (alpha string, beta string) index pairs ia, ib; find(ia, ib)
-    is the row of an index pair, -1 where absent.
+def _stay(n: int) -> _Links:
+    """Each of n strings linked to itself: the channel a same-spin move leaves be."""
+    return _Links(np.arange(n + 1), np.arange(n), np.arange(n), {})
 
-    The pair walks yield each pair that touches a row at or after n_old, once:
-    upward links from those rows to any row, then upward links from the first
-    n_old rows into them.
-    """
 
-    def __init__(self, ia: np.ndarray, ib: np.ndarray, find, n_old: int):
-        self.ia, self.ib, self.find = ia, ib, find
-        self.n_old, self.new = n_old, np.arange(n_old, len(ia))
-        self.directions = (False, True) if n_old else (False,)
-
-    def same_spin(self, channel: str, links: _Links):
-        """Yield (i, j, link) for pairs differing by one of the links in one channel only."""
-        ix, iy = (self.ia, self.ib) if channel == "alpha" else (self.ib, self.ia)
-        for into in self.directions:
-            start, order, far = links.grouping(into)
-            for k, rank in _expand(np.diff(start)[ix[self.new]]):
-                i = self.new[k]
-                link = start[ix[i]] + rank
-                if into:
-                    link = order[link]
-                pair = (far[link], iy[i]) if channel == "alpha" else (iy[i], far[link])
-                j = self.find(*pair)
-                yield _kept((j >= 0) & (j < self.n_old) if into else j >= 0, i, j, link)
-
-    def mixed(self, alpha: _Links, beta: _Links):
-        """Yield (i, j, alpha link, beta link) for pairs one single apart in each
-        channel, by one link of each table given: upward alpha singles, beta singles."""
-        for into in self.directions:
-            a_start, a_order, a_far = alpha.grouping(into)
-            b_start, b_order, b_far = beta.grouping(into)
-            n_b = np.diff(b_start)[self.ib[self.new]]
-            for k, rank in _expand(np.diff(a_start)[self.ia[self.new]] * n_b):
-                i = self.new[k]
-                step_a, step_b = np.divmod(rank, n_b[k])
-                la, lb = a_start[self.ia[i]] + step_a, b_start[self.ib[i]] + step_b
-                if into:
-                    la, lb = a_order[la], b_order[lb]
-                j = self.find(a_far[la], b_far[lb])
-                yield _kept((j >= 0) & (j < self.n_old) if into else j >= 0, i, j, la, lb)
+def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links):
+    """Yield (i, j, alpha link, beta link) for the rows j = find(alpha string,
+    beta string) one link of each table away from row i, each pair touching a
+    row at or after n_old once: the links leaving those rows, then the links
+    from the first n_old rows into them."""
+    new = np.arange(n_old, len(ia))
+    for into in (False, True) if n_old else (False,):
+        a_start, a_order, a_far = alpha.grouping(into)
+        b_start, b_order, b_far = beta.grouping(into)
+        n_b = np.diff(b_start)[ib[new]]
+        for k, rank in _expand(np.diff(a_start)[ia[new]] * n_b):
+            i = new[k]
+            step_a, step_b = np.divmod(rank, n_b[k])
+            la, lb = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
+            if into:
+                la, lb = a_order[la], b_order[lb]
+            j = find(a_far[la], b_far[lb])
+            yield _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, la, lb)
 
 
 def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
@@ -393,16 +375,18 @@ def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralS
 
 def _walked(sub: Subspace, n_old: int, walk: WalkState):
     """Yield (i, j, value) batches for the pairs of rows at most two electrons
-    apart that touch a row at or after n_old, along the string links."""
-    index = walk.index(sub, n_old)
-    for channel, own, other, iy in (("alpha", walk.alpha, walk.beta, index.ib),
-                                    ("beta", walk.beta, walk.alpha, index.ia)):
+    apart that touch a row at or after n_old, along the string links. A
+    same-spin move pairs a link of its channel with a stay in the other."""
+    index = walk.index(sub)
+    for own, other, flip in ((walk.alpha, walk.beta, 1), (walk.beta, walk.alpha, -1)):
+        stay = _stay(len(other.strings))  # link k holds other-channel string k
         base, coulomb = own.singles.values["base"], own.singles.values["coulomb"]
-        for i, j, link in index.same_spin(channel, own.singles):
-            yield i, j, _single_value(base[link], coulomb[link], other.occ[iy[i]])
+        for i, j, *links in _linked(*index, n_old, *(own.singles, stay)[::flip]):
+            move, held = links[::flip]
+            yield i, j, _single_value(base[move], coulomb[move], other.occ[held])
         value = own.doubles.values["value"]
-        for i, j, link in index.same_spin(channel, own.doubles):
-            yield i, j, value[link]
+        for i, j, *links in _linked(*index, n_old, *(own.doubles, stay)[::flip]):
+            yield i, j, value[links[::flip][0]]
 
     # (h_a p_a|h_b p_b) is eri[pair_a, pair_b]; it vanishes unless both moves'
     # orbital pairs lie in one coupling block, so the walk runs block by block
@@ -412,7 +396,7 @@ def _walked(sub: Subspace, n_old: int, walk: WalkState):
             singles_b = walk.beta.across[b]
             (phase_a, pair_a), (phase_b, pair_b) = ((t.values["phase"], t.values["pair"])
                                                     for t in (up_a, singles_b))
-            for i, j, la, lb in index.mixed(up_a, singles_b):
+            for i, j, la, lb in _linked(*index, n_old, up_a, singles_b):
                 yield i, j, phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .determinants import _BIT, Sector, _distinct_rows, _occupations, _phase
+from .determinants import _BIT, Sector, _check_packed, _distinct_rows, _occupations, _phase
 from .subspace import SampleBatch, Subspace, _product
 
 __all__ = [
@@ -118,8 +118,7 @@ class SectorState:
 @lru_cache(maxsize=8)
 def _channel(n_orb: int, n_e: int) -> np.ndarray:
     """Ascending uint64 strings with n_e of n_orb bits set, by Gosper's walk."""
-    if n_orb > 64:
-        raise ValueError(f"spin strings are packed into 64 bits; n_orb={n_orb} does not fit")
+    _check_packed(n_orb)
     masks, m = [], (1 << n_e) - 1
     while m < 1 << n_orb:
         masks.append(m)

@@ -22,6 +22,7 @@ from .determinants import (
     Determinant,
     Sector,
     _BIT,
+    _check_packed,
     _distinct_rows,
     _excitations,
     _occupations,
@@ -106,8 +107,7 @@ class Subspace:
 
     def __init__(self, dets, sector: Sector):
         n = sector.n_orb
-        if n > 64:
-            raise ValueError(f"spin strings are packed into 64 bits; n_orb={n} does not fit")
+        _check_packed(n)
         dets = list(dict.fromkeys(dets))  # first-seen row of each
         try:
             alpha, beta = _strings(dets)

@@ -321,11 +321,14 @@ def test_run_refuses_a_spin_channel_beyond_the_string_tables(tmp_path, capsys):
     assert f"{math.comb(40, 20)} spin strings in one channel exceed" in err
 
 
-def test_fci_refuses_more_than_64_orbitals(tmp_path, capsys):
-    rc = main(["fci", "--fcidump", big_sector_fcidump(tmp_path, 65, 2)])
-    assert rc == 1
-    assert capsys.readouterr().err == ("error: spin strings are packed into 64 bits; "
-                                       "n_orb=65 does not fit\n")
+def test_run_and_fci_refuse_more_than_64_orbitals_with_one_message(tmp_path, capsys):
+    fcidump = big_sector_fcidump(tmp_path, 65, 2)
+    errors = []
+    for argv in (["run", "--fcidump", fcidump, "--out", str(tmp_path / "out")],
+                 ["fci", "--fcidump", fcidump]):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: spin strings are packed into 64 bits; n_orb=65 does not fit\n"] * 2
 
 
 def test_fci_count_only_handles_huge_sectors(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_config_checks_value_types_by_key():
 
 def test_config_refuses_more_than_64_orbitals():
     s = IntegralSet.from_terms(65, 1, 1, 0.0, {(0, 0): -1.0}, {})
-    with pytest.raises(RunError, match="64-orbital limit"):
+    with pytest.raises(RunError, match="^spin strings are packed into 64 bits; n_orb=65 does not fit$"):
         run_hivqe(RunConfig(), s)
 
 

@@ -32,7 +32,7 @@ from hivqe.eigensolver import (
 from hivqe.integrals import IntegralSet, parse_fcidump
 from hivqe.oracle import brute_force_hamiltonian, det_to_fock_index
 from hivqe.sampler import enumerate_sector
-from hivqe.subspace import Subspace, tensor_reconstruct
+from hivqe.subspace import RowIndex, Subspace, tensor_reconstruct
 
 from helpers import (FIXTURES, blocked_integral_set, dense_symmetric, load_fixture,
                      load_reference, random_integral_set, subspace_of)
@@ -520,6 +520,44 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
         assert same_storage(h_second, project(second, s))
         if build == extend == WALK:  # the state still held the string: nothing was added
             assert gone in held.tolist() and np.array_equal(walk.alpha.strings, held)
+
+
+@pytest.mark.parametrize("name", ["lih", "blocked"])
+def test_the_walk_finds_rows_by_sorted_key_search(monkeypatch, name):
+    """With no position table allowed, as on subspaces too sparse for one,
+    the walk finds partner rows by searching the sorted pair keys and still
+    stores the bits of a cold pairwise projection: on a cold call and on an
+    extension that brings a new string into a carried walk state, whichever
+    generator built the known block and whichever extends it."""
+    s = load_fixture("lih") if name == "lih" else blocked_integral_set(8, 3, 4, seed=47)
+    dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
+    picked = [dets[i] for i in np.random.default_rng(47).permutation(len(dets))[:150]]
+    gone = picked[0].alpha_mask  # the first block lacks this alpha string
+    first = subspace_of([d for d in picked[:120] if d.alpha_mask != gone], s)
+    second = subspace_of(list(first) + [d for d in picked if d not in set(first)], s)
+    with generator(PAIRWISE):
+        cold_first, cold_second = project(first, s), project(second, s)
+
+    searched = []
+    row = RowIndex.row
+
+    def spied(self, ia, ib):
+        searched.append(self._table is None)
+        return row(self, ia, ib)
+
+    monkeypatch.setattr(RowIndex, "row", spied)
+    monkeypatch.setattr(RowIndex, "TABLE_FILL", 0)
+    for build, extend in itertools.product((WALK, PAIRWISE), repeat=2):
+        walk = WalkState(s)
+        with generator(build):
+            h_first = project(first, s, walk=walk)
+        held = walk.alpha.strings.tolist()
+        with generator(extend):
+            h_second = project(second, s, (first, h_first), walk=walk)
+        assert same_storage(h_first, cold_first) and same_storage(h_second, cold_second)
+        if extend == WALK:
+            assert gone not in held and gone in walk.alpha.strings.tolist()
+    assert searched and all(searched)
 
 
 def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
