@@ -113,6 +113,8 @@ class RunConfig:
             raise RunError("p_flip must lie in [0, 1]")
         if self.recovery_mode not in ("discard", "recover"):
             raise RunError(f"unknown recovery mode {self.recovery_mode!r}")
+        if self.closed_shell and not self.tensor_reconstruct:
+            raise RunError("closed_shell applies only with tensor_reconstruct")
         if self.closed_shell and s.n_alpha != s.n_beta:
             raise RunError("closed-shell reconstruction requires n_alpha == n_beta")
 

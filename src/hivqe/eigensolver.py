@@ -16,12 +16,13 @@ other, and a single in each channel is walked once per coupling block
 (connected orbital pairs, joined wherever (pq|rs) != 0). No pair is looked
 up whose single, double or (h_a p_a|h_b p_b) is exactly zero, so every
 stored bit stays as it was.
-The links, with the values they carry and their groupings, make up a
-WalkState of one IntegralSet, which the loop carries beside its known
-block: an extension whose strings it holds walks it as it is, and new
-strings are linked only to what they meet (fast SHCI keeps its helper
-lists across builds alike). The state never drops a string; a walked call
-handed none builds its own from nothing.
+The links and the values they carry make up a WalkState of one
+IntegralSet, which the loop carries beside its known block. A link table
+grows by appending, and its groupings by source and by target string are
+each built the first time the walk reads them. An extension whose strings
+the state holds walks it as it is, and new strings are linked only to what
+they meet (fast SHCI keeps its helper lists across builds alike). The
+state never drops a string; a walked call handed none builds its own.
 Every element formula lives in determinants: compared pairs are valued by
 _pair_elements, and the walk evaluates its links with the same helpers,
 reading a pair from its source row as _pair_elements does, so both
@@ -49,8 +50,7 @@ vector once the basis is full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -146,55 +146,51 @@ def _expand(counts: np.ndarray):
         lo = hi
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """np.argsort(keys, kind="stable") for keys below bound, sorted as the
+def _grouped(keys: np.ndarray, n: int):
+    """(start, order): the positions of keys equal to k, for keys below n, are
+    order[start[k]:start[k+1]], ascending. keys are stably sorted as the
     smallest unsigned type that holds them: numpy radix-sorts 16-bit keys."""
-    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n)))), order
 
 
 @dataclass(frozen=True)
 class _Links:
-    """Pairs of strings one or two electrons apart (or, for a stay, each string
-    and itself), grouped by source string.
-
-    Links of source k are rows start[k]:start[k+1], each carrying string
-    src into string dst; values holds, by name, one entry per link.
+    """Pairs of n strings one or two electrons apart (or, for a stay, each
+    string and itself), in the order they were made: link k carries string
+    src[k] into string dst[k], and values holds, by name, one entry per link.
+    A table grows by appending, and each grouping is built when first read.
     """
 
-    start: np.ndarray
+    n: int
     src: np.ndarray
     dst: np.ndarray
     values: dict
+    _groupings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.start, self.src, self.dst, *self.values.values()):
+        for array in (self.src, self.dst, *self.values.values()):
             array.flags.writeable = False  # carried from call to call
 
     def grouping(self, into: bool):
-        """(start, order, far): links order[start[k]:start[k+1]] leave string k
-        for string far[link], or, when into, reach string k from far[link].
-        order is None where it would be the identity."""
-        if not into:
-            return self.start, None, self.dst
-        return self._by_dst
-
-    @cached_property
-    def _by_dst(self):
-        """grouping(into=True), sorted once per table."""
-        order = _stable_order(self.dst, len(self.start))
-        start = np.searchsorted(self.dst[order], np.arange(len(self.start)))
-        order.flags.writeable = start.flags.writeable = False
-        return start, order, self.src
+        """(start, order, far): links order[start[k]:start[k+1]] leave string k,
+        or, when into, reach it; far[p] is the string at the other end of link
+        order[p], so a walk reads order only for the pairs it keeps."""
+        if into not in self._groupings:
+            keys, far = (self.dst, self.src) if into else (self.src, self.dst)
+            start, order = _grouped(keys, self.n)
+            self._groupings[into] = start, order, far[order]
+            for array in self._groupings[into]:
+                array.flags.writeable = False
+        return self._groupings[into]
 
 
 def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Links:
-    """links (None for none yet) and the given ones, grouped over n_strings strings."""
+    """links (None for none yet) with the given ones appended, over n_strings strings."""
     if links is not None:
         src, dst = np.concatenate((links.src, src)), np.concatenate((links.dst, dst))
         values = {k: np.concatenate((v, values[k])) for k, v in links.values.items()}
-    order = _stable_order(src, n_strings)
-    return _Links(np.searchsorted(src[order], np.arange(n_strings + 1)), src[order], dst[order],
-                  {name: v[order] for name, v in values.items()})
+    return _Links(n_strings, src, dst, values)
 
 
 def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
@@ -247,32 +243,35 @@ def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
 
 class _Channel:
     """One spin channel's strings, in first-seen order, and the links the walk
-    reads among them, each with the values it carries.
+    reads among them, each with the values it carries, for IntegralSet s and
+    its coupling block labels block.
 
     singles holds the upward singles whose element can be nonzero, with
     their _single_terms (base, coulomb); doubles the upward doubles with
     their nonzero values; across, by coupling block, the singles the walk
     pairs with one in the other channel, with their phase and orbital pair
-    (upward only for alpha, both directions for beta).
+    (upward only for alpha, both directions for beta). A new string's links
+    are appended, and each grouping is built the first time the walk reads it.
     """
 
-    def __init__(self, n_orb: int, both_ways: bool):
+    def __init__(self, s: IntegralSet, block: np.ndarray, both_ways: bool):
+        self.s, self.block, self.both_ways = s, block, both_ways
         self.strings = np.zeros(0, dtype=np.uint64)
-        self.occ = np.zeros((0, n_orb))
+        self.occ = np.zeros((0, s.n_orb))
         self.singles = self.doubles = None
         self.across = {}
-        self.both_ways = both_ways
         self._sorter = self._sorted = self.strings
 
-    def index(self, wanted: np.ndarray, s: IntegralSet, block: np.ndarray) -> np.ndarray:
+    def index(self, wanted: np.ndarray) -> np.ndarray:
         """Position of each of the sorted distinct strings wanted, adding those not held."""
         fresh = np.setdiff1d(wanted, self._sorted, assume_unique=True)
         if len(fresh):
-            self.add(fresh, s, block)
+            self.add(fresh)
         return self._sorter[np.searchsorted(self._sorted, wanted)]
 
-    def add(self, fresh: np.ndarray, s: IntegralSet, block: np.ndarray) -> None:
+    def add(self, fresh: np.ndarray) -> None:
         """Hold the sorted strings fresh too, linking only the pairs that involve one."""
+        s = self.s
         n_old, n = len(self.strings), len(self.strings) + len(fresh)
         strings = self.strings = np.concatenate((self.strings, fresh))
         occ = self.occ = np.concatenate((self.occ, _occupations(fresh, s.n_orb)))
@@ -286,13 +285,12 @@ class _Channel:
         # no pair is looked up for a vanishing single
         src, dst, base, coulomb = _kept((base != 0.0) | coulomb.any(axis=1), lo, hi, base, coulomb)
         self.singles = _grown(self.singles, n, src, dst, base=base, coulomb=coulomb)
-        pair = holes * s.n_orb + particles
-        if self.both_ways:
-            back_holes, back_particles, back_phase = _moves(strings[hi], strings[lo], 1)
+        if self.both_ways:  # the reverse of h -> p is p -> h, of the same sign: only h and p differ
             lo, hi = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-            pair = np.concatenate((pair, back_holes[:, 0] * s.n_orb + back_particles[:, 0]))
-            phase = np.concatenate((phase, back_phase))
-        label = block[pair]
+            holes, particles = np.concatenate((holes, particles)), np.concatenate((particles, holes))
+            phase = np.concatenate((phase, phase))
+        pair = holes * s.n_orb + particles
+        label = self.block[pair]
         for b in set(self.across) | set(np.unique(label).tolist()):
             src, dst, phase_b, pair_b = _kept(label == b, lo, hi, phase, pair)
             self.across[b] = _grown(self.across.get(b), n, src, dst, phase=phase_b, pair=pair_b)
@@ -308,7 +306,8 @@ class _Channel:
 class WalkState:
     """What the link walk reads besides the rows, for one IntegralSet: each
     spin channel's strings, their occupations and the links among them
-    (_Channel), and the coupling block of each orbital pair.
+    (_Channel), and the coupling block of each orbital pair, labelled once
+    when the state is made.
 
     project grows it in place as it walks: a string it holds is never linked
     again, and a new one is linked only to the strings it meets one or two
@@ -318,23 +317,20 @@ class WalkState:
 
     def __init__(self, s: IntegralSet):
         self.s = s
-        self.alpha, self.beta = _Channel(s.n_orb, both_ways=False), _Channel(s.n_orb, both_ways=True)
-        self._block = None
+        block = _coupling_blocks(s.eri)
+        self.alpha, self.beta = _Channel(s, block, both_ways=False), _Channel(s, block, both_ways=True)
 
     def index(self, sub: Subspace):
         """(ia, ib, find): sub's rows as positions among the held strings, holding
         sub's strings first, and the row of each position pair, -1 where absent."""
-        if self._block is None:
-            self._block = _coupling_blocks(self.s.eri)
         r = sub.ranks
-        ia = self.alpha.index(r.alpha, self.s, self._block)[r.ia]
-        ib = self.beta.index(r.beta, self.s, self._block)[r.ib]
+        ia, ib = self.alpha.index(r.alpha)[r.ia], self.beta.index(r.beta)[r.ib]
         return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
 def _stay(n: int) -> _Links:
     """Each of n strings linked to itself: the channel a same-spin move leaves be."""
-    return _Links(np.arange(n + 1), np.arange(n), np.arange(n), {})
+    return _Links(n, np.arange(n), np.arange(n), {})
 
 
 def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links):
@@ -350,11 +346,10 @@ def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, bet
         for k, rank in _expand(np.diff(a_start)[ia[new]] * n_b):
             i = new[k]
             step_a, step_b = np.divmod(rank, n_b[k])
-            la, lb = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
-            if into:
-                la, lb = a_order[la], b_order[lb]
-            j = find(a_far[la], b_far[lb])
-            yield _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, la, lb)
+            at_a, at_b = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
+            j = find(a_far[at_a], b_far[at_b])
+            i, j, at_a, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, at_a, at_b)
+            yield i, j, a_order[at_a], b_order[at_b]
 
 
 def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:

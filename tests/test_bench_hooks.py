@@ -9,6 +9,7 @@ surface when ``bench/run.py --trace 1`` fails.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse
 
@@ -17,11 +18,12 @@ import hivqe.driver
 import hivqe.eigensolver
 import hivqe.oracle
 import hivqe.subspace
-from hivqe.determinants import Determinant
+from hivqe.determinants import Determinant, Sector
 from hivqe.eigensolver import ground_state, project
 from hivqe.optimizer import EnergyHistory
+from hivqe.sampler import brick_wall_ansatz, prepare_state, sample
 
-from helpers import load_fixture, load_reference
+from helpers import FIXTURES, load_fixture, load_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -125,6 +127,48 @@ def test_the_tracer_measures_a_loop(monkeypatch):
     assert isinstance(result.dets, list) and result.dets
     assert all(type(d) is Determinant and type(d.alpha_mask) is int
                and type(d.beta_mask) is int for d in result.dets)
+
+
+def out_of_sector_shots(batch, sector) -> int:
+    """The shots outside sector, by the batch's own popcount mask."""
+    return int(batch.total_shots - batch.shots[batch.in_sector(sector)].sum())
+
+
+@pytest.mark.parametrize("path", [FIXTURES / "lih.fcidump", FIXTURES / "h4_chain.fcidump",
+                                  BENCH / "inputs" / "h12.fcidump"], ids=lambda p: p.stem)
+def test_the_text_view_counts_the_shots_outside_the_sector_as_the_mask_does(path):
+    """The recover-mode tracer counts repaired shots from the batch's text view
+    and bitstring_is_valid; on noisy batches that count is the sector mask's."""
+    s = hivqe.parse_fcidump(path.read_text())
+    sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
+    spec = brick_wall_ansatz(s.n_orb, 2)
+    state = prepare_state(spec, np.random.default_rng(0).normal(0.0, 0.3, spec.n_params), sector)
+    is_valid = hivqe.subspace.bitstring_is_valid
+    for seed in range(3):
+        batch = sample(state, 2000, 0.05, seed)
+        text = sum(c for bits, c in batch.counts.items() if not is_valid(bits, sector))
+        assert text == out_of_sector_shots(batch, sector) > 0
+
+
+def test_the_tracer_counts_the_repaired_shots_of_a_recovering_loop(monkeypatch):
+    """subspace.repaired_shot_ratio is the shots outside the sector over the
+    shots filtered, summed over every batch the loop filters."""
+    filtered = []
+    filter_symmetry = hivqe.driver.filter_symmetry
+
+    def recording_filter(batch, sector, *args, **kwargs):
+        filtered.append((batch, sector))
+        return filter_symmetry(batch, sector, *args, **kwargs)
+
+    monkeypatch.setattr(hivqe.driver, "filter_symmetry", recording_filter)  # the tracer wraps this
+    tracer = installed_tracer(monkeypatch)
+    cfg = hivqe.RunConfig(seed=0, k=10, m=4, max_iterations=3, p_flip=0.05, recovery_mode="recover")
+    result, run_s = tracer.run(hivqe.run_hivqe, cfg, load_fixture("h4_chain"))
+    metrics = tracer.metrics(run_s, 0.0, result.iterations, 1.0)
+    repaired = sum(out_of_sector_shots(batch, sector) for batch, sector in filtered)
+    shots = sum(batch.total_shots for batch, _ in filtered)
+    assert 0 < repaired < shots
+    assert metrics["subspace.repaired_shot_ratio"] == repaired / shots
 
 
 def test_the_tracer_measures_an_fci_solve(monkeypatch):

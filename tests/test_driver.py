@@ -30,6 +30,7 @@ from hivqe.sampler import (
     sample,
 )
 from hivqe.subspace import (
+    RowIndex,
     Subspace,
     amplitude_screen,
     bitstring_is_valid,
@@ -76,9 +77,12 @@ def test_config_validation_catches_bad_values():
     for kwargs in bad:
         with pytest.raises(RunError):
             run_hivqe(RunConfig(**kwargs), s)
-    with pytest.raises(RunError):
+    with pytest.raises(RunError, match="requires n_alpha == n_beta"):
         cfg = RunConfig(closed_shell=True, tensor_reconstruct=True)
         run_hivqe(cfg, random_integral_set(3, 2, 1, seed=0))
+    for n_beta in (1, 2):  # closed_shell without a reconstruction, on either sector
+        with pytest.raises(RunError, match="closed_shell applies only with tensor_reconstruct"):
+            run_hivqe(RunConfig(closed_shell=True), random_integral_set(3, 2, n_beta, seed=0))
 
 
 def test_config_checks_value_types_by_key():
@@ -389,6 +393,28 @@ def test_a_walked_loop_carries_one_string_state(monkeypatch, name, cfg):
     assert any(r.n_dets_union > cfg.k for r in res.trace)  # the cap dropped rows
     extensions = [new for n_old, new, _ in calls if n_old]
     assert any(any(new) for new in extensions) and any(not any(new) for new in extensions)
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("lih", RunConfig(seed=0)),
+    ("h8", RunConfig(seed=0, k=1000, m=100, max_iterations=20)),
+])
+def test_a_loop_on_the_sorted_key_search_runs_as_on_the_tables(monkeypatch, name, cfg):
+    """With no position table allowed, as on subspaces too sparse for one, every
+    row lookup of the loop (finds, unions, screens, expansions and the link
+    walk's partners) searches the sorted pair keys; comparing or walking, the
+    run ends with the default run's energy, determinants and trace."""
+    s = load_fixture("lih") if name == "lih" else parse_fcidump(H8.read_text())
+
+    def outcome():
+        res = run_hivqe(cfg, s)
+        return repr(res.energy), res.dets, [repr(r.e_cum) for r in res.trace]
+
+    default = outcome()
+    monkeypatch.setattr(RowIndex, "TABLE_FILL", 0)
+    assert outcome() == default
+    monkeypatch.setattr(hivqe.eigensolver, "PAIRWISE_CUTOFF", 0)
+    assert outcome() == default
 
 
 def test_tensor_reconstruction_cap_guard():

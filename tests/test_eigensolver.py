@@ -274,17 +274,18 @@ def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
     upward singles and doubles each unordered pair two and four bits apart,
     from the lower string; the singles the mixed walk reads each ordered pair
     (beta) or each unordered one upward (alpha). Every table is grouped by
-    source, and _moves over every link is the oracle's move."""
+    source and by target, each group in the order its links were made, and
+    _moves over every link is the oracle's move."""
     strings = np.array(link_strings(name), dtype=np.uint64)
     s = link_integrals(name, strings)
     block = _coupling_blocks(s.eri)
     batches = [np.sort(b) for b in np.array_split(np.random.default_rng(47).permutation(strings), 3)]
     seen = np.concatenate(batches)  # each batch's new strings are held after the earlier ones
-    alpha, beta = _Channel(s.n_orb, both_ways=False), _Channel(s.n_orb, both_ways=True)
+    alpha, beta = _Channel(s, block, both_ways=False), _Channel(s, block, both_ways=True)
     for channel in (alpha, beta):
         for k, batch in enumerate(batches):
             wanted = np.unique(np.r_[batch, batches[0][:2]]) if k else batch  # some held already
-            positions = channel.index(wanted, s, block)
+            positions = channel.index(wanted)
             assert channel.strings[positions].tolist() == wanted.tolist()
             assert channel.strings.tolist() == seen[:len(channel.strings)].tolist()
         assert channel.strings.tolist() == seen.tolist()
@@ -306,8 +307,11 @@ def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
             pairs = list(zip(src.tolist(), dst.tolist()))
             want = upward if degree == 1 else {(a, b) for a, b in two_apart if a < b}
             assert len(pairs) == len(set(pairs)) and set(pairs) == want
-        assert links.src.tolist() == sorted(links.src.tolist())
-        assert np.array_equal(links.start, np.searchsorted(links.src, np.arange(len(strings) + 1)))
+        for into, keys, far in ((False, links.src, links.dst), (True, links.dst, links.src)):
+            start, order, reached = links.grouping(into)
+            assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+            assert np.array_equal(reached, far[order])
+            assert np.array_equal(start, np.searchsorted(keys[order], np.arange(len(strings) + 1)))
         holes, particles, phase = _moves(src, dst, degree)
         for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
             assert (holes[k].tolist(), particles[k].tolist(), phase[k]) == _channel_excitation(a, b)
