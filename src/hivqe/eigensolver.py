@@ -1,12 +1,12 @@
 """Subspace Hamiltonian assembly and ground-eigenpair solves.
 
 project() builds the sparse symmetric matrix <d_i|H|d_j> + e_core over the
-rows of a Subspace in numpy batches and stores it once, as its lower
-triangle. Off-diagonal pairs come from one of two generators, picked by how
-many row pairs the call builds. Below PAIRWISE_CUTOFF pairs, as in a
-sampled set, the strings of each pair of rows are XORed and the popcounts
-class the pair as a single or double in one spin channel or a single in
-each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
+rows of a Subspace and stores it once, as its lower triangle. Off-diagonal
+pairs come from one of two generators, picked by how many row pairs the call
+builds, in numpy batches of about _CHUNK candidates. Below PAIRWISE_CUTOFF
+pairs, as in a sampled set, the strings of each pair of rows are XORed and
+the popcounts class the pair as a single or double in one spin channel or a
+single in each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
 uint64 strings becomes a pair of indices into each spin channel's strings,
 the strings one or two electrons apart are linked, and partners are found
 by a RowIndex (Knowles & Handy, CPL 111, 315, 1984). One enumerator,
@@ -30,8 +30,14 @@ generators store the same bits; this module only generates, stores and
 solves.
 Every entry of a row lies in that row, so a subspace that appends rows to an
 earlier one extends its triangle by appending: the earlier rows are copied
-and only the new rows are batched (fast SHCI: Li, Otten, Holmes, Sharma &
-Umrigar, JCP 149, 214110, 2018). The diagonal, always recomputed, comes from
+and only the new rows are built (fast SHCI: Li, Otten, Holmes, Sharma &
+Umrigar, JCP 149, 214110, 2018). The new rows' entries are written once,
+into one (row, col, value) buffer reserved before any pair is generated:
+room for the diagonal and for every pair the generator will look at (the
+row pairs it compares, or the walk's lookups, counted from its link
+groupings). Each batch's nonzero pairs fill the buffer's next slice, and
+the filled prefix becomes the CSR matrix; the pages of a walk's misses are
+reserved but never touched. The diagonal, always recomputed, comes from
 occupation vectors against J = (pp|qq) and K = (pq|qp). slater_condon is the
 element-by-element oracle.
 
@@ -99,7 +105,7 @@ class CIVector:
 
 
 # Candidate partners expanded per numpy batch; bounds the temporaries.
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
 
 
 def _kept(keep: np.ndarray, *arrays):
@@ -193,6 +199,11 @@ def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Link
     return _Links(n_strings, src, dst, values)
 
 
+def _stay(n: int) -> _Links:
+    """Each of n strings linked to itself: the channel a same-spin move leaves be."""
+    return _Links(n, np.arange(n), np.arange(n), {})
+
+
 def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
     """(lo, hi): each pair of the distinct strings degree (1 or 2) electrons
     apart, at least one of them at or after position n_old, once, as
@@ -250,8 +261,10 @@ class _Channel:
     their _single_terms (base, coulomb); doubles the upward doubles with
     their nonzero values; across, by coupling block, the singles the walk
     pairs with one in the other channel, with their phase and orbital pair
-    (upward only for alpha, both directions for beta). A new string's links
-    are appended, and each grouping is built the first time the walk reads it.
+    (upward only for alpha, both directions for beta); stay links each
+    string to itself, for the other channel's same-spin moves. A new string's
+    links are appended, the stay is remade, and each grouping is built the
+    first time the walk reads it.
     """
 
     def __init__(self, s: IntegralSet, block: np.ndarray, both_ways: bool):
@@ -260,6 +273,7 @@ class _Channel:
         self.occ = np.zeros((0, s.n_orb))
         self.singles = self.doubles = None
         self.across = {}
+        self.stay = _stay(0)
         self._sorter = self._sorted = self.strings
 
     def index(self, wanted: np.ndarray) -> np.ndarray:
@@ -277,6 +291,7 @@ class _Channel:
         occ = self.occ = np.concatenate((self.occ, _occupations(fresh, s.n_orb)))
         self._sorter = np.argsort(strings)
         self._sorted = strings[self._sorter]
+        self.stay = _stay(n)
 
         lo, hi = _string_pairs(strings, n_old, 1)
         holes, particles, phase = _moves(strings[lo], strings[hi], 1)
@@ -328,9 +343,18 @@ class WalkState:
         return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
-def _stay(n: int) -> _Links:
-    """Each of n strings linked to itself: the channel a same-spin move leaves be."""
-    return _Links(n, np.arange(n), np.arange(n), {})
+def _passes(n_old: int) -> tuple:
+    """The walk's passes: along the links leaving the rows at or after n_old,
+    then, when rows precede them, along the links into them."""
+    return (False, True) if n_old else (False,)
+
+
+def _lookups(ia: np.ndarray, ib: np.ndarray, n_old: int, alpha: _Links, beta: _Links) -> int:
+    """How many row pairs _linked looks up for the same rows and tables: per
+    pass, each new row's alpha links times its beta links."""
+    new = slice(n_old, None)
+    return sum(int(np.diff(alpha.grouping(into)[0])[ia[new]] @ np.diff(beta.grouping(into)[0])[ib[new]])
+               for into in _passes(n_old))
 
 
 def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links):
@@ -339,7 +363,7 @@ def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, bet
     row at or after n_old once: the links leaving those rows, then the links
     from the first n_old rows into them."""
     new = np.arange(n_old, len(ia))
-    for into in (False, True) if n_old else (False,):
+    for into in _passes(n_old):
         a_start, a_order, a_far = alpha.grouping(into)
         b_start, b_order, b_far = beta.grouping(into)
         n_b = np.diff(b_start)[ib[new]]
@@ -368,31 +392,45 @@ def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralS
     return diag
 
 
-def _walked(sub: Subspace, n_old: int, walk: WalkState):
-    """Yield (i, j, value) batches for the pairs of rows at most two electrons
-    apart that touch a row at or after n_old, along the string links. A
-    same-spin move pairs a link of its channel with a stay in the other."""
-    index = walk.index(sub)
-    for own, other, flip in ((walk.alpha, walk.beta, 1), (walk.beta, walk.alpha, -1)):
-        stay = _stay(len(other.strings))  # link k holds other-channel string k
-        base, coulomb = own.singles.values["base"], own.singles.values["coulomb"]
-        for i, j, *links in _linked(*index, n_old, *(own.singles, stay)[::flip]):
-            move, held = links[::flip]
-            yield i, j, _single_value(base[move], coulomb[move], other.occ[held])
-        value = own.doubles.values["value"]
-        for i, j, *links in _linked(*index, n_old, *(own.doubles, stay)[::flip]):
-            yield i, j, value[links[::flip][0]]
+def _same_spin(own: _Channel, other: _Channel, flip: int) -> list:
+    """own's singles and its doubles, each paired with other's stay, as
+    (alpha links, beta links, value) tables; flip is -1 when own is beta.
+    value(alpha link, beta link) is the element of a pair the walk finds."""
+    base, coulomb = own.singles.values["base"], own.singles.values["coulomb"]
+    double = own.doubles.values["value"]
 
-    # (h_a p_a|h_b p_b) is eri[pair_a, pair_b]; it vanishes unless both moves'
-    # orbital pairs lie in one coupling block, so the walk runs block by block
+    def single(*links):
+        move, held = links[::flip]  # link k of the stay holds other-channel string k
+        return _single_value(base[move], coulomb[move], other.occ[held])
+
+    return [(*(own.singles, other.stay)[::flip], single),
+            (*(own.doubles, other.stay)[::flip], lambda *links: double[links[::flip][0]])]
+
+
+def _across(up_a: _Links, singles_b: _Links, eri: np.ndarray) -> tuple:
+    """One coupling block's alpha and beta singles as an (alpha links, beta
+    links, value) table: (h_a p_a|h_b p_b) is eri[pair_a, pair_b]."""
+    (phase_a, pair_a), (phase_b, pair_b) = ((t.values["phase"], t.values["pair"])
+                                            for t in (up_a, singles_b))
+    return up_a, singles_b, lambda la, lb: phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
+
+
+def _walked(sub: Subspace, n_old: int, walk: WalkState):
+    """(lookups, batches): how many row pairs the walk looks up, and a
+    generator of (i, j, value) batches for the pairs of rows at most two
+    electrons apart that touch a row at or after n_old, along the string
+    links. A same-spin move pairs a link of its channel with a stay in the
+    other; (h_a p_a|h_b p_b) vanishes unless both moves' orbital pairs lie
+    in one coupling block, so a single in each channel is walked block by
+    block. One list of tables serves the count and the walk."""
+    index = walk.index(sub)
     eri = walk.s.eri.reshape(walk.s.n_orb ** 2, -1)
-    for b, up_a in walk.alpha.across.items():
-        if b in walk.beta.across:
-            singles_b = walk.beta.across[b]
-            (phase_a, pair_a), (phase_b, pair_b) = ((t.values["phase"], t.values["pair"])
-                                                    for t in (up_a, singles_b))
-            for i, j, la, lb in _linked(*index, n_old, up_a, singles_b):
-                yield i, j, phase_a[la] * phase_b[lb] * eri[pair_a[la], pair_b[lb]]
+    tables = (_same_spin(walk.alpha, walk.beta, 1) + _same_spin(walk.beta, walk.alpha, -1)
+              + [_across(up_a, walk.beta.across[b], eri)
+                 for b, up_a in walk.alpha.across.items() if b in walk.beta.across])
+    lookups = sum(_lookups(*index[:2], n_old, a, b) for a, b, _ in tables)
+    return lookups, ((i, j, value(la, lb)) for a, b, value in tables
+                     for i, j, la, lb in _linked(*index, n_old, a, b))
 
 
 def _compared(sub: Subspace, n_old: int, s: IntegralSet):
@@ -408,12 +446,25 @@ def _compared(sub: Subspace, n_old: int, s: IntegralSet):
         yield i, j, _pair_elements(alpha[i], beta[i], alpha[j], beta[j], s)
 
 
-def _joined(batches: list) -> np.ndarray:
-    """The batches as one array. The list is emptied, so its batches are freed
-    before the next list is joined."""
-    joined = np.concatenate(batches)
-    batches.clear()
-    return joined
+def _added(diag: np.ndarray, n_old: int, size: int, batches) -> scipy.sparse.csr_matrix:
+    """Rows n_old on of the lower triangle, counted from row n_old: each row's
+    diagonal, then the nonzero values of batches, (i, j, value) arrays of at
+    most size pairs in all. Every entry is written once, into one buffer
+    reserved for all of them; pages it never reaches are never touched."""
+    n = len(diag)
+    end = n - n_old
+    rows, cols = np.empty(end + size, dtype=np.int32), np.empty(end + size, dtype=np.int32)
+    vals = np.empty(end + size)
+    rows[:end], cols[:end], vals[:end] = np.arange(end), np.arange(n_old, n), diag[n_old:]
+    for i, j, v in batches:
+        i, j, v = _kept(v != 0.0, i, j, v)
+        at = slice(end, end + len(v))
+        row = np.maximum(i, j, out=rows[at])
+        row -= n_old
+        np.minimum(i, j, out=cols[at])
+        vals[at] = v
+        end = at.stop
+    return scipy.sparse.csr_matrix((vals[:end], (rows[:end], cols[:end])), shape=(n - n_old, n))
 
 
 def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
@@ -444,20 +495,12 @@ def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
         raise EigensolverError("the known rows are not the first rows of the subspace")
     r = sub.ranks
     diag = _diagonal(r, _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb), s) + s.e_core
-    new = np.arange(n_old, n, dtype=np.int32)
-    rows, cols, vals = [new - n_old], [new], [diag[n_old:]]  # rows count from the first new row
-    if (n - n_old) * (n + n_old - 1) // 2 < PAIRWISE_CUTOFF:
-        pairs = _compared(sub, n_old, s)
+    pairs = (n - n_old) * (n + n_old - 1) // 2
+    if pairs < PAIRWISE_CUTOFF:
+        size, batches = pairs, _compared(sub, n_old, s)
     else:
-        pairs = _walked(sub, n_old, walk or WalkState(s))
-    for i, j, v in pairs:
-        i, j, v = _kept(v != 0.0, i, j, v)
-        rows.append((np.maximum(i, j) - n_old).astype(np.int32))
-        cols.append(np.minimum(i, j).astype(np.int32))
-        vals.append(v)
-
-    added = scipy.sparse.csr_matrix((_joined(vals), (_joined(rows), _joined(cols))),
-                                    shape=(n - n_old, n))
+        size, batches = _walked(sub, n_old, walk or WalkState(s))
+    added = _added(diag, n_old, size, batches)
     if not n_old:
         return added
     old = known[1]

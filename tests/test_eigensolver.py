@@ -564,6 +564,54 @@ def test_the_walk_finds_rows_by_sorted_key_search(monkeypatch, name):
     assert searched and all(searched)
 
 
+def test_project_fills_its_buffer_alike_in_tiny_chunks(monkeypatch):
+    """With five candidate partners per chunk, project writes its entries over
+    many chunks into the one buffer it reserves and stores the bits it stores
+    with the default chunk, under either generator, cold and extending a
+    known block that carries its walk state: on LiH rows that fill most of
+    its sector, and on a sparse pick of a larger sector, whose walked
+    extension looks up mostly rows it lacks and so fills its buffer only in
+    part."""
+    cases = {}
+    for name, s, count in (("lih", load_fixture("lih"), 150),
+                           ("sparse", blocked_integral_set(8, 3, 4, seed=53), 400)):
+        dets = list(enumerate_sector(s.n_orb, s.n_alpha, s.n_beta))
+        pick = [dets[i] for i in np.random.default_rng(53).permutation(len(dets))[:count]]
+        cases[name] = s, subspace_of(pick[:count * 4 // 5], s), subspace_of(pick, s)
+    filled = {}  # (case, generator, extended): (chunks, filled share of the buffer)
+    added = hivqe.eigensolver._added
+
+    def spied(diag, n_old, size, batches):
+        batches = list(batches)
+        h = added(diag, n_old, size, batches)
+        filled[key] = len(batches), (h.nnz - (len(diag) - n_old)) / size
+        return h
+
+    def built():
+        nonlocal key
+        out = {}
+        for (name, (s, first, sub)), cutoff in itertools.product(cases.items(), (WALK, PAIRWISE)):
+            walk = WalkState(s)
+            with generator(cutoff):
+                key = name, cutoff, False
+                out[key] = project(first, s, walk=walk)
+                key = name, cutoff, True
+                out[key] = project(sub, s, (first, out[name, cutoff, False]), walk=walk)
+        return out
+
+    key = None
+    default = built()
+    monkeypatch.setattr(hivqe.eigensolver, "_added", spied)
+    monkeypatch.setattr(hivqe.eigensolver, "_CHUNK", 5)
+    tiny = built()
+    assert tiny.keys() == default.keys() == filled.keys()
+    for k, h in default.items():
+        assert same_storage(h, tiny[k]), k
+    assert min(chunks for chunks, _ in filled.values()) >= 20
+    assert filled["lih", WALK, True][1] > 0.5
+    assert filled["sparse", WALK, True][1] < 0.25
+
+
 def test_a_call_below_the_pairwise_cutoff_builds_no_link_table(monkeypatch):
     """A sampled set of a few dozen rows, and its extension by a few more,
     compares strings pairwise and never builds the walk's string state, not
