@@ -162,16 +162,18 @@ def _grouped(keys: np.ndarray, n: int):
 
 @dataclass(frozen=True)
 class _Links:
-    """Pairs of n strings one or two electrons apart (or, for a stay, each
-    string and itself), in the order they were made: link k carries string
-    src[k] into string dst[k], and values holds, by name, one entry per link.
-    A table grows by appending, and each grouping is built when first read.
+    """Pairs of n strings one or two electrons apart (or, for a stay, marked
+    stay, each string and itself), in the order they were made: link k
+    carries string src[k] into string dst[k], and values holds, by name, one
+    entry per link. A table grows by appending, and each grouping is built
+    when first read.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     values: dict
+    stay: bool = False
     _groupings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,7 +203,7 @@ def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Link
 
 def _stay(n: int) -> _Links:
     """Each of n strings linked to itself: the channel a same-spin move leaves be."""
-    return _Links(n, np.arange(n), np.arange(n), {})
+    return _Links(n, np.arange(n), np.arange(n), {}, stay=True)
 
 
 def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
@@ -250,6 +252,43 @@ def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
                 todo = np.flatnonzero(reached & (block < 0))
                 block[todo] = seed
     return block
+
+
+def _irrep_labels(block: np.ndarray, one_body: np.ndarray) -> Optional[np.ndarray]:
+    """Each orbital's Z2^k irrep label (k >= 1), so that the coupling block of
+    every orbital pair (p, q) is the XOR of the labels of p and q, two blocks
+    never sharing one XOR, and h_pq vanishes unless p and q share a label;
+    None when the blocks form no such grading (C1 integrals make one block).
+
+    By GF(2) elimination over orbital bits: each pair (p, q) relates
+    L(p) ^ L(q) to the same XOR of its block's first pair, and L(0) = 0 fixes
+    the free shift. An orbital's label is its reduced bit vector read at the
+    positions no relation eliminates, one label bit each.
+    """
+    n = one_body.shape[0]
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    pair = (bits[:, None] ^ bits).ravel()
+    _, first, of = np.unique(block, return_index=True, return_inverse=True)
+    relations = np.unique(pair ^ pair[first][of])
+    basis = {}  # highest bit -> relation, an echelon basis
+
+    def reduced(v: int) -> int:
+        for top in sorted(basis, reverse=True):
+            if v >> top & 1:
+                v ^= basis[top]
+        return v
+
+    for v in [1, *relations.tolist()]:
+        v = reduced(v)
+        if v:
+            basis[v.bit_length() - 1] = v
+    free = [t for t in range(n) if t not in basis]
+    labels = np.array([sum((reduced(1 << p) >> t & 1) << j for j, t in enumerate(free))
+                       for p in range(n)], dtype=np.int64)
+    xor = labels[:, None] ^ labels
+    if not free or len(np.unique(xor)) < len(first) or one_body[xor != 0].any():
+        return None
+    return labels
 
 
 class _Channel:
@@ -321,8 +360,8 @@ class _Channel:
 class WalkState:
     """What the link walk reads besides the rows, for one IntegralSet: each
     spin channel's strings, their occupations and the links among them
-    (_Channel), and the coupling block of each orbital pair, labelled once
-    when the state is made.
+    (_Channel), and block, the coupling block of each orbital pair, labelled
+    once when the state is made.
 
     project grows it in place as it walks: a string it holds is never linked
     again, and a new one is linked only to the strings it meets one or two
@@ -332,8 +371,9 @@ class WalkState:
 
     def __init__(self, s: IntegralSet):
         self.s = s
-        block = _coupling_blocks(s.eri)
-        self.alpha, self.beta = _Channel(s, block, both_ways=False), _Channel(s, block, both_ways=True)
+        self.block = _coupling_blocks(s.eri)
+        self.alpha = _Channel(s, self.block, both_ways=False)
+        self.beta = _Channel(s, self.block, both_ways=True)
 
     def index(self, sub: Subspace):
         """(ia, ib, find): sub's rows as positions among the held strings, holding
@@ -361,7 +401,8 @@ def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, bet
     """Yield (i, j, alpha link, beta link) for the rows j = find(alpha string,
     beta string) one link of each table away from row i, each pair touching a
     row at or after n_old once: the links leaving those rows, then the links
-    from the first n_old rows into them."""
+    from the first n_old rows into them. A stay has one link per string, so
+    the rank is the other table's step and no division is needed."""
     new = np.arange(n_old, len(ia))
     for into in _passes(n_old):
         a_start, a_order, a_far = alpha.grouping(into)
@@ -369,15 +410,19 @@ def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, bet
         n_b = np.diff(b_start)[ib[new]]
         for k, rank in _expand(np.diff(a_start)[ia[new]] * n_b):
             i = new[k]
-            step_a, step_b = np.divmod(rank, n_b[k])
+            if alpha.stay or beta.stay:
+                step_a, step_b = (0, rank) if alpha.stay else (rank, 0)
+            else:
+                step_a, step_b = np.divmod(rank, n_b[k])
             at_a, at_b = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
             j = find(a_far[at_a], b_far[at_b])
             i, j, at_a, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, at_a, at_b)
             yield i, j, a_order[at_a], b_order[at_b]
 
 
-def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralSet) -> np.ndarray:
-    """<d|H|d> for every determinant, without e_core, from string occupations."""
+def _diagonal(r: StringRanks, s: IntegralSet) -> np.ndarray:
+    """<d|H|d> + e_core for every determinant, from its strings' occupations."""
+    occ_a, occ_b = _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb)
     ar = np.arange(s.n_orb)
     j = s.eri[ar[:, None], ar[:, None], ar, ar]
     jk = j - s.eri[ar[:, None], ar, ar, ar[:, None]]
@@ -389,7 +434,7 @@ def _diagonal(r: StringRanks, occ_a: np.ndarray, occ_b: np.ndarray, s: IntegralS
     for lo in range(0, len(diag), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         diag[sl] += np.einsum("kp,kp->k", coulomb_a[r.ia[sl]], occ_b[r.ib[sl]])
-    return diag
+    return diag + s.e_core
 
 
 def _same_spin(own: _Channel, other: _Channel, flip: int) -> list:
@@ -493,8 +538,7 @@ def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
     if n_old and not (np.array_equal(known[0].alpha, sub.alpha[:n_old])
                       and np.array_equal(known[0].beta, sub.beta[:n_old])):
         raise EigensolverError("the known rows are not the first rows of the subspace")
-    r = sub.ranks
-    diag = _diagonal(r, _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb), s) + s.e_core
+    diag = _diagonal(sub.ranks, s)
     pairs = (n - n_old) * (n + n_old - 1) // 2
     if pairs < PAIRWISE_CUTOFF:
         size, batches = pairs, _compared(sub, n_old, s)

@@ -3,9 +3,13 @@
 brute_force_hamiltonian builds the Hamiltonian over the full occupation-number
 basis by applying second-quantized operator strings with explicit sign
 tracking: no Slater-Condon shortcuts, no shared code with the fast path, so
-agreement between the two is meaningful. fci_ground solves the full symmetry
-sector, as enumerate_sector's Subspace, exactly with the production assembly
-and eigensolver.
+agreement between the two is meaningful. fci_ground solves the sector, as
+enumerate_sector's Subspace, exactly with the production assembly and
+eigensolver. Davidson never leaves the irrep of the determinant it starts
+from, the one of lowest diagonal, so where the integrals grade the orbitals
+by irrep fci_ground assembles and solves only that irrep's rows: it returns
+the lowest state of the start determinant's irrep, or, without a grading or
+for a sector solved densely, of the full sector.
 
 Spin-orbital convention: index p in [0, n_orb) is alpha orbital p, index
 n_orb + p is beta orbital p (alpha block first, matching the determinant
@@ -19,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigensolver
 from .determinants import Determinant, Sector
-from .eigensolver import CIVector, ground_state, project
+from .eigensolver import CIVector, WalkState, _diagonal, _irrep_labels, ground_state, project
 from .integrals import IntegralSet
 from .sampler import enumerate_sector, sector_size
 
@@ -44,14 +49,41 @@ class FciResult:
     sector_size: int
 
 
+def _irreps(strings: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The irrep of each spin string: the XOR of its occupied orbitals' labels."""
+    irrep = np.zeros(len(strings), dtype=np.int64)
+    for bit in range(int(labels.max()).bit_length()):
+        mask = np.uint64(sum(1 << p for p in np.flatnonzero(labels >> bit & 1).tolist()))
+        irrep |= (np.bitwise_count(strings & mask) & 1).astype(np.int64) << bit
+    return irrep
+
+
 def fci_ground(s: IntegralSet) -> FciResult:
-    """Exact ground state over the full sector, of at most ORACLE_SECTOR_LIMIT determinants."""
+    """Exact ground state over a sector of at most ORACLE_SECTOR_LIMIT
+    determinants, as a vector over the whole sector in enumerate_sector order.
+
+    Above DENSE_CUTOFF determinants the solve is Davidson's from the
+    determinant of lowest diagonal, which stays in that determinant's irrep:
+    when _irrep_labels grades the orbitals, only that irrep's rows are
+    assembled and solved, and every other amplitude is exactly 0. The energy
+    is then the lowest of that irrep, which need not be Hartree-Fock's nor
+    hold the sector's lowest state. Without a grading the full sector is
+    solved as is.
+    """
     sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
     count = sector_size(*sector)
     if count > ORACLE_SECTOR_LIMIT:
         raise ValueError(f"sector of {count} determinants exceeds limit {ORACLE_SECTOR_LIMIT}")
-    c = ground_state(project(enumerate_sector(*sector), s), mode="tight")
-    return FciResult(c.energy, c, count)
+    sub, walk = enumerate_sector(*sector), WalkState(s)
+    labels, rows = _irrep_labels(walk.block, s.one_body), slice(None)
+    if labels is not None and count > eigensolver.DENSE_CUTOFF:
+        r = sub.ranks
+        irrep = _irreps(r.alpha, labels)[r.ia] ^ _irreps(r.beta, labels)[r.ib]
+        rows = np.flatnonzero(irrep == irrep[np.argmin(_diagonal(r, s))])  # Davidson's start
+    c = ground_state(project(sub.take(rows), s, walk=walk), mode="tight")
+    amplitudes = np.zeros(count)
+    amplitudes[rows] = c.amplitudes
+    return FciResult(c.energy, CIVector(amplitudes, c.energy), count)
 
 
 def _apply_annihilate(masks, t: int):

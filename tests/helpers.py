@@ -125,6 +125,31 @@ def random_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet
     return IntegralSet.from_terms(n_orb, n_alpha, n_beta, e_core, one, two)
 
 
+def planted_irreps(n_orb, seed) -> np.ndarray:
+    """The Z2 x Z2 irrep, 0 to 3, that blocked_integral_set gives each orbital
+    for this seed (or, given a Generator, its next draw)."""
+    return np.random.default_rng(seed).permutation(np.arange(n_orb) % 4)
+
+
+def with_forbidden_eri(s: IntegralSet, labels: np.ndarray, value: float) -> IntegralSet:
+    """s with value added to the first (pq|rs) whose labels' XOR is not 0,
+    the one symmetry forbids, and to the seven other images of it."""
+    x = labels[:, None] ^ labels
+    p, q, r, t = np.argwhere(x[:, :, None, None] != x)[0]
+    eri = s.eri.copy()
+    for a, b, c, d in ((p, q, r, t), (q, p, r, t), (p, q, t, r), (q, p, t, r)):
+        eri[a, b, c, d] = eri[c, d, a, b] = eri[a, b, c, d] + value
+    return IntegralSet(s.n_orb, s.n_alpha, s.n_beta, s.e_core, s.one_body, eri)
+
+
+def with_forbidden_h(s: IntegralSet, labels: np.ndarray, value: float) -> IntegralSet:
+    """s with value added to the first h_pq, and to h_qp, whose labels differ."""
+    p, q = np.argwhere(labels[:, None] != labels)[0]
+    one = s.one_body.copy()
+    one[p, q] = one[q, p] = one[p, q] + value
+    return IntegralSet(s.n_orb, s.n_alpha, s.n_beta, s.e_core, one, s.eri)
+
+
 def blocked_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSet:
     """random_integral_set with point-group zeros. Each orbital carries a
     Z2 x Z2 irrep, a 2-bit label whose products are XORs; every h_pq and
@@ -133,7 +158,7 @@ def blocked_integral_set(n_orb, n_alpha, n_beta, seed, e_core=0.0) -> IntegralSe
     irrep product 1."""
     s = random_integral_set(n_orb, n_alpha, n_beta, seed, e_core)
     rng = np.random.default_rng(seed)
-    irrep = rng.permutation(np.arange(n_orb) % 4)
+    irrep = planted_irreps(n_orb, rng)
     pair = irrep[:, None] ^ irrep  # the irrep of each orbital pair
     one = np.where(pair == 0, s.one_body, 0.0)
     eri = np.where(pair[:, :, None, None] == pair, s.eri, 0.0)

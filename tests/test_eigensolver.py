@@ -24,6 +24,7 @@ from hivqe.eigensolver import (
     WalkState,
     _Channel,
     _coupling_blocks,
+    _irrep_labels,
     _moves,
     ground_state,
     principal_block,
@@ -35,7 +36,8 @@ from hivqe.sampler import enumerate_sector
 from hivqe.subspace import RowIndex, Subspace, tensor_reconstruct
 
 from helpers import (FIXTURES, blocked_integral_set, dense_symmetric, load_fixture,
-                     load_reference, random_integral_set, subspace_of)
+                     load_reference, planted_irreps, random_integral_set, subspace_of,
+                     with_forbidden_eri, with_forbidden_h)
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"  # read only
 H8 = BENCH_INPUTS / "h8.fcidump"
@@ -188,6 +190,70 @@ def test_coupling_blocks_join_every_pair_of_orbital_pairs_an_integral_couples(na
     assert len(np.unique(block[~np.eye(n, dtype=bool).ravel()])) == blocks
     p, q, r, t = np.nonzero(s.eri)
     assert np.array_equal(block[p * n + q], block[r * n + t])
+
+
+def irrep_labels(s):
+    return _irrep_labels(_coupling_blocks(s.eri), s.one_body)
+
+
+BLOCKED_SEEDS = [(8, 3, 4, 41), (8, 3, 4, 47), (8, 3, 4, 53), (10, 3, 3, 110),
+                 (8, 4, 4, 1), (8, 4, 4, 2), (8, 4, 4, 3)]
+
+
+@pytest.mark.parametrize("n_orb,n_alpha,n_beta,seed", BLOCKED_SEEDS)
+def test_irrep_labels_recover_the_planted_z2_x_z2_labels(n_orb, n_alpha, n_beta, seed):
+    """Up to an XOR relabelling: one bijection of Z2 x Z2 takes the planted
+    XOR of every orbital pair to the XOR of its labels."""
+    labels = irrep_labels(blocked_integral_set(n_orb, n_alpha, n_beta, seed))
+    planted = planted_irreps(n_orb, seed)
+    assert labels[0] == 0
+    relabel = set(zip((planted[:, None] ^ planted).ravel().tolist(),
+                      (labels[:, None] ^ labels).ravel().tolist()))
+    assert len(relabel) == len(dict(relabel)) == len(set(dict(relabel).values())) == 4
+
+
+def graded_set(name):
+    if name in ("h8", "h12"):
+        return parse_fcidump((BENCH_INPUTS / f"{name}.fcidump").read_text())
+    if name == "blocked":
+        return blocked_integral_set(8, 4, 4, seed=1)
+    return load_fixture(name)
+
+
+@pytest.mark.parametrize("name,pattern", [
+    ("h2_0.74", "gu"), ("h2_2.50", "gu"), ("h4_chain", "gugu"), ("h8", "gu" * 4),
+    ("h12", "gu" * 6), ("lih", "aaabca"),
+])
+def test_irrep_labels_give_the_chains_alternating_parity_and_lih_three_irreps(name, pattern):
+    """The chains' orbitals alternate gerade and ungerade; LiH's sigma
+    orbitals share one label and its two pi orbitals take two others, three
+    irreps of C2v that generate Z2 x Z2. Each coupling block is one XOR."""
+    s = graded_set(name)
+    labels = irrep_labels(s)
+    assert labels[0] == 0
+    assert len(set(zip(pattern, labels.tolist()))) == len(set(pattern)) == len(set(labels.tolist()))
+    assert int(labels.max()).bit_length() == len(set(pattern)) - 1
+    block, x = _coupling_blocks(s.eri), (labels[:, None] ^ labels).ravel()
+    assert len(set(zip(block.tolist(), x.tolist()))) == len(set(block.tolist())) == len(set(x.tolist()))
+
+
+@pytest.mark.parametrize("name", ["random", "lih", "h8", "blocked"])
+def test_irrep_labels_report_no_grading_for_dense_or_slightly_broken_integrals(name):
+    """C1 integrals make one block; a 1e-13 (pq|rs) that the labels forbid,
+    in all eight of its images, joins two blocks of different XORs, so the
+    blocks no longer form a grading; a 1e-13 h_pq across two labels leaves
+    the blocks as they were but makes the grading no symmetry of H."""
+    if name == "random":
+        assert irrep_labels(random_integral_set(7, 3, 3, seed=9)) is None
+        return
+    s = graded_set(name)
+    broken = with_forbidden_eri(s, irrep_labels(s), 1e-13)
+    assert np.array_equal(broken.eri, broken.eri.transpose(1, 0, 2, 3))
+    assert np.array_equal(broken.eri, broken.eri.transpose(2, 3, 0, 1))
+    assert irrep_labels(broken) is None
+    broken = with_forbidden_h(s, irrep_labels(s), 1e-13)
+    assert np.array_equal(_coupling_blocks(broken.eri), _coupling_blocks(s.eri))
+    assert irrep_labels(broken) is None
 
 
 def test_project_matches_slater_condon_without_beta_electrons():

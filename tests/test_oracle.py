@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hivqe.determinants import Determinant
+from hivqe.determinants import Determinant, occupied_orbitals
+from hivqe.eigensolver import DENSE_CUTOFF, _coupling_blocks, _irrep_labels, ground_state, project
+from hivqe.integrals import parse_fcidump
 from hivqe.oracle import (
     BRUTE_FORCE_SPIN_ORBITAL_LIMIT,
     brute_force_hamiltonian,
@@ -17,17 +19,51 @@ from hivqe.oracle import (
     fci_ground,
 )
 from hivqe.sampler import enumerate_sector
+from hivqe.subspace import _hf_row
 
 from helpers import (
+    blocked_integral_set,
     fock_vector,
     jw_annihilator,
     jw_number_conserving_hamiltonian,
     load_fixture,
     load_reference,
     random_integral_set,
+    with_forbidden_eri,
+    with_forbidden_h,
 )
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+H8 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "h8.fcidump"  # read only
+BLOCKED_SEEDS = [(8, 3, 4, 41), (8, 3, 4, 47), (8, 3, 4, 53), (10, 3, 3, 110),
+                 (8, 4, 4, 1), (8, 4, 4, 2), (8, 4, 4, 3)]
+
+
+def integral_set(name):
+    if name == "h8":
+        return parse_fcidump(H8.read_text())
+    if isinstance(name, tuple):
+        return blocked_integral_set(*name)
+    return load_fixture(name)
+
+
+def full_sector_solve(s):
+    """The sector and its ground state as fci_ground solved it before it
+    kept one irrep: one project over every row and one tight solve."""
+    sub = enumerate_sector(s.n_orb, s.n_alpha, s.n_beta)
+    h = project(sub, s)
+    return sub, h, ground_state(h, mode="tight")
+
+
+def det_irreps(sub, labels):
+    """Each determinant's irrep, XORing its occupied orbitals' labels one by one."""
+    out = []
+    for d in sub:
+        irrep = 0
+        for p in occupied_orbitals(d.alpha_mask) + occupied_orbitals(d.beta_mask):
+            irrep ^= int(labels[p])
+        out.append(irrep)
+    return np.array(out)
 
 
 def test_det_to_fock_index_packs_alpha_low():
@@ -90,6 +126,63 @@ def test_fci_ground_vector_is_true_eigenvector():
     h = jw_number_conserving_hamiltonian(s)
     residual = h @ vec - res.energy * vec
     assert np.max(np.abs(residual)) < 1e-8
+
+
+@pytest.mark.parametrize("name", [*load_reference(), "h8", *BLOCKED_SEEDS])
+def test_fci_ground_solves_the_start_irrep_as_the_full_sector_solve_does(name):
+    """Above DENSE_CUTOFF the full-sector Davidson solve never leaves the
+    irrep of its start, the determinant of lowest diagonal: every other
+    amplitude is exactly 0, and fci_ground, which assembles only that
+    irrep's rows, returns the same energy and vector over the whole sector
+    in its order. A sector solved densely is solved whole, bit for bit."""
+    s = integral_set(name)
+    sub, h, full = full_sector_solve(s)
+    res = fci_ground(s)
+    amplitudes = res.vector.amplitudes
+    assert len(amplitudes) == len(sub) == res.sector_size
+    if len(sub) <= DENSE_CUTOFF:
+        assert res.energy == full.energy and np.array_equal(amplitudes, full.amplitudes)
+        return
+    irrep = det_irreps(sub, _irrep_labels(_coupling_blocks(s.eri), s.one_body))
+    dropped = irrep != irrep[np.argmin(h.diagonal())]
+    assert 0 < dropped.sum() < len(sub)
+    assert np.all(full.amplitudes[dropped] == 0.0) and np.all(amplitudes[dropped] == 0.0)
+    assert res.energy == pytest.approx(full.energy, abs=1e-12)
+    assert np.allclose(amplitudes, full.amplitudes, rtol=0, atol=1e-7)
+
+
+def test_fci_ground_keeps_the_start_irrep_even_where_hartree_fock_lies_in_another():
+    """On this blocked set the determinant of lowest diagonal and the
+    Hartree-Fock determinant lie in different irreps, and the lowest state
+    of Hartree-Fock's irrep is far lower than what Davidson reaches."""
+    s = blocked_integral_set(8, 4, 4, 1)
+    sub, h, full = full_sector_solve(s)
+    irrep = det_irreps(sub, _irrep_labels(_coupling_blocks(s.eri), s.one_body))
+    hf = irrep[_hf_row(sub)]
+    assert irrep[np.argmin(h.diagonal())] != hf
+    rows = np.flatnonzero(irrep == hf)
+    e_hf_irrep = ground_state(project(sub.take(rows), s), mode="tight").energy
+    assert fci_ground(s).energy == pytest.approx(full.energy, abs=1e-12)
+    assert full.energy == pytest.approx(-30.978, abs=1e-3)
+    assert e_hf_irrep == pytest.approx(-38.045, abs=1e-3)
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("random", None), ("h8", with_forbidden_eri), ((8, 4, 4, 1), with_forbidden_eri),
+    ((8, 4, 4, 1), with_forbidden_h),
+])
+def test_fci_ground_without_a_grading_is_the_full_sector_solve_bit_for_bit(name, broken):
+    """Dense random integrals, or a 1e-13 (pq|rs) or h_pq that the symmetry
+    forbids in a graded set, leave no grading: the whole sector is solved as is."""
+    if name == "random":
+        s = random_integral_set(6, 3, 3, seed=2)
+    else:
+        s = integral_set(name)
+        s = broken(s, _irrep_labels(_coupling_blocks(s.eri), s.one_body), 1e-13)
+    assert _irrep_labels(_coupling_blocks(s.eri), s.one_body) is None
+    _, _, full = full_sector_solve(s)
+    res = fci_ground(s)
+    assert res.energy == full.energy and np.array_equal(res.vector.amplitudes, full.amplitudes)
 
 
 def test_fci_ground_enforces_sector_limit(monkeypatch):
