@@ -106,9 +106,12 @@ def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
 def _distinct_rows(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     """The first row of each distinct (alpha[i], beta[i]) pair, in ascending
     pair order, and how many rows hold each pair."""
-    ia = np.unique(alpha, return_inverse=True)[1]
-    distinct_beta, ib = np.unique(beta, return_inverse=True)
-    return np.unique(ia * len(distinct_beta) + ib, return_index=True, return_counts=True)[1:]
+    order = np.lexsort((beta, alpha))  # stable, so each pair's run opens with its first row
+    alpha, beta = alpha[order], beta[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (alpha[1:] != alpha[:-1]) | (beta[1:] != beta[:-1])
+    starts = np.flatnonzero(starts)
+    return order[starts], np.append(starts[1:], len(order)) - starts
 
 
 def _phase(strings: np.ndarray, holes, particles) -> np.ndarray:

@@ -208,14 +208,18 @@ def sample(state: SectorState, shots: int, p_flip: float, seed) -> SampleBatch:
 
     The state is a product, so each shot's alpha string is drawn from
     |alpha|^2 and its beta string from |beta|^2, with the same joint law in
-    O(C(n, n_alpha) + C(n, n_beta) + shots * n_orb) memory. One generator
-    draws all alpha strings, then all beta strings, then one uniform per
-    shot and bit (alpha orbitals first); a uniform below p_flip flips its bit.
+    O(C(n, n_alpha) + C(n, n_beta) + shots * n_orb) memory. The N = shots *
+    2 * n_orb read-out bits are numbered shot by shot, alpha orbitals before
+    beta. One generator draws all alpha string indices, then all beta string
+    indices, then the flip count K = binomial(N, p_flip), then K distinct bit
+    numbers by choice(N, K, replace=False), and flips those bits. A uniform
+    K-subset with binomial K flips each bit independently with probability
+    p_flip (Devroye, Non-Uniform Random Variate Generation, 1986), at a cost
+    that grows with K, not with N.
 
     Deterministic for a fixed seed (accepts anything numpy's default_rng
     does). The batch holds each distinct raw (alpha, beta) string pair once,
-    with its shot count: noiseless batches in ascending (alpha, beta) order,
-    noisy ones in order of first appearance.
+    with its shot count, in ascending (alpha, beta) order.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -225,14 +229,11 @@ def sample(state: SectorState, shots: int, p_flip: float, seed) -> SampleBatch:
     n, n_alpha, n_beta = state.sector
     ia, ib = (rng.choice(len(amps), size=shots, p=amps**2 / np.sum(amps**2))
               for amps in (state.alpha, state.beta))
-    alpha, beta = _channel(n, n_alpha), _channel(n, n_beta)
-    if p_flip == 0.0:
-        # The channel strings ascend with their index, so the pair index does too.
-        _, first, counts = np.unique(ia * len(beta) + ib, return_index=True, return_counts=True)
-        return SampleBatch(alpha[ia[first]], beta[ib[first]], counts, n)
-    flips = rng.random((shots, 2 * n)) < p_flip
-    # A boolean row times _BIT is the string with those bits set.
-    alpha, beta = alpha[ia] ^ (flips[:, :n] @ _BIT[:n]), beta[ib] ^ (flips[:, n:] @ _BIT[:n])
+    pairs = np.stack((_channel(n, n_alpha)[ia], _channel(n, n_beta)[ib]), axis=1)
+    bits = pairs.size * n
+    # Bit f is orbital f % n of string f // n in the flat (alpha, beta) pairs.
+    string, orbital = np.divmod(rng.choice(bits, rng.binomial(bits, p_flip), replace=False), n)
+    np.bitwise_xor.at(pairs.reshape(-1), string, _BIT[orbital])
+    alpha, beta = pairs.T
     first, counts = _distinct_rows(alpha, beta)
-    seen = np.argsort(first)  # first-appearance order
-    return SampleBatch(alpha[first[seen]], beta[first[seen]], counts[seen], n)
+    return SampleBatch(alpha[first], beta[first], counts, n)

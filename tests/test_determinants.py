@@ -11,6 +11,7 @@ from hivqe.determinants import (
     Determinant,
     Sector,
     _channel_excitation,
+    _distinct_rows,
     det_to_string,
     hartree_fock_det,
     occupied_orbitals,
@@ -126,3 +127,26 @@ def test_hf_diagonal_matches_scf_energy():
         hf = hartree_fock_det(s)
         e = slater_condon(hf, hf, s) + s.e_core
         assert e == pytest.approx(load_reference()[name]["e_hf"], abs=1e-9)
+
+
+def distinct_rows_reference(alpha, beta):
+    """(first row, row count) of each distinct (alpha, beta) pair, ascending."""
+    first, count = {}, {}
+    for row, pair in enumerate(zip(alpha.tolist(), beta.tolist())):
+        first.setdefault(pair, row)
+        count[pair] = count.get(pair, 0) + 1
+    pairs = sorted(first)
+    return [first[p] for p in pairs], [count[p] for p in pairs]
+
+
+@pytest.mark.parametrize("rows, low, distinct", [
+    (0, 0, 4),  # discard mode can keep no row at all
+    (3000, 2**32, 40),  # strings past 32 bits, up to the 64th
+    (5000, 0, 3),  # heavy duplication: at most nine pairs
+])
+def test_distinct_rows_match_a_dict_reference(rows, low, distinct):
+    rng = np.random.default_rng(rows)
+    strings = rng.integers(low, 2**64 - 1, size=distinct, dtype=np.uint64, endpoint=True)
+    alpha, beta = (strings[rng.integers(distinct, size=rows)] for _ in range(2))
+    first, counts = _distinct_rows(alpha, beta)
+    assert (first.tolist(), counts.tolist()) == distinct_rows_reference(alpha, beta)

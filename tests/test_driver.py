@@ -283,11 +283,12 @@ def test_stall_detection_breaks_the_loop(monkeypatch):
     assert res.iterations == last_drop + 1 + STALL_WINDOW < 40
 
 
-@pytest.mark.parametrize("seed, iterations", [(0, 14), (1, 13)])
+@pytest.mark.parametrize("seed, iterations", [(0, 13), (32, 12)])
 def test_a_noisy_tightly_capped_run_stalls_on_its_own(seed, iterations):
     """Heavy readout noise and a cap of 6 keep LiH's cumulative energy
     cycling among a few values, so the unpatched loop stops as stalled
-    exactly STALL_WINDOW iterations after its last lower energy."""
+    exactly STALL_WINDOW iterations after its last lower energy. Of seeds
+    0-39, 0 and 32 are the ones that stall; the rest converge."""
     cfg = RunConfig(seed=seed, k=6, m=2, p_flip=0.2, shots=200,
                     recovery_mode="recover", max_iterations=40)
     res = run_hivqe(cfg, load_fixture("lih"))
@@ -418,11 +419,13 @@ def test_a_loop_on_the_sorted_key_search_runs_as_on_the_tables(monkeypatch, name
 
 
 def test_tensor_reconstruction_cap_guard():
-    # heavy bit flips hand the first cap a string-diverse set of recovered
-    # determinants; merging both spin channels squares that diversity past
-    # the 10*k cap (64 > 60 here)
-    s = load_fixture("lih")
-    cfg = RunConfig(seed=4, k=6, m=5, shots=60, p_flip=0.5,
+    """At p_flip=0.5 every read-out string is uniform whatever the state, so
+    20 shots over 12 orbitals repair to about 37 distinct spin strings (32 at
+    fewest over 2,000 seeds). With k equal to the shots the first subspace
+    is never capped, and squaring its merged strings passes the 10*k = 200
+    cap once 15 of its 40 strings differ."""
+    s = random_integral_set(12, 6, 6, seed=12)
+    cfg = RunConfig(seed=4, k=20, m=5, shots=20, p_flip=0.5,
                     tensor_reconstruct=True, closed_shell=True,
                     recovery_mode="recover", max_iterations=3)
     with pytest.raises(RunError, match="safety cap"):
@@ -485,7 +488,7 @@ def test_iteration_and_probes_share_one_sample_and_solve_step():
     roles 0, 1 and 2 of the iteration's seed stream, each sampled, repaired,
     projected and loosely solved alike. The record counts the role-0 batch's
     out-of-sector shots although recover mode repairs them."""
-    s = load_fixture("h4_chain")
+    s = load_fixture("lih")
     cfg = RunConfig(seed=3, shots=100, k=10, m=4, p_flip=0.2,
                     recovery_mode="recover", max_iterations=2)
     record = run_hivqe(cfg, s).trace[0]

@@ -320,6 +320,55 @@ def test_noise_rate_statistics():
     assert rate == pytest.approx(0.05, abs=0.005)
 
 
+def assert_mean(values, expected):
+    """The mean of values, one per independent shot, lies within five of
+    its standard errors of expected."""
+    assert abs(values.mean() - expected) < 5 * values.std() / math.sqrt(len(values))
+
+
+@pytest.mark.parametrize("p_flip", [0.01, 0.3])
+def test_flips_follow_the_independent_bit_law(p_flip):
+    """From Hartree-Fock every shot reads the same strings, so each shot's
+    flips are its strings XOR Hartree-Fock's. Every bit flips with
+    probability p, any two bits together with p**2, within one channel and
+    across the two, and a shot's 2n bits flip Binomial(2n, p) times."""
+    n, shots = 5, 100_000
+    sec = Sector(n, 2, 3)
+    spec = brick_wall_ansatz(n, 2)
+    batch = sample(prepare_state(spec, np.zeros(spec.n_params), sec), shots, p_flip, seed=11)
+    hf = np.array([0b11, 0b111], dtype=np.uint64)
+    pairs = np.repeat(np.stack((batch.alpha, batch.beta), axis=1), batch.shots, axis=0)
+    flips = _occupations((pairs ^ hf).reshape(-1), n).reshape(shots, 2 * n)
+
+    for bit in range(2 * n):
+        assert_mean(flips[:, bit], p_flip)
+    alpha, beta = flips[:, :n], flips[:, n:]
+    i, j = np.triu_indices(n, 1)  # every pair of distinct orbitals
+    across = (alpha[:, :, None] * beta[:, None, :]).reshape(shots, -1)
+    for both in (alpha[:, i] * alpha[:, j], beta[:, i] * beta[:, j], across):
+        assert_mean(both.mean(axis=1), p_flip**2)
+    count = flips.sum(axis=1)
+    assert_mean(count, 2 * n * p_flip)
+    assert_mean((count - 2 * n * p_flip) ** 2, 2 * n * p_flip * (1 - p_flip))
+
+
+def test_a_noiseless_batch_is_the_distinct_pairs_of_the_documented_draw():
+    """At p_flip = 0 nothing flips: the batch is np.unique over the alpha and
+    beta string indices that sample's stream draws first."""
+    sec = Sector(6, 3, 2)
+    spec = brick_wall_ansatz(6, 3)
+    state = prepare_state(spec, np.random.default_rng(6).normal(size=spec.n_params), sec)
+    batch = sample(state, 5000, 0.0, seed=21)
+    rng = np.random.default_rng(21)
+    ia, ib = (rng.choice(len(amps), size=5000, p=amps**2 / np.sum(amps**2))
+              for amps in (state.alpha, state.beta))
+    n_beta = len(state.beta)
+    pair, counts = np.unique(ia * n_beta + ib, return_counts=True)
+    assert np.array_equal(batch.alpha, _channel(6, 3)[pair // n_beta])
+    assert np.array_equal(batch.beta, _channel(6, 2)[pair % n_beta])
+    assert np.array_equal(batch.shots, counts)
+
+
 @pytest.mark.parametrize("p_flip", [0.0, 0.01])
 def test_sampling_memory_scales_with_the_channels_not_the_sector(p_flip):
     """15 orbitals with 5 alpha and 5 beta electrons: 3,003 strings per
@@ -345,7 +394,7 @@ def test_noisy_batch_over_40_orbitals_keeps_every_distinct_pair():
     """One alpha and one beta electron in 40 orbitals, with readout flips.
 
     The batch must hold exactly the distinct raw (alpha, beta) pairs of the
-    draw, in order of first appearance. A pair packed into one 64-bit
+    draw, in ascending pair order. A pair packed into one 64-bit
     alpha << 40 | beta key would lose alpha's top bits and merge pairs.
     """
     sec = Sector(40, 1, 1)
@@ -354,18 +403,20 @@ def test_noisy_batch_over_40_orbitals_keeps_every_distinct_pair():
     shots, p_flip = 3000, 0.05
     batch = sample(state, shots, p_flip, seed=9)
 
-    # sample's documented stream: alpha strings, beta strings, then the flips.
+    # sample's documented stream: alpha strings, beta strings, the flip count,
+    # then that many distinct bit numbers, 80 per shot, alpha orbitals first.
     # With one electron, string i of a channel is 1 << i.
     rng = np.random.default_rng(9)
     ia, ib = (rng.choice(40, size=shots, p=amps**2 / np.sum(amps**2))
               for amps in (state.alpha, state.beta))
-    flips = rng.random((shots, 80)) < p_flip
-    expect = Counter(
-        ((1 << int(ia[i])) ^ sum(1 << p for p in range(40) if flips[i, p]),
-         (1 << int(ib[i])) ^ sum(1 << p for p in range(40) if flips[i, 40 + p]))
-        for i in range(shots))
+    strings = [[1 << int(a), 1 << int(b)] for a, b in zip(ia, ib)]
+    bits = shots * 80
+    for f in rng.choice(bits, rng.binomial(bits, p_flip), replace=False).tolist():
+        shot, bit = divmod(f, 80)
+        strings[shot][bit // 40] ^= 1 << (bit % 40)
+    expect = sorted(Counter(map(tuple, strings)).items())
     got = list(zip(batch.alpha.tolist(), batch.beta.tolist(), batch.shots.tolist()))
-    assert got == [(a, b, c) for (a, b), c in expect.items()]
+    assert got == [(a, b, c) for (a, b), c in expect]
     assert any(a >> 24 for a, _, _ in got)  # bits that a packed key would drop
 
     hint = mean_occupations(state)
