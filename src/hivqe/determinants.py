@@ -14,13 +14,16 @@ holes, particles and sign of the moves between two strings, and
 _single_terms, _single_value and _double_element evaluate them.
 _pair_elements values pairs of determinants from their strings alone; it
 serves project's string comparison and scores classical expansion's
-candidates, which _excitations builds, so a ranked coupling is bit for bit
-the stored entry. The link walk in eigensolver calls the same helpers.
+candidates, so a ranked coupling is bit for bit the stored entry. The link
+walk in eigensolver calls the same helpers. _neighbours lists the strings
+one or two electrons from each string: expansion's candidates, and through
+_string_pairs, which costs what its new strings' neighbours cost, the
+walk's links and the 1-RDM's pairs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -200,6 +203,44 @@ def _moves(src: np.ndarray, dst: np.ndarray, count: int):
     return holes, particles, phase
 
 
+# Neighbours _string_pairs looks up at once; bounds its temporaries.
+_CHUNK = 1 << 16
+
+
+def _neighbours(strings: np.ndarray, n_orb: int, degree: int) -> np.ndarray:
+    """(len(strings), C(n_e, degree) * C(n_orb - n_e, degree)): the strings
+    degree (1 or 2) electrons from each of strings, all of n_e electrons in
+    n_orb orbitals, by set of holes, then of particles, both ascending."""
+    n, occupied = len(strings), _occupations(strings, n_orb) > 0
+    moved = [_BIT[np.nonzero(o)[1]].reshape(n, -1) for o in (occupied, ~occupied)]
+    if degree == 2:  # each pair of orbitals once, in np.triu_indices order
+        moved = [(m[:, :, None] | m[:, None, :])[:, np.less.outer(*[np.arange(m.shape[1])] * 2)]
+                 for m in moved]
+    holes, particles = moved
+    return (strings[:, None, None] ^ holes[:, :, None] ^ particles[:, None, :]).reshape(n, -1)
+
+
+def _string_pairs(strings: np.ndarray, n_orb: int, n_old: int, degree: int):
+    """(lo, hi): each pair of the distinct strings degree (1 or 2) electrons
+    apart, at least one at or after position n_old, once, as positions with
+    strings[lo] < strings[hi]: the _neighbours of those strings, looked up
+    among all by one sorted search, about _CHUNK at a time."""
+    n_e = int(np.bitwise_count(strings[:1]).sum())
+    step = max(_CHUNK // max(comb(n_e, degree) * comb(n_orb - n_e, degree), 1), 1)
+    order = np.argsort(strings)
+    held = strings[order]
+    pairs = [(np.zeros(0, dtype=np.intp),) * 2]
+    for lo in range(n_old, len(strings), step):
+        near = np.sort(_neighbours(strings[lo:lo + step], n_orb, degree))  # searched faster sorted
+        i = np.arange(lo, lo + len(near))[:, None]
+        j = order[np.searchsorted(held, near).clip(max=len(held) - 1)]
+        found = (strings[j] == near) & ((j < n_old) | (j > i))
+        pairs.append((np.nonzero(found)[0] + lo, j[found]))
+    a, b = (np.concatenate(x) for x in zip(*pairs))
+    up = strings[a] < strings[b]
+    return np.where(up, a, b), np.where(up, b, a)
+
+
 def _single_terms(holes, particles, phase, occ_src, s: IntegralSet):
     """(base, coulomb) for single moves holes -> particles of sign phase out
     of strings whose occupations are the rows of occ_src.
@@ -277,15 +318,6 @@ def slater_condon(d1: Determinant, d2: Determinant, s: IntegralSet) -> float:
     occ = occupied_orbitals(d1.alpha_mask), occupied_orbitals(d1.beta_mask)
     same, other = occ if deg_a else occ[::-1]
     return _single_element(holes[0], particles[0], phase, same, other, s)
-
-
-def _excitations(string, n_orb: int, degree: int) -> np.ndarray:
-    """Every uint64 string that moves degree (1 or 2) electrons of one string."""
-    bits = _occupations(np.array([string], dtype=np.uint64), n_orb)[0]
-    holes, particles = (np.array(list(combinations(np.flatnonzero(bits == v), degree)),
-                                 dtype=np.intp).reshape(-1, degree) for v in (1, 0))
-    holes, particles = np.repeat(holes, len(particles), axis=0), np.tile(particles, (len(holes), 1))
-    return np.uint64(string) ^ np.bitwise_or.reduce(_BIT[holes] | _BIT[particles], axis=1)
 
 
 def det_to_string(d: Determinant, n_orb: int) -> str:

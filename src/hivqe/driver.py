@@ -34,8 +34,9 @@ from typing import Optional, get_type_hints
 import numpy as np
 import scipy.sparse
 
-from .determinants import Sector, _check_packed, _moves, _occupations, hartree_fock_det, slater_condon
-from .eigensolver import CIVector, WalkState, _string_pairs, ground_state, principal_block, project
+from .determinants import (Sector, _check_packed, _moves, _occupations, _string_pairs,
+                           hartree_fock_det, slater_condon)
+from .eigensolver import CIVector, WalkState, ground_state, principal_block, project
 from .integrals import DipoleIntegrals, IntegralSet
 from .optimizer import EnergyHistory, converged, make_optimizer, propose, update
 from .sampler import brick_wall_ansatz, mean_occupations, prepare_state, sample
@@ -381,7 +382,7 @@ def compute_1rdm(c: CIVector, sub: Subspace) -> np.ndarray:
                     + np.bincount(r.ib, weight) @ _occupations(r.beta, n))
     by_alpha = scipy.sparse.csr_matrix((amps, (r.ia, r.ib)), shape=(len(r.alpha), len(r.beta)))
     for strings, rows in ((r.alpha, by_alpha), (r.beta, by_alpha.T.tocsr())):
-        lo, hi = _string_pairs(strings, 0, 1)
+        lo, hi = _string_pairs(strings, n, 0, 1)
         overlap = np.empty(len(lo))
         for k in range(0, len(lo), RDM_BATCH):
             pick = slice(k, k + RDM_BATCH)

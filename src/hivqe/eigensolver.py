@@ -20,8 +20,8 @@ The links and the values they carry make up a WalkState of one
 IntegralSet, which the loop carries beside its known block. A link table
 grows by appending, and its groupings by source and by target string are
 each built the first time the walk reads them. An extension whose strings
-the state holds walks it as it is, and new strings are linked only to what
-they meet (fast SHCI keeps its helper lists across builds alike). The
+the state holds walks it as it is; a new string is linked by looking up its
+neighbours (fast SHCI keeps its helper lists across builds alike). The
 state never drops a string; a walked call handed none builds its own.
 Every element formula lives in determinants: compared pairs are valued by
 _pair_elements, and the walk evaluates its links with the same helpers,
@@ -62,8 +62,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 
-from .determinants import (_BIT, _double_element, _moves, _occupations, _pair_elements,
-                           _set_orbitals, _single_terms, _single_value)
+from .determinants import (_double_element, _moves, _occupations, _pair_elements, _single_terms,
+                           _single_value, _string_pairs)
 from .integrals import IntegralSet
 from .subspace import RowIndex, StringRanks, Subspace
 
@@ -111,26 +111,6 @@ _CHUNK = 1 << 13
 def _kept(keep: np.ndarray, *arrays):
     """arrays where keep is true; the arrays themselves when it is true throughout."""
     return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
-def _pairs_in_groups(keys: np.ndarray, new: np.ndarray):
-    """Every pair (a, b) of distinct positions of keys with keys[a] == keys[b]
-    and new[a] or new[b], once."""
-    order = np.lexsort((new, keys))  # each group's old positions first
-    k, old = keys[order], ~new[order]
-    n = len(k)
-    if n == 0:
-        return order, order
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    sizes = np.diff(np.concatenate((starts, [n])))
-    old_before = np.concatenate(([0], np.cumsum(old)))
-    first_new = starts + old_before[starts + sizes] - old_before[starts]
-    # a position pairs with the later ones of its group, an old one only with new ones
-    begin = np.maximum(np.arange(1, n + 1), np.repeat(first_new, sizes))
-    later = np.repeat(starts + sizes, sizes) - begin
-    a = np.repeat(np.arange(n), later)
-    b = np.repeat(begin, later) + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-    return order[a], order[b]
 
 
 def _expand(counts: np.ndarray):
@@ -201,40 +181,6 @@ def _grown(links: Optional[_Links], n_strings: int, src, dst, **values) -> _Link
     return _Links(n_strings, src, dst, values)
 
 
-def _stay(n: int) -> _Links:
-    """Each of n strings linked to itself: the channel a same-spin move leaves be."""
-    return _Links(n, np.arange(n), np.arange(n), {}, stay=True)
-
-
-def _string_pairs(strings: np.ndarray, n_old: int, degree: int):
-    """(lo, hi): each pair of the distinct strings degree (1 or 2) electrons
-    apart, at least one of them at or after position n_old, once, as
-    positions with strings[lo] < strings[hi].
-
-    Two strings one electron apart share exactly one string with one
-    electron removed, and two strings two electrons apart share exactly one
-    with two removed, so grouping those reduced strings finds each pair
-    without comparing all string pairs.
-    """
-    n_e = int(np.bitwise_count(strings[0]))
-    bits = _BIT[_set_orbitals(strings, n_e)]  # each string's electrons
-    if degree == 2:
-        i1, i2 = np.triu_indices(n_e, 1)
-        bits = bits[:, i1] ^ bits[:, i2]
-    width = bits.shape[1]
-    keys = (strings[:, None] ^ bits).ravel()  # width reduced strings per string
-    split = n_old * width
-    fresh = np.sort(keys[split:])
-    at = np.searchsorted(fresh, keys[:split]).clip(max=len(fresh) - 1)
-    # a held reduced string pairs only if a new string shares it
-    pos = np.concatenate((np.flatnonzero(fresh[at] == keys[:split]), np.arange(split, len(keys))))
-    a, b = (pos[e] // max(width, 1) for e in _pairs_in_groups(keys[pos], pos >= split))
-    if degree == 2:  # strings one electron apart share several reduced strings
-        a, b = _kept(np.bitwise_count(strings[a] ^ strings[b]) == 4, a, b)
-    up = strings[a] < strings[b]
-    return np.where(up, a, b), np.where(up, b, a)
-
-
 def _coupling_blocks(eri: np.ndarray) -> np.ndarray:
     """Block label of each orbital pair (p, q), at p * n_orb + q: the connected
     components joining (pq) and (rs) wherever (pq|rs) != 0. A breadth-first
@@ -301,18 +247,17 @@ class _Channel:
     their nonzero values; across, by coupling block, the singles the walk
     pairs with one in the other channel, with their phase and orbital pair
     (upward only for alpha, both directions for beta); stay links each
-    string to itself, for the other channel's same-spin moves. A new string's
-    links are appended, the stay is remade, and each grouping is built the
-    first time the walk reads it.
+    string to itself, for the other channel's same-spin moves. New strings'
+    links (determinants._string_pairs) are appended, the stay is remade,
+    and each grouping is built the first time the walk reads it.
     """
 
     def __init__(self, s: IntegralSet, block: np.ndarray, both_ways: bool):
         self.s, self.block, self.both_ways = s, block, both_ways
         self.strings = np.zeros(0, dtype=np.uint64)
         self.occ = np.zeros((0, s.n_orb))
-        self.singles = self.doubles = None
+        self.singles = self.doubles = self.stay = None
         self.across = {}
-        self.stay = _stay(0)
         self._sorter = self._sorted = self.strings
 
     def index(self, wanted: np.ndarray) -> np.ndarray:
@@ -330,9 +275,9 @@ class _Channel:
         occ = self.occ = np.concatenate((self.occ, _occupations(fresh, s.n_orb)))
         self._sorter = np.argsort(strings)
         self._sorted = strings[self._sorter]
-        self.stay = _stay(n)
+        self.stay = _Links(n, np.arange(n), np.arange(n), {}, stay=True)
 
-        lo, hi = _string_pairs(strings, n_old, 1)
+        lo, hi = _string_pairs(strings, s.n_orb, n_old, 1)
         holes, particles, phase = _moves(strings[lo], strings[hi], 1)
         holes, particles = holes[:, 0], particles[:, 0]
         base, coulomb = _single_terms(holes, particles, phase, occ[lo], s)
@@ -349,7 +294,7 @@ class _Channel:
             src, dst, phase_b, pair_b = _kept(label == b, lo, hi, phase, pair)
             self.across[b] = _grown(self.across.get(b), n, src, dst, phase=phase_b, pair=pair_b)
 
-        lo, hi = _string_pairs(strings, n_old, 2)
+        lo, hi = _string_pairs(strings, s.n_orb, n_old, 2)
         holes, particles, phase = _moves(strings[lo], strings[hi], 2)
         value = _double_element(holes.T, particles.T, phase, s)
         # no pair is looked up for a vanishing element

@@ -24,7 +24,7 @@ from .determinants import (
     _BIT,
     _check_packed,
     _distinct_rows,
-    _excitations,
+    _neighbours,
     _occupations,
     _pair_elements,
     hartree_fock_det,
@@ -320,7 +320,8 @@ def classical_expand(sub: Subspace, amplitudes: np.ndarray, m: int, s: IntegralS
     if not len(tied):
         return sub
     ref_a, ref_b = min(zip(sub.alpha[tied], sub.beta[tied]))  # ties by (alpha, beta)
-    a1, b1, a2, b2 = (_excitations(r, sub.sector.n_orb, d) for d in (1, 2) for r in (ref_a, ref_b))
+    a1, b1, a2, b2 = (_neighbours(np.array([r]), sub.sector.n_orb, d)[0]
+                      for d in (1, 2) for r in (ref_a, ref_b))
     ia, ib = np.divmod(np.arange(len(a1) * len(b1)), len(b1))
     # alpha singles, beta singles, alpha doubles, beta doubles, alpha single x beta single
     alpha = np.concatenate((a1, np.full(len(b1), ref_a), a2, np.full(len(b2), ref_a), a1[ia]))

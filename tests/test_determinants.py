@@ -4,6 +4,9 @@ Phases and matrix elements are checked against the operator-algebra oracle,
 which builds the same quantities from explicit creation/annihilation strings.
 """
 
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hivqe.determinants import (
     Sector,
     _channel_excitation,
     _distinct_rows,
+    _neighbours,
     det_to_string,
     hartree_fock_det,
     occupied_orbitals,
@@ -150,3 +154,33 @@ def test_distinct_rows_match_a_dict_reference(rows, low, distinct):
     alpha, beta = (strings[rng.integers(distinct, size=rows)] for _ in range(2))
     first, counts = _distinct_rows(alpha, beta)
     assert (first.tolist(), counts.tolist()) == distinct_rows_reference(alpha, beta)
+
+
+def sector_strings(n_orb, n_e):
+    """Every n_e-electron string of n_orb orbitals, as uint64."""
+    return np.array([sum(1 << p for p in c) for c in itertools.combinations(range(n_orb), n_e)],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("n_orb, n_e, count", [
+    (64, 3, 6),  # orbital 63 held in one string and empty in another
+    (10, 4, 8),
+    (5, 1, 5),  # one electron: no doubles
+    (7, 0, 1),  # zero electrons: no neighbours
+    (6, 6, 1),  # a full channel: no neighbours
+])
+def test_neighbours_match_a_comparison_with_every_string_of_the_popcount(n_orb, n_e, count, degree):
+    """Each row of _neighbours holds each string of the same popcount within
+    n_orb orbitals whose XOR with the input string has 2 * degree bits, once,
+    as found by comparing the string with every string of its popcount."""
+    every = sector_strings(n_orb, n_e)
+    strings = np.random.default_rng(n_orb).permutation(every)[:count]
+    if n_orb == 64:
+        strings[0] = every[-1]  # orbitals 61, 62 and 63
+        assert not int(strings[1]) >> 63
+    out = _neighbours(strings, n_orb, degree)
+    assert out.shape == (count, comb(n_e, degree) * comb(n_orb - n_e, degree))
+    for string, row in zip(strings, out.tolist()):
+        want = every[np.bitwise_count(every ^ string) == 2 * degree].tolist()
+        assert len(row) == len(set(row)) and set(row) == set(want)

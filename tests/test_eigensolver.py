@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import hivqe.determinants
 import hivqe.eigensolver
 import hivqe.driver
 from hivqe.determinants import (Determinant, Sector, _channel_excitation, _occupations,
@@ -332,19 +333,9 @@ def link_integrals(name, strings):
     return IntegralSet.from_terms(64, n_e, n_e, 0.0, one, two)
 
 
-@pytest.mark.parametrize("name", ["h8_channel", "random_10", "random_11", "random_12",
-                                  "one_electron", "no_electron", "orbital_63"])
-def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
-    """A channel's state, built from nothing and then grown by two batches of
-    new strings in first-seen order, links each pair of its strings once:
-    upward singles and doubles each unordered pair two and four bits apart,
-    from the lower string; the singles the mixed walk reads each ordered pair
-    (beta) or each unordered one upward (alpha). Every table is grouped by
-    source and by target, each group in the order its links were made, and
-    _moves over every link is the oracle's move."""
-    strings = np.array(link_strings(name), dtype=np.uint64)
-    s = link_integrals(name, strings)
-    block = _coupling_blocks(s.eri)
+def grown_channels(strings, s, block):
+    """(alpha, beta, seen): both channels' states built from nothing and then
+    grown by two batches of new strings, and the strings in first-seen order."""
     batches = [np.sort(b) for b in np.array_split(np.random.default_rng(47).permutation(strings), 3)]
     seen = np.concatenate(batches)  # each batch's new strings are held after the earlier ones
     alpha, beta = _Channel(s, block, both_ways=False), _Channel(s, block, both_ways=True)
@@ -354,6 +345,37 @@ def test_string_links_join_each_pair_one_or_two_electrons_apart_once(name):
             positions = channel.index(wanted)
             assert channel.strings[positions].tolist() == wanted.tolist()
             assert channel.strings.tolist() == seen[:len(channel.strings)].tolist()
+    return alpha, beta, seen
+
+
+def link_arrays(channel):
+    """Every array of a channel's link tables, in a fixed order."""
+    tables = [channel.singles, channel.doubles, *(channel.across[b] for b in sorted(channel.across))]
+    return [a for links in tables for a in (links.src, links.dst, *links.values.values())]
+
+
+@pytest.mark.parametrize("name", ["h8_channel", "random_10", "random_11", "random_12",
+                                  "random_12_by_string", "one_electron", "no_electron",
+                                  "orbital_63"])
+def test_string_links_join_each_pair_one_or_two_electrons_apart_once(monkeypatch, name):
+    """A channel's state, built from nothing and then grown by two batches of
+    new strings in first-seen order, links each pair of its strings once:
+    upward singles and doubles each unordered pair two and four bits apart,
+    from the lower string; the singles the mixed walk reads each ordered pair
+    (beta) or each unordered one upward (alpha). Every table is grouped by
+    source and by target, each group in the order its links were made, and
+    _moves over every link is the oracle's move. Looking up one string's
+    neighbours at a time (by_string) makes the same links in the same order."""
+    strings = np.array(link_strings(name), dtype=np.uint64)
+    s = link_integrals(name, strings)
+    block = _coupling_blocks(s.eri)
+    alpha, beta, seen = grown_channels(strings, s, block)
+    if name.endswith("by_string"):
+        monkeypatch.setattr(hivqe.determinants, "_CHUNK", 1)
+        for channel, blocked in zip((alpha, beta), grown_channels(strings, s, block)):
+            want, got = link_arrays(channel), link_arrays(blocked)
+            assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(want, got))
+    for channel in (alpha, beta):
         assert channel.strings.tolist() == seen.tolist()
         assert np.array_equal(channel.occ, _occupations(seen, s.n_orb))
     distance = np.bitwise_count(strings[:, None] ^ strings)
