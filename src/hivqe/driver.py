@@ -19,9 +19,8 @@ from the probe pair. The lowest eigenpair (of equal energies, the one on
 fewer rows) is returned; a run of zero iterations returns no energy and no
 determinant.
 
-A sampled set among the last LOOSE_CACHE used is not solved again: the run
-keeps their loose energies, which the deterministic solve would reproduce
-bit for bit.
+A run solves each distinct sampled set once: it keeps every set's loose
+energy, which the deterministic solve would reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
 ]
 
 DEBYE_PER_AU = 2.541746
-LOOSE_CACHE = 4  # sampled sets whose loose energy a run keeps
 STALL_WINDOW = 10  # iterations without a lower energy before a run stops as stalled
 RDM_BATCH = 4096  # string pairs whose amplitude rows compute_1rdm multiplies at once
 
@@ -232,16 +230,15 @@ def run_hivqe(
     best_energy_seen = math.inf
     stall_count = 0
     status = "max_iterations"
-    loose = {}  # (alpha bytes, beta bytes) in row order -> loose energy, oldest first
+    loose = {}  # (alpha bytes, beta bytes) in row order -> loose energy
 
     def sample_and_solve(theta, iteration, role):
         """(batch, the subspace of its sector-valid determinants, its loose energy).
 
         Role 0 is the iteration at the current angles, roles 1 and 2 the SPSA
         probes; each draws from its own seed stream. The energy is nan when
-        filtering leaves no determinant. The solve is deterministic, so the
-        energies of the LOOSE_CACHE most recently used sets are kept and a
-        repeated set is not solved again.
+        filtering leaves no determinant. The solve is deterministic, so each
+        set's energy is kept and a repeated set is not solved again.
         """
         state = prepare_state(ansatz, theta, sector)
         batch = sample(state, cfg.shots, cfg.p_flip, _stream(cfg.seed, iteration, role))
@@ -250,13 +247,9 @@ def run_hivqe(
         if not dets:
             return batch, dets, math.nan
         key = (dets.alpha.tobytes(), dets.beta.tobytes())
-        energy = loose.pop(key, None)
-        if energy is None:
-            energy = ground_state(project(dets, s), "loose").energy
-            if len(loose) == LOOSE_CACHE:
-                del loose[next(iter(loose))]
-        loose[key] = energy  # now the most recent
-        return batch, dets, energy
+        if key not in loose:
+            loose[key] = ground_state(project(dets, s), "loose").energy
+        return batch, dets, loose[key]
 
     for i in range(cfg.max_iterations):
         t0 = time.perf_counter()

@@ -34,12 +34,13 @@ and only the new rows are built (fast SHCI: Li, Otten, Holmes, Sharma &
 Umrigar, JCP 149, 214110, 2018). The new rows' entries are written once,
 into one (row, col, value) buffer reserved before any pair is generated:
 room for the diagonal and for every pair the generator will look at (the
-row pairs it compares, or the walk's lookups, counted from its link
-groupings). Each batch's nonzero pairs fill the buffer's next slice, and
-the filled prefix becomes the CSR matrix; the pages of a walk's misses are
-reserved but never touched. The diagonal, always recomputed, comes from
-occupation vectors against J = (pp|qq) and K = (pq|qp). slater_condon is the
-element-by-element oracle.
+row pairs it compares, or the walk's lookups). A walk plans each pass, one
+table in one direction, once: each new row's alpha links times its beta
+links, which sum to its lookups and drive the pass. Each batch's nonzero
+pairs fill the buffer's next slice, and the filled prefix becomes the CSR
+matrix; the pages of a walk's misses are reserved but never touched. The
+diagonal, always recomputed, comes from occupation vectors against
+J = (pp|qq) and K = (pq|qp). slater_condon is the element-by-element oracle.
 
 ground_state() finds the lowest eigenpair. Up to DENSE_CUTOFF = 100 rows it
 takes column 0 of numpy's full dense eigendecomposition. That is about where
@@ -328,41 +329,26 @@ class WalkState:
         return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
-def _passes(n_old: int) -> tuple:
-    """The walk's passes: along the links leaving the rows at or after n_old,
-    then, when rows precede them, along the links into them."""
-    return (False, True) if n_old else (False,)
-
-
-def _lookups(ia: np.ndarray, ib: np.ndarray, n_old: int, alpha: _Links, beta: _Links) -> int:
-    """How many row pairs _linked looks up for the same rows and tables: per
-    pass, each new row's alpha links times its beta links."""
-    new = slice(n_old, None)
-    return sum(int(np.diff(alpha.grouping(into)[0])[ia[new]] @ np.diff(beta.grouping(into)[0])[ib[new]])
-               for into in _passes(n_old))
-
-
-def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links):
+def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links,
+            into: bool, counts: np.ndarray, n_b: np.ndarray):
     """Yield (i, j, alpha link, beta link) for the rows j = find(alpha string,
-    beta string) one link of each table away from row i, each pair touching a
-    row at or after n_old once: the links leaving those rows, then the links
-    from the first n_old rows into them. A stay has one link per string, so
-    the rank is the other table's step and no division is needed."""
-    new = np.arange(n_old, len(ia))
-    for into in _passes(n_old):
-        a_start, a_order, a_far = alpha.grouping(into)
-        b_start, b_order, b_far = beta.grouping(into)
-        n_b = np.diff(b_start)[ib[new]]
-        for k, rank in _expand(np.diff(a_start)[ia[new]] * n_b):
-            i = new[k]
-            if alpha.stay or beta.stay:
-                step_a, step_b = (0, rank) if alpha.stay else (rank, 0)
-            else:
-                step_a, step_b = np.divmod(rank, n_b[k])
-            at_a, at_b = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
-            j = find(a_far[at_a], b_far[at_b])
-            i, j, at_a, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, at_a, at_b)
-            yield i, j, a_order[at_a], b_order[at_b]
+    beta string) one link of each table away from a row i at or after n_old:
+    along the links leaving row i or, when into, the links into it from a row
+    before n_old. Row n_old + k has counts[k] pairs to look up, n_b[k] beta
+    links times its alpha links. A stay has one link per string, so the rank
+    is the other table's step and no division is needed."""
+    a_start, a_order, a_far = alpha.grouping(into)
+    b_start, b_order, b_far = beta.grouping(into)
+    for k, rank in _expand(counts):
+        i = k + n_old
+        if alpha.stay or beta.stay:
+            step_a, step_b = (0, rank) if alpha.stay else (rank, 0)
+        else:
+            step_a, step_b = np.divmod(rank, n_b[k])
+        at_a, at_b = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
+        j = find(a_far[at_a], b_far[at_b])
+        i, j, at_a, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, at_a, at_b)
+        yield i, j, a_order[at_a], b_order[at_b]
 
 
 def _diagonal(r: StringRanks, s: IntegralSet) -> np.ndarray:
@@ -412,15 +398,24 @@ def _walked(sub: Subspace, n_old: int, walk: WalkState):
     links. A same-spin move pairs a link of its channel with a stay in the
     other; (h_a p_a|h_b p_b) vanishes unless both moves' orbital pairs lie
     in one coupling block, so a single in each channel is walked block by
-    block. One list of tables serves the count and the walk."""
-    index = walk.index(sub)
+    block. Each table is walked in one pass along the links leaving the new
+    rows and, when rows precede them, one along the links into them. Each
+    pass is planned once: each new row's alpha links times its beta links,
+    read from the pass's groupings, add up to the lookups and drive its walk."""
+    ia, ib, find = walk.index(sub)
     eri = walk.s.eri.reshape(walk.s.n_orb ** 2, -1)
     tables = (_same_spin(walk.alpha, walk.beta, 1) + _same_spin(walk.beta, walk.alpha, -1)
               + [_across(up_a, walk.beta.across[b], eri)
                  for b, up_a in walk.alpha.across.items() if b in walk.beta.across])
-    lookups = sum(_lookups(*index[:2], n_old, a, b) for a, b, _ in tables)
-    return lookups, ((i, j, value(la, lb)) for a, b, value in tables
-                     for i, j, la, lb in _linked(*index, n_old, a, b))
+    passes, lookups = [], 0
+    for a, b, value in tables:
+        for into in (False, True) if n_old else (False,):
+            n_b = np.diff(b.grouping(into)[0])[ib[n_old:]]
+            counts = np.diff(a.grouping(into)[0])[ia[n_old:]] * n_b
+            lookups += int(counts.sum())
+            passes.append((a, b, into, counts, n_b, value))
+    return lookups, ((i, j, value(la, lb)) for a, b, into, counts, n_b, value in passes
+                     for i, j, la, lb in _linked(ia, ib, find, n_old, a, b, into, counts, n_b))
 
 
 def _compared(sub: Subspace, n_old: int, s: IntegralSet):

@@ -107,9 +107,10 @@ def parse_fcidump(text: str) -> IntegralSet:
 
     The namelist header must define NORB, NELEC and MS2 and end with ``&END``
     or ``/``. Body records are ``value i j k l`` with 1-based indices:
-    all-zero indices set the core energy, ``k=l=0`` sets h_ij, anything else
-    sets (ij|kl). Records of the form ``value i 0 0 0`` (orbital energies,
-    written by some programs) are accepted and ignored. ORBSYM is ignored.
+    all-zero indices set the core energy, ``k=l=0`` sets h_ij, nonzero indices
+    set (ij|kl). Records of the form ``value i 0 0 0`` (orbital energies,
+    written by some programs) are accepted and ignored; any other mix of zero
+    and nonzero indices is refused. ORBSYM is ignored.
     """
     m = re.search(r"&FCI(.*?)(?:&END|^\s*/|\s/)", text, re.S | re.I | re.M)
     if m is None:
@@ -150,7 +151,7 @@ def parse_fcidump(text: str) -> IntegralSet:
                 raise FcidumpError(f"body line {lineno}: index {idx} exceeds NORB={n_orb}")
         if i == j == k == l == 0:
             e_core = value
-        elif k == 0 and l == 0:
+        elif k == 0 and l == 0 and i != 0:
             if j == 0:
                 continue  # orbital-energy record
             one_body[i - 1, j - 1] = value

@@ -507,28 +507,12 @@ def test_iteration_and_probes_share_one_sample_and_solve_step():
     assert record.shots_invalid == invalid > 0
 
 
-def lru_misses(keys, size):
-    """Misses of a least-recently-used cache of size entries over keys."""
-    held, misses = [], 0
-    for key in keys:
-        if key in held:
-            held.remove(key)
-        else:
-            misses += 1
-            if len(held) == size:
-                held.pop(0)
-        held.append(key)
-    return misses
-
-
-@pytest.mark.parametrize("cache", [None, 2, 1])
+@pytest.mark.parametrize("cache", [None])
 def test_a_repeated_sampled_set_is_solved_once(monkeypatch, cache):
     """Noiseless h4_chain samples 16 sets in 6 iterations, 3 of them distinct.
-    sample_and_solve projects a set only when the 4 most recently used sets
-    (or a smaller cache, set here) miss it, and every e_iter, e_plus and
-    e_minus is bit for bit a fresh solve of the set sampled at that step."""
-    if cache is not None:
-        monkeypatch.setattr("hivqe.driver.LOOSE_CACHE", cache)
+    sample_and_solve projects each distinct set once, and every e_iter,
+    e_plus and e_minus is bit for bit a fresh solve of the set sampled at
+    that step."""
     s = load_fixture("h4_chain")
     cfg = RunConfig(seed=0, k=10, m=4, max_iterations=6)
     thetas, sampled, solved = [], [], []
@@ -554,9 +538,7 @@ def test_a_repeated_sampled_set_is_solved_once(monkeypatch, cache):
 
     assert len(trace) == 6 and len(sampled) == len(thetas) == 16
     assert len(set(sampled)) == 3
-    if cache is None:
-        assert len(solved) == len(set(solved)) == 3
-    assert len(solved) == lru_misses(sampled, cache or 4)
+    assert len(solved) == len(set(solved)) == 3
     assert set(solved) == set(sampled)
     steps = [(r.iteration, role) for r in trace for role in (0, 1, 2)]
     energies = [e for r in trace for e in (r.e_iter, r.e_plus, r.e_minus)]

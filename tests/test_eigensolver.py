@@ -659,7 +659,7 @@ def test_project_fills_its_buffer_alike_in_tiny_chunks(monkeypatch):
     known block that carries its walk state: on LiH rows that fill most of
     its sector, and on a sparse pick of a larger sector, whose walked
     extension looks up mostly rows it lacks and so fills its buffer only in
-    part."""
+    part. A walk reserves exactly the row pairs it hands its row lookup."""
     cases = {}
     for name, s, count in (("lih", load_fixture("lih"), 150),
                            ("sparse", blocked_integral_set(8, 3, 4, seed=53), 400)):
@@ -667,13 +667,23 @@ def test_project_fills_its_buffer_alike_in_tiny_chunks(monkeypatch):
         pick = [dets[i] for i in np.random.default_rng(53).permutation(len(dets))[:count]]
         cases[name] = s, subspace_of(pick[:count * 4 // 5], s), subspace_of(pick, s)
     filled = {}  # (case, generator, extended): (chunks, filled share of the buffer)
-    added = hivqe.eigensolver._added
+    reserved, looked_up = {}, {}  # (case, generator, extended): pairs reserved, looked up
+    added, index = hivqe.eigensolver._added, WalkState.index
 
     def spied(diag, n_old, size, batches):
         batches = list(batches)
         h = added(diag, n_old, size, batches)
         filled[key] = len(batches), (h.nnz - (len(diag) - n_old)) / size
+        reserved[key] = size
         return h
+
+    def counted_index(self, sub):
+        ia, ib, find = index(self, sub)
+
+        def counted_find(a, b):
+            looked_up[key] = looked_up.get(key, 0) + len(a)
+            return find(a, b)
+        return ia, ib, counted_find
 
     def built():
         nonlocal key
@@ -691,10 +701,12 @@ def test_project_fills_its_buffer_alike_in_tiny_chunks(monkeypatch):
     default = built()
     monkeypatch.setattr(hivqe.eigensolver, "_added", spied)
     monkeypatch.setattr(hivqe.eigensolver, "_CHUNK", 5)
+    monkeypatch.setattr(WalkState, "index", counted_index)
     tiny = built()
     assert tiny.keys() == default.keys() == filled.keys()
     for k, h in default.items():
         assert same_storage(h, tiny[k]), k
+    assert looked_up == {k: size for k, size in reserved.items() if k[1] == WALK}
     assert min(chunks for chunks, _ in filled.values()) >= 20
     assert filled["lih", WALK, True][1] > 0.5
     assert filled["sparse", WALK, True][1] < 0.25

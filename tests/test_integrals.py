@@ -92,6 +92,7 @@ def test_parse_ignores_orbital_energy_records():
         lambda t: t + " 1.0 1 1 3 1\n",  # index beyond NORB
         lambda t: t + " 1.0 1 0 2 1\n",  # mixed zero and nonzero indices
         lambda t: t + " abc 1 1 1 1\n",  # unparseable value
+        lambda t: t + " 1.0 0 1 0 0\n",  # one-body record with i = 0
     ],
 )
 def test_parse_rejects_malformed_input(mutation):
