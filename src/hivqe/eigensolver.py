@@ -9,13 +9,13 @@ the popcounts class the pair as a single or double in one spin channel or a
 single in each (Scemama & Giner, arXiv:1311.6244). At or above it, each row's pair of
 uint64 strings becomes a pair of indices into each spin channel's strings,
 the strings one or two electrons apart are linked, and partners are found
-by a RowIndex (Knowles & Handy, CPL 111, 315, 1984). One enumerator,
-_linked, walks every pair as one alpha link and one beta link: a single or
-double in one channel takes a stay (each string linked to itself) in the
-other, and a single in each channel is walked once per coupling block
-(connected orbital pairs, joined wherever (pq|rs) != 0). No pair is looked
-up whose single, double or (h_a p_a|h_b p_b) is exactly zero, so every
-stored bit stays as it was.
+by a RowIndex (Knowles & Handy, CPL 111, 315, 1984). Every pair is walked
+as one alpha link and one beta link, a new row's alpha links, then each
+one's beta links: a single or double in one channel takes a stay (each
+string linked to itself) in the other, and a single in each channel is
+walked once per coupling block (connected orbital pairs, joined wherever
+(pq|rs) != 0). No pair is looked up whose single, double or
+(h_a p_a|h_b p_b) is exactly zero, so every stored bit stays as it was.
 The links and the values they carry make up a WalkState of one
 IntegralSet, which the loop carries beside its known block. A link table
 grows by appending, and its groupings by source and by target string are
@@ -35,8 +35,8 @@ Umrigar, JCP 149, 214110, 2018). The new rows' entries are written once,
 into one (row, col, value) buffer reserved before any pair is generated:
 room for the diagonal and for every pair the generator will look at (the
 row pairs it compares, or the walk's lookups). A walk plans each pass, one
-table in one direction, once: each new row's alpha links times its beta
-links, which sum to its lookups and drive the pass. Each batch's nonzero
+table in one direction, once: each new row's alpha and beta link counts,
+whose products sum to its lookups, drive the pass. Each batch's nonzero
 pairs fill the buffer's next slice, and the filled prefix becomes the CSR
 matrix; the pages of a walk's misses are reserved but never touched. The
 diagonal, always recomputed, comes from occupation vectors against
@@ -117,7 +117,7 @@ def _kept(keep: np.ndarray, *arrays):
 def _expand(counts: np.ndarray):
     """Yield (owner, rank) chunks enumerating rank in range(counts[owner]).
 
-    Owners stay whole inside a chunk; chunks hold about _CHUNK rows.
+    Owners stay whole inside a chunk; chunks hold about _CHUNK ranks.
     """
     live = np.flatnonzero(counts)
     c = counts[live]
@@ -133,28 +133,18 @@ def _expand(counts: np.ndarray):
         lo = hi
 
 
-def _grouped(keys: np.ndarray, n: int):
-    """(start, order): the positions of keys equal to k, for keys below n, are
-    order[start[k]:start[k+1]], ascending. keys are stably sorted as the
-    smallest unsigned type that holds them: numpy radix-sorts 16-bit keys."""
-    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
-    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n)))), order
-
-
 @dataclass(frozen=True)
 class _Links:
-    """Pairs of n strings one or two electrons apart (or, for a stay, marked
-    stay, each string and itself), in the order they were made: link k
-    carries string src[k] into string dst[k], and values holds, by name, one
-    entry per link. A table grows by appending, and each grouping is built
-    when first read.
-    """
+    """Pairs of n strings one or two electrons apart (or, for a stay, each
+    string and itself), in the order they were made: link k carries string
+    src[k] into string dst[k], and values holds, by name, one entry per
+    link. A table grows by appending, and each grouping is built when first
+    read."""
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     values: dict
-    stay: bool = False
     _groupings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -167,7 +157,9 @@ class _Links:
         order[p], so a walk reads order only for the pairs it keeps."""
         if into not in self._groupings:
             keys, far = (self.dst, self.src) if into else (self.src, self.dst)
-            start, order = _grouped(keys, self.n)
+            # sorted stably as the smallest unsigned type that holds them: numpy radix-sorts 16 bits
+            order = np.argsort(keys.astype(np.min_scalar_type(self.n)), kind="stable")
+            start = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=self.n))))
             self._groupings[into] = start, order, far[order]
             for array in self._groupings[into]:
                 array.flags.writeable = False
@@ -276,7 +268,7 @@ class _Channel:
         occ = self.occ = np.concatenate((self.occ, _occupations(fresh, s.n_orb)))
         self._sorter = np.argsort(strings)
         self._sorted = strings[self._sorter]
-        self.stay = _Links(n, np.arange(n), np.arange(n), {}, stay=True)
+        self.stay = _Links(n, np.arange(n), np.arange(n), {})
 
         lo, hi = _string_pairs(strings, s.n_orb, n_old, 1)
         holes, particles, phase = _moves(strings[lo], strings[hi], 1)
@@ -329,28 +321,6 @@ class WalkState:
         return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
-def _linked(ia: np.ndarray, ib: np.ndarray, find, n_old: int, alpha: _Links, beta: _Links,
-            into: bool, counts: np.ndarray, n_b: np.ndarray):
-    """Yield (i, j, alpha link, beta link) for the rows j = find(alpha string,
-    beta string) one link of each table away from a row i at or after n_old:
-    along the links leaving row i or, when into, the links into it from a row
-    before n_old. Row n_old + k has counts[k] pairs to look up, n_b[k] beta
-    links times its alpha links. A stay has one link per string, so the rank
-    is the other table's step and no division is needed."""
-    a_start, a_order, a_far = alpha.grouping(into)
-    b_start, b_order, b_far = beta.grouping(into)
-    for k, rank in _expand(counts):
-        i = k + n_old
-        if alpha.stay or beta.stay:
-            step_a, step_b = (0, rank) if alpha.stay else (rank, 0)
-        else:
-            step_a, step_b = np.divmod(rank, n_b[k])
-        at_a, at_b = a_start[ia[i]] + step_a, b_start[ib[i]] + step_b
-        j = find(a_far[at_a], b_far[at_b])
-        i, j, at_a, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, i, j, at_a, at_b)
-        yield i, j, a_order[at_a], b_order[at_b]
-
-
 def _diagonal(r: StringRanks, s: IntegralSet) -> np.ndarray:
     """<d|H|d> + e_core for every determinant, from its strings' occupations."""
     occ_a, occ_b = _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb)
@@ -400,8 +370,9 @@ def _walked(sub: Subspace, n_old: int, walk: WalkState):
     in one coupling block, so a single in each channel is walked block by
     block. Each table is walked in one pass along the links leaving the new
     rows and, when rows precede them, one along the links into them. Each
-    pass is planned once: each new row's alpha links times its beta links,
-    read from the pass's groupings, add up to the lookups and drive its walk."""
+    pass is planned once, as each new row's alpha and beta link counts, whose
+    products add up to the lookups. It walks a new row's alpha links, then
+    each one's beta links, gathering the alpha side once per chunk."""
     ia, ib, find = walk.index(sub)
     eri = walk.s.eri.reshape(walk.s.n_orb ** 2, -1)
     tables = (_same_spin(walk.alpha, walk.beta, 1) + _same_spin(walk.beta, walk.alpha, -1)
@@ -410,12 +381,24 @@ def _walked(sub: Subspace, n_old: int, walk: WalkState):
     passes, lookups = [], 0
     for a, b, value in tables:
         for into in (False, True) if n_old else (False,):
-            n_b = np.diff(b.grouping(into)[0])[ib[n_old:]]
-            counts = np.diff(a.grouping(into)[0])[ia[n_old:]] * n_b
-            lookups += int(counts.sum())
-            passes.append((a, b, into, counts, n_b, value))
-    return lookups, ((i, j, value(la, lb)) for a, b, into, counts, n_b, value in passes
-                     for i, j, la, lb in _linked(ia, ib, find, n_old, a, b, into, counts, n_b))
+            a_side, b_side = a.grouping(into), b.grouping(into)
+            n_a, n_b = np.diff(a_side[0])[ia[n_old:]], np.diff(b_side[0])[ib[n_old:]]
+            lookups += int(n_a @ n_b)
+            passes.append((a_side, b_side, into, n_a, n_b, value))
+
+    def batches():
+        for (a_start, a_order, a_far), (b_start, b_order, b_far), into, n_a, n_b, value in passes:
+            for k, rank in _expand(n_a):
+                i = k + n_old
+                at_a = a_start[ia[i]] + rank
+                far_a, first_b = a_far[at_a], b_start[ib[i]]
+                for p, rank in _expand(n_b[k]):
+                    at_b = first_b[p] + rank
+                    j = find(far_a[p], b_far[at_b])
+                    p, j, at_b = _kept((j >= 0) & (j < n_old) if into else j >= 0, p, j, at_b)
+                    yield i[p], j, value(a_order[at_a[p]], b_order[at_b])
+
+    return lookups, batches()
 
 
 def _compared(sub: Subspace, n_old: int, s: IntegralSet):

@@ -897,6 +897,15 @@ def test_a_tight_solve_out_of_iterations_names_its_final_residual(monkeypatch):
         ground_state(h, "tight")
 
 
+def test_ground_state_refuses_an_unknown_mode_and_an_empty_matrix():
+    s = random_integral_set(4, 2, 2, seed=2)
+    h = project(subspace_of(enumerate_sector(4, 2, 2), s), s)
+    with pytest.raises(ValueError, match="unknown mode 'medium'"):
+        ground_state(h, "medium")
+    with pytest.raises(EigensolverError, match="empty Hamiltonian"):
+        ground_state(scipy.sparse.csr_matrix((0, 0)))
+
+
 def test_sign_convention_largest_amplitude_positive(monkeypatch):
     for seed in range(4):
         s = random_integral_set(4, 2, 1, seed=40 + seed)
