@@ -39,8 +39,8 @@ table in one direction, once: each new row's alpha and beta link counts,
 whose products sum to its lookups, drive the pass. Each batch's nonzero
 pairs fill the buffer's next slice, and the filled prefix becomes the CSR
 matrix; the pages of a walk's misses are reserved but never touched. The
-diagonal, always recomputed, comes from occupation vectors against
-J = (pp|qq) and K = (pq|qp). slater_condon is the element-by-element oracle.
+diagonal sums occupations against J = (pp|qq) and K = (pq|qp) row by row.
+slater_condon is the element-by-element oracle.
 
 ground_state() finds the lowest eigenpair. Up to DENSE_CUTOFF = 100 rows it
 takes column 0 of numpy's full dense eigendecomposition. That is about where
@@ -321,20 +321,20 @@ class WalkState:
         return ia, ib, RowIndex(ia, ib, len(self.alpha.strings), len(self.beta.strings)).row
 
 
-def _diagonal(r: StringRanks, s: IntegralSet) -> np.ndarray:
-    """<d|H|d> + e_core for every determinant, from its strings' occupations."""
+def _diagonal(r: StringRanks, s: IntegralSet, first: int = 0) -> np.ndarray:
+    """<d|H|d> + e_core for the rows from first on, each summed along its own
+    strings' orbitals (einsum, no matrix product): no bit depends on the rest of r."""
     occ_a, occ_b = _occupations(r.alpha, s.n_orb), _occupations(r.beta, s.n_orb)
-    ar = np.arange(s.n_orb)
-    j = s.eri[ar[:, None], ar[:, None], ar, ar]
-    jk = j - s.eri[ar[:, None], ar, ar, ar[:, None]]
-    h = np.diag(s.one_body)
-    e_a = occ_a @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_a, jk, occ_a)
-    e_b = occ_b @ h + 0.5 * np.einsum("kp,pq,kq->k", occ_b, jk, occ_b)
-    coulomb_a = occ_a @ j
-    diag = e_a[r.ia] + e_b[r.ib]
+    j = np.einsum("ppqq->pq", s.eri)
+    jk = j - np.einsum("pqqp->pq", s.eri)
+    e_a, e_b = (np.einsum("kp,pp->k", o, s.one_body) + 0.5 * np.einsum("kp,pq,kq->k", o, jk, o)
+                for o in (occ_a, occ_b))
+    coulomb_a = np.einsum("kp,pq->kq", occ_a, j)
+    ia, ib = r.ia[first:], r.ib[first:]
+    diag = e_a[ia] + e_b[ib]
     for lo in range(0, len(diag), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        diag[sl] += np.einsum("kp,kp->k", coulomb_a[r.ia[sl]], occ_b[r.ib[sl]])
+        diag[sl] += np.einsum("kp,kp->k", coulomb_a[ia[sl]], occ_b[ib[sl]])
     return diag + s.e_core
 
 
@@ -415,15 +415,15 @@ def _compared(sub: Subspace, n_old: int, s: IntegralSet):
 
 
 def _added(diag: np.ndarray, n_old: int, size: int, batches) -> scipy.sparse.csr_matrix:
-    """Rows n_old on of the lower triangle, counted from row n_old: each row's
-    diagonal, then the nonzero values of batches, (i, j, value) arrays of at
-    most size pairs in all. Every entry is written once, into one buffer
+    """Rows n_old on of the lower triangle, counted from row n_old: diag, each
+    row's diagonal, then the nonzero values of batches, (i, j, value) arrays
+    of at most size pairs in all. Every entry is written once, into one buffer
     reserved for all of them; pages it never reaches are never touched."""
-    n = len(diag)
-    end = n - n_old
+    end = len(diag)
+    n = n_old + end
     rows, cols = np.empty(end + size, dtype=np.int32), np.empty(end + size, dtype=np.int32)
     vals = np.empty(end + size)
-    rows[:end], cols[:end], vals[:end] = np.arange(end), np.arange(n_old, n), diag[n_old:]
+    rows[:end], cols[:end], vals[:end] = np.arange(end), np.arange(n_old, n), diag
     for i, j, v in batches:
         i, j, v = _kept(v != 0.0, i, j, v)
         at = slice(end, end + len(v))
@@ -444,9 +444,9 @@ def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
     off-diagonal entries that vanish are left out. Given known, an earlier
     (Subspace, matrix) pair from project or principal_block whose rows are
     sub's first rows (EigensolverError otherwise), those rows are copied and
-    only the rows after them are built; each value is the same formula, so
-    the matrix is bitwise a cold one. The diagonal is always recomputed: its
-    last bits depend on which strings sub holds. Fewer than PAIRWISE_CUTOFF
+    only the rows after them are built. Each entry, the diagonal too, is a
+    function of the rows it joins alone, so the copied rows are what a cold
+    build stores and the matrix is bitwise a cold one. Fewer than PAIRWISE_CUTOFF
     row pairs to build are compared string by string, more are walked along
     the string links; both give the same bits. A walk reads and grows walk,
     and builds its own state when given none; a state made for another
@@ -461,21 +461,17 @@ def project(sub: Subspace, s: IntegralSet, known: Optional[tuple] = None,
     if n_old and not (np.array_equal(known[0].alpha, sub.alpha[:n_old])
                       and np.array_equal(known[0].beta, sub.beta[:n_old])):
         raise EigensolverError("the known rows are not the first rows of the subspace")
-    diag = _diagonal(sub.ranks, s)
     pairs = (n - n_old) * (n + n_old - 1) // 2
     if pairs < PAIRWISE_CUTOFF:
         size, batches = pairs, _compared(sub, n_old, s)
     else:
         size, batches = _walked(sub, n_old, walk or WalkState(s))
-    added = _added(diag, n_old, size, batches)
+    added = _added(_diagonal(sub.ranks, s, n_old), n_old, size, batches)
     if not n_old:
         return added
     old = known[1]
-    data = np.concatenate((old.data, added.data))
-    data[old.indptr[1:] - 1] = diag[:n_old]
-    return scipy.sparse.csr_matrix((data, np.concatenate((old.indices, added.indices)),
-                                    np.concatenate((old.indptr, added.indptr[1:] + old.nnz))),
-                                   shape=(n, n))
+    return scipy.sparse.csr_matrix((np.r_[old.data, added.data], np.r_[old.indices, added.indices],
+                                    np.r_[old.indptr, added.indptr[1:] + old.nnz]), shape=(n, n))
 
 
 def principal_block(sub: Subspace, h: scipy.sparse.csr_matrix, rows) -> tuple:

@@ -68,6 +68,8 @@ class IntegralSet:
     eri: np.ndarray
 
     def __post_init__(self):
+        if self.n_orb < 1:
+            raise FcidumpError(f"NORB={self.n_orb}: the integral set needs at least one orbital")
         if not (0 <= self.n_alpha <= self.n_orb and 0 <= self.n_beta <= self.n_orb):
             raise FcidumpError(
                 f"electron counts ({self.n_alpha}a,{self.n_beta}b) do not fit "

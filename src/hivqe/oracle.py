@@ -65,10 +65,12 @@ def fci_ground(s: IntegralSet) -> FciResult:
     Above DENSE_CUTOFF determinants the solve is Davidson's from the
     determinant of lowest diagonal, which stays in that determinant's irrep:
     when _irrep_labels grades the orbitals, only that irrep's rows are
-    assembled and solved, and every other amplitude is exactly 0. The energy
-    is then the lowest of that irrep, which need not be Hartree-Fock's nor
-    hold the sector's lowest state. Without a grading the full sector is
-    solved as is.
+    assembled and solved, and every other amplitude is exactly 0. A diagonal
+    entry depends on its own row alone, so that determinant, the argmin of
+    _diagonal over the sector, is by construction where ground_state starts.
+    The energy is then the lowest of that irrep, which need not be
+    Hartree-Fock's nor hold the sector's lowest state. Without a grading the
+    full sector is solved as is.
     """
     sector = Sector(s.n_orb, s.n_alpha, s.n_beta)
     count = sector_size(*sector)

@@ -25,6 +25,7 @@ from hivqe.eigensolver import (
     WalkState,
     _Channel,
     _coupling_blocks,
+    _diagonal,
     _irrep_labels,
     _moves,
     ground_state,
@@ -478,45 +479,9 @@ def test_compute_1rdm_is_the_same_in_batches_of_one_pair(monkeypatch):
     assert np.array_equal(compute_1rdm(c, sub), batched)
 
 
-def test_principal_slice_equals_a_fresh_projection():
-    """Kept rows and columns of an assembled union, taken by principal_block,
-    are the matrix project() builds over those determinants: same storage,
-    same floats.
-    That holds here because the kept rows hold every spin string of the union;
-    see the next test for a slice that loses strings."""
-    s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
-    rng = np.random.default_rng(109)
-    dets = list(enumerate_sector(8, 3, 3))
-    union = subspace_of([dets[i] for i in rng.permutation(len(dets))[:1500]], s)
-    assert len(union) > DENSE_CUTOFF
-    rows = rng.permutation(len(union))[:700]
-    for cutoff in (WALK, PAIRWISE):
-        with generator(cutoff):
-            h = project(union, s)
-            kept, sliced = principal_block(union, h, rows)
-            assert np.array_equal(kept.alpha, union.alpha[np.sort(rows)])
-            assert np.array_equal(kept.beta, union.beta[np.sort(rows)])
-            fresh = project(kept, s)
-        assert fresh.has_sorted_indices and sliced.has_sorted_indices
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
-
-
-def same_storage(a, b) -> bool:
-    return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in ("indptr", "indices", "data"))
-
-
-def off_diagonal(h):
-    h = h.tolil()
-    h.setdiag(0)
-    return h.tocsr()
-
-
-def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_diagonal():
-    """Off-diagonal elements do not depend on which other strings the
-    subspace holds; the diagonal may, in its last bits, so project never
-    reuses it."""
+def string_losing_slices():
+    """(s, union, rows) draws: 12 orbitals, 60 strings a channel, about 300
+    rows, and a third of them kept, which loses strings of the union."""
     s = random_integral_set(12, 6, 6, seed=5, e_core=0.5)
     rng = np.random.default_rng(5)
     strings = [m for m in range(1 << 12) if m.bit_count() == 6]
@@ -526,14 +491,55 @@ def test_a_slice_that_loses_strings_differs_from_a_fresh_projection_only_on_the_
             Determinant(int(a), int(b)) for a, b in zip(rng.choice(alphas, 400),
                                                          rng.choice(betas, 400)))), s)
         rows = np.sort(rng.choice(len(union), len(union) // 3, replace=False))
-        kept = union.take(rows)
-        assert len(np.unique(kept.alpha)) < len(np.unique(union.alpha))
+        assert len(np.unique(union.alpha[rows])) < len(np.unique(union.alpha))
+        yield s, union, rows
+
+
+def test_principal_slice_equals_a_fresh_projection():
+    """Kept rows and columns of an assembled union, taken by principal_block,
+    are the matrix project() builds over those determinants: same storage,
+    same floats, its diagonal included, whether the kept rows hold every spin
+    string of the union (the first case) or lose some (the others)."""
+    s = random_integral_set(8, 3, 3, seed=109, e_core=0.3)
+    rng = np.random.default_rng(109)
+    dets = list(enumerate_sector(8, 3, 3))
+    union = subspace_of([dets[i] for i in rng.permutation(len(dets))[:1500]], s)
+    assert len(union) > DENSE_CUTOFF
+    holding = s, union, rng.permutation(len(union))[:700]
+    for s, union, rows in itertools.chain([holding], string_losing_slices()):
         for cutoff in (WALK, PAIRWISE):
             with generator(cutoff):
-                sliced = principal_block(union, project(union, s), rows)[1]
+                h = project(union, s)
+                kept, sliced = principal_block(union, h, rows)
+                assert np.array_equal(kept.alpha, union.alpha[np.sort(rows)])
+                assert np.array_equal(kept.beta, union.beta[np.sort(rows)])
                 fresh = project(kept, s)
-            assert same_storage(off_diagonal(sliced), off_diagonal(fresh))
-            assert np.max(np.abs(sliced.diagonal() - fresh.diagonal())) <= 1e-14
+            assert fresh.has_sorted_indices and sliced.has_sorted_indices
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_a_row_has_the_same_diagonal_in_every_subspace_that_holds_it(monkeypatch, chunk):
+    """_diagonal, which project stores, gives a determinant the same bits in
+    its union, in a slice that loses strings, in the union reversed, on its
+    own and among the rows after a known block, however many rows it values
+    at once."""
+    if chunk:
+        monkeypatch.setattr(hivqe.eigensolver, "_CHUNK", chunk)
+    for s, union, rows in string_losing_slices():
+        full = _diagonal(union.ranks, s)
+        want = dict(zip(union, full.tolist()))
+        subs = [union.take(rows), union.take(np.arange(len(union))[::-1])]
+        subs += [union.take(rows[k:k + 1]) for k in range(0, len(rows), 25)]
+        for sub in subs:
+            assert _diagonal(sub.ranks, s).tolist() == [want[d] for d in sub]
+        assert np.array_equal(_diagonal(union.ranks, s, rows[0]), full[rows[0]:])
+
+
+def same_storage(a, b) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("indptr", "indices", "data"))
 
 
 def prefix_cases(rng):
@@ -577,9 +583,11 @@ def test_project_extending_a_known_matrix_is_bitwise_a_cold_projection(name):
             known = principal_block(earlier, h_earlier[build], kept)
             with generator(extend):
                 warm = project(sub, s, known)
-                stale = known[1].copy()
-                stale.setdiag(stale.diagonal() + 1.0)  # the diagonal is recomputed, never copied
-                assert same_storage(cold, project(sub, s, (known[0], stale)))
+                marked = known[1].copy()
+                marked.data += 1.0  # a known block is copied as given, its diagonal too
+                given = project(sub, s, (known[0], marked))
+                assert same_storage(given[:len(kept)], marked)
+                assert same_storage(given[len(kept):], cold[len(kept):])
             assert same_storage(cold, warm)
             assert (cold.indptr.dtype, cold.indices.dtype) == (warm.indptr.dtype, warm.indices.dtype)
         tensored = tensor_reconstruct(sub, False, len(dets))  # no product exceeds the sector

@@ -93,6 +93,7 @@ def test_parse_ignores_orbital_energy_records():
         lambda t: t + " 1.0 1 0 2 1\n",  # mixed zero and nonzero indices
         lambda t: t + " abc 1 1 1 1\n",  # unparseable value
         lambda t: t + " 1.0 0 1 0 0\n",  # one-body record with i = 0
+        lambda t: "&FCI NORB=0,NELEC=0,MS2=0, &END\n 0.5 0 0 0 0\n",  # no orbitals
     ],
 )
 def test_parse_rejects_malformed_input(mutation):
